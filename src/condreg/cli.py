@@ -5,7 +5,7 @@ residualize, stepwise, subset, ellipse, action, corr, summary.  Input is
 CSV (header row, configurable delimiter); output is a deterministic JSON
 report (schema "condreg/1") plus TSV plot data where applicable.
 
-Exit codes: 0 success, 1 I/O or data-loading error, 2 model error.
+Exit codes: 0 success, 1 I/O or data error (any DataError), 2 model error.
 Every failure prints a single ``error[<code>]: message`` line to stderr.
 
 Defaults can come from a JSON config file (--config or $CONDREG_CONFIG);
@@ -37,12 +37,9 @@ from .errors import (
     AssignmentError,
     ConfigError,
     CondregError,
-    CsvParseError,
     DataError,
     EmptyDataError,
     FormulaError,
-    NonFiniteDataError,
-    SchemaError,
 )
 from .formula import parse_formula, print_formula
 from .ols import FittedModel, fit, predict
@@ -71,9 +68,6 @@ DEFAULTS = {
     "correlation_threshold": relations.DESTABILIZATION_THRESHOLD,
     "antagonism_tolerance": geometry.CONTROL_TOLERANCE,
 }
-
-# I/O-ish failures exit 1; everything else from the toolkit exits 2.
-_IO_ERRORS = (CsvParseError, EmptyDataError, SchemaError, NonFiniteDataError)
 
 
 def _load_config(path: str | None) -> dict:
@@ -718,7 +712,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 " (or the full --a1/--a2/--c12/--c21/--r reconstruction set)"
             )
         return args.func(args, config)
-    except _IO_ERRORS as exc:
+    except DataError as exc:
         print(f"error[{exc.code}]: {_one_line(exc)}", file=sys.stderr)
         return 1
     except OSError as exc:

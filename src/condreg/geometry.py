@@ -89,7 +89,9 @@ def classify_point(e: ConfidenceEllipse, point) -> Literal["inside", "outside"]:
 
 
 def boundary(e: ConfidenceEllipse, points: int = 360) -> np.ndarray:
-    """(points x 2) polyline of the ellipse boundary."""
+    """(points x 2) polyline of the ellipse boundary; ``points`` must be >= 1."""
+    if points < 1:
+        raise DegenerateEllipseError(f"a boundary needs at least 1 point, got {points}")
     theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     circle = np.stack([np.cos(theta), np.sin(theta)])
     chol = np.linalg.cholesky(e.shape)

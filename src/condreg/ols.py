@@ -1,19 +1,30 @@
 """Least-squares fitting with full coefficient inference.
 
-The solver is QR with column pivoting (rank-revealing) rather than the
-normal equations; a pivot below 1e-10 times the largest pivot declares
-rank deficiency and names the offending column.  Standard errors come
-from sigma^2 * (X'X)^{-1} with sigma^2 = RSS/dof; p-values are two-sided
-Student t.  R^2 uses the centered total sum of squares when an intercept
-is present and the uncentered one otherwise.
+Every fit goes through one :class:`Factorization`: the intercept, a pool
+of term columns and the response are written into one n x (P + 2) array,
+which is factored once, in place, by unpivoted Householder QR.  Only the
+small R factor is kept, never Q and never the normal equations.  A
+sub-model S of the pool has design X_S = Q R[:, S] and response
+y = Q R[:, y], so it is solved from R alone, at a cost that does not
+depend on n:
+
+* rank test: QR with column pivoting of the slice R[:, S]; a pivot below
+  1e-10 times the largest pivot declares rank deficiency and names the
+  offending column;
+* residual sum of squares: the squared tail of Q_S' R[:, y];
+* inference: standard errors from sigma^2 * (X'X)^{-1} with
+  sigma^2 = RSS/dof, two-sided Student t p-values.
+
+R^2 uses the centered total sum of squares when an intercept is present
+and the uncentered one otherwise.  :func:`fit` is one factorization over
+the model's own terms; model search reuses one for many sub-models.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -22,11 +33,12 @@ from .dataset import Dataset
 from .errors import (
     AssignmentError,
     CollinearityError,
+    ModelError,
     NestingError,
     SaturatedModelError,
 )
 from .stats import student_t_two_sided_p
-from .terms import ModelSpec, expand
+from .terms import ModelSpec, Term, check_design, fill_design
 
 RANK_TOLERANCE = 1e-10
 
@@ -103,12 +115,147 @@ class FittedModel:
         )
 
 
-def _fingerprint(d: Dataset, response: str) -> str:
-    digest = hashlib.sha1()
-    digest.update(response.encode())
-    digest.update(str(d.n).encode())
-    digest.update(d.column(response).tobytes())
-    return digest.hexdigest()
+class Factorization:
+    """One Householder QR of [intercept | pool term columns | response].
+
+    Built once per dataset, response and term pool; any sub-model whose
+    terms come from the pool is then fitted from the small R factor
+    alone, at a cost that does not depend on n.  Pool terms that use a
+    predictor absent from the data are left out; a sub-model that uses
+    one raises UnknownPredictorError when solved.
+
+    Raises UnknownColumnError when the response is not in the data.
+    """
+
+    def __init__(self, d: Dataset, response: str, pool: Sequence[Term]):
+        y = d.column(response)
+        terms = [t for t in pool if all(name in d for name in t.predictors)]
+        a = np.empty((d.n, len(terms) + 2), order="F")
+        fill_design(a, d, terms, intercept=True)
+        a[:, -1] = y
+        geqrf = scipy.linalg.lapack.dgeqrf
+        lwork = int(geqrf(a, lwork=-1, overwrite_a=1)[2][0])  # workspace query
+        qr, _, _, _ = geqrf(a, lwork=lwork, overwrite_a=1)
+        # R is upper trapezoidal, min(n, P + 2) x (P + 2); y = Q R[:, -1].
+        self.r = np.triu(qr[: min(a.shape)])
+        del a, qr
+        self.response = response
+        self.n = d.n
+        self.names = frozenset(d.names)
+        self.fingerprint = d.fingerprint
+        self.tss_centered = float(((y - y.mean()) ** 2).sum())
+        self.tss_uncentered = float((y**2).sum())
+        self._column = {term: j for j, term in enumerate(terms, start=1)}
+
+    def _solve(self, spec: ModelSpec, allow_saturated: bool):
+        """Checks in ``fit``'s order, then a pivoted QR of the slice R[:, S].
+
+        Returns the slice's QR (upper triangle R_S), its column
+        permutation, Q_S' R[:, y] and the residual sum of squares.
+        """
+        if spec.response != self.response:
+            raise ModelError(
+                f"model responds to {spec.response!r}, factorization to {self.response!r}"
+            )
+        check_design(spec, self.names, self.n)
+        p = spec.n_parameters
+        if p == 0:
+            raise ModelError("model has no parameters to fit")
+        dof = self.n - p
+        if dof < 1 and not (allow_saturated and dof == 0):
+            raise SaturatedModelError(
+                f"model has {p} parameters for {self.n} observations (dof={dof});"
+                " pass allow_saturated=True to permit an exact fit"
+            )
+        columns = [0] if spec.intercept else []
+        columns.extend(self._column[term] for term in spec.terms)
+        # Rows of the C-ordered transpose are R's columns: the slice comes
+        # out Fortran-ordered, as LAPACK wants it, and is factored in place.
+        qr, jpvt, tau, _, _ = scipy.linalg.lapack.dgeqp3(self.r.T[columns].T, overwrite_a=1)
+        perm = jpvt - 1
+        diag = np.abs(np.diag(qr))
+        if diag[0] == 0.0:
+            raise CollinearityError("design matrix is zero", column=_label(spec, perm[0]))
+        bad = np.nonzero(diag < RANK_TOLERANCE * diag[0])[0]
+        if bad.size:
+            raise CollinearityError(
+                "design matrix is rank deficient", column=_label(spec, perm[bad[0]])
+            )
+        # Q_S' R[:, y]; one column needs no more than the minimal workspace.
+        qty = scipy.linalg.lapack.dormqr("L", "T", qr, tau, self.r[:, -1:], 1)[0][:, 0]
+        tail = qty[p:]
+        return qr[:p], perm, qty[:p], float(tail @ tail)
+
+    def _r2(self, spec: ModelSpec, rss: float) -> tuple[float, float]:
+        """R^2 (centered with an intercept) and adjusted R^2 (NaN at dof 0)."""
+        tss = self.tss_centered if spec.intercept else self.tss_uncentered
+        if tss > 0.0:
+            r2 = 1.0 - rss / tss
+            if spec.intercept:
+                r2 = min(1.0, max(0.0, r2))
+        else:
+            # constant response: an exact fit explains it fully
+            r2 = 1.0 if rss <= 1e-12 else 0.0
+        n, p = self.n, spec.n_parameters
+        r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p) if n > p else math.nan
+        return float(r2), float(r2_adj)
+
+    def score(self, spec: ModelSpec) -> tuple[float, float]:
+        """R^2 and adjusted R^2 of a sub-model, without inference.
+
+        Raises what ``fit`` raises for the same spec (saturated models
+        are refused).
+        """
+        _, _, _, rss = self._solve(spec, allow_saturated=False)
+        return self._r2(spec, rss)
+
+    def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
+        """Coefficients and full inference for a sub-model; see :func:`fit`."""
+        r, perm, qty, rss = self._solve(spec, allow_saturated)
+        n, p = self.n, spec.n_parameters
+        dof = n - p
+        coef = np.empty(p)
+        coef[perm] = scipy.linalg.solve_triangular(r, qty)
+
+        # (X'X)^{-1} from R_S: permute (R'R)^{-1} back to the spec's order.
+        r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+        cov_unscaled = np.empty((p, p))
+        cov_unscaled[np.ix_(perm, perm)] = r_inv @ r_inv.T
+
+        r2, r2_adj = self._r2(spec, rss)
+        if dof > 0:
+            cov = (rss / dof) * cov_unscaled
+            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(se > 0.0, coef / se, np.inf * np.sign(coef))
+            pvals = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
+        else:
+            cov = np.full((p, p), np.nan)
+            se = np.full(p, np.nan)
+            t = np.full(p, np.nan)
+            pvals = np.full(p, np.nan)
+
+        for arr in (coef, se, t, pvals, cov):
+            arr.flags.writeable = False
+        return FittedModel(
+            spec=spec,
+            coef=coef,
+            se=se,
+            t=t,
+            p=pvals,
+            r2=r2,
+            r2_adj=r2_adj,
+            rss=rss,
+            n=n,
+            dof=dof,
+            cov=cov,
+            data_fingerprint=self.fingerprint,
+        )
+
+
+def _label(spec: ModelSpec, column: int) -> str:
+    labels = ["(intercept)"] * spec.intercept + [term.label for term in spec.terms]
+    return labels[column]
 
 
 def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
@@ -130,82 +277,7 @@ def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedMod
     SaturatedModelError
         dof < 1 without ``allow_saturated`` (or dof < 0 always).
     """
-    y = d.column(spec.response)
-    X, labels = expand(d, spec)
-    n, p = X.shape
-    dof = n - p
-    if dof < 1 and not (allow_saturated and dof == 0):
-        raise SaturatedModelError(
-            f"model has {p} parameters for {n} observations (dof={dof});"
-            " pass allow_saturated=True to permit an exact fit"
-        )
-
-    q, r, perm = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag[0] == 0.0:
-        raise CollinearityError("design matrix is zero", column=labels[perm[0]])
-    bad = np.nonzero(diag < RANK_TOLERANCE * diag[0])[0]
-    if bad.size:
-        raise CollinearityError(
-            "design matrix is rank deficient", column=labels[perm[bad[0]]]
-        )
-
-    z = scipy.linalg.solve_triangular(r, q.T @ y)
-    coef = np.empty(p)
-    coef[perm] = z
-
-    resid = y - X @ coef
-    rss = float(resid @ resid)
-
-    # (X'X)^{-1} from R: permute (R'R)^{-1} back to original column order.
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
-    unscaled = r_inv @ r_inv.T
-    cov_unscaled = np.empty((p, p))
-    cov_unscaled[np.ix_(perm, perm)] = unscaled
-
-    if spec.intercept:
-        tss = float(((y - y.mean()) ** 2).sum())
-    else:
-        tss = float((y**2).sum())
-    if tss > 0.0:
-        r2 = 1.0 - rss / tss
-        if spec.intercept:
-            r2 = min(1.0, max(0.0, r2))
-    else:
-        # constant response: an exact fit explains it fully
-        r2 = 1.0 if rss <= 1e-12 else 0.0
-
-    if dof > 0:
-        sigma2 = rss / dof
-        cov = sigma2 * cov_unscaled
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(se > 0.0, coef / se, np.inf * np.sign(coef))
-        pvals = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
-        r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
-    else:
-        cov = np.full((p, p), np.nan)
-        se = np.full(p, np.nan)
-        t = np.full(p, np.nan)
-        pvals = np.full(p, np.nan)
-        r2_adj = math.nan
-
-    for arr in (coef, se, t, pvals, cov):
-        arr.flags.writeable = False
-    return FittedModel(
-        spec=spec,
-        coef=coef,
-        se=se,
-        t=t,
-        p=pvals,
-        r2=float(r2),
-        r2_adj=float(r2_adj),
-        rss=rss,
-        n=n,
-        dof=dof,
-        cov=cov,
-        data_fingerprint=_fingerprint(d, spec.response),
-    )
+    return Factorization(d, spec.response, spec.terms).fit(spec, allow_saturated)
 
 
 def predict(m: FittedModel, point: Mapping[str, float]) -> float:

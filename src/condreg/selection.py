@@ -1,22 +1,30 @@
 """Model search: exhaustive best-subset and backward stepwise elimination.
 
-Both searches rank or prune by the two-sided t-test p-values and R^2 of
-refitted candidate models; rank-deficient candidates are skipped with a
-note rather than aborting the search.  Advisory checks cover the
-term-count rule (k < n/10), strong pairwise predictor correlations, and
-hierarchy violations.
+Each search factors its data once: one :class:`~condreg.ols.Factorization`
+(a Householder QR of [intercept | term pool | response]) covers every
+candidate, and a candidate is solved from its slice of the small R
+factor, so its cost does not depend on n.  The slice gets the same
+pivoted rank test as :func:`~condreg.ols.fit`; rank-deficient or
+otherwise ill-posed candidates are skipped with a note rather than
+aborting the search.  Best-subset ranks candidates by R^2 alone and
+computes a ranked model's coefficients and inference
+(:attr:`RankedModel.fitted`) only when first asked for.  Stepwise takes
+every round's p-values from slices of its start model's factorization.
+Advisory checks cover the term-count rule (k < n/10), strong pairwise
+predictor correlations, and hierarchy violations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .dataset import Dataset, pearson_matrix
-from .errors import CondregError, ModelError, SearchError
-from .ols import FittedModel, fit
+from .errors import CondregError, ModelError, SearchError, UnknownColumnError
+from .ols import Factorization, FittedModel
 from .relations import DESTABILIZATION_THRESHOLD
 from .terms import ModelSpec, Term, check_hierarchy
 
@@ -25,10 +33,16 @@ MAX_CANDIDATE_FITS = 1_000_000
 
 @dataclass(frozen=True)
 class RankedModel:
+    """One scored candidate; ``fitted`` is solved on first access."""
+
     spec: ModelSpec
-    fitted: FittedModel
     r2: float
     r2_adj: float
+    factorization: Factorization = field(repr=False, compare=False)
+
+    @cached_property
+    def fitted(self) -> FittedModel:
+        return self.factorization.fit(self.spec)
 
 
 @dataclass(frozen=True)
@@ -96,7 +110,7 @@ def best_subset(
     subset_size: int,
     intercept: bool = True,
 ) -> SearchResult:
-    """Fit every size-``subset_size`` combination from the term pool.
+    """Score every size-``subset_size`` combination from the term pool.
 
     Candidates are ranked by R^2 descending.  Rank-deficient or
     otherwise ill-posed combinations are recorded in ``skipped``.  The
@@ -115,18 +129,21 @@ def best_subset(
             f"{n_candidates} candidate fits exceed the cap of {MAX_CANDIDATE_FITS}"
         )
 
+    try:
+        core = Factorization(d, response, unique_pool)
+    except UnknownColumnError as exc:
+        # no response column: every candidate would fail on it alike
+        raise SearchError("every candidate combination was ill-posed") from exc
     ranked: list[RankedModel] = []
     skipped: list[tuple[tuple[str, ...], str]] = []
     for combo in itertools.combinations(unique_pool, subset_size):
         spec = ModelSpec(response=response, terms=combo, intercept=intercept)
         try:
-            fitted = fit(d, spec)
+            r2, r2_adj = core.score(spec)
         except CondregError as exc:
             skipped.append((tuple(t.label for t in combo), str(exc)))
             continue
-        ranked.append(
-            RankedModel(spec=spec, fitted=fitted, r2=fitted.r2, r2_adj=fitted.r2_adj)
-        )
+        ranked.append(RankedModel(spec=spec, r2=r2, r2_adj=r2_adj, factorization=core))
     if not ranked:
         raise SearchError("every candidate combination was ill-posed")
     ranked.sort(key=_ranking_key)
@@ -167,8 +184,9 @@ def backward_stepwise(
     """Iteratively drop the least-significant removable term.
 
     Each round removes the removable term with the largest p-value above
-    ``alpha`` (ties broken by canonical term order) and refits, so the
-    surviving coefficients are recalculated after every exclusion.
+    ``alpha`` (ties broken by canonical term order) and refits from the
+    start model's factorization, so the surviving coefficients are
+    recalculated after every exclusion.
     Protected terms are never dropped; with ``enforce_hierarchy`` a
     linear term stays as long as any surviving higher-order term uses
     its predictor.
@@ -180,7 +198,8 @@ def backward_stepwise(
             f"start model responds to {start.response!r}, expected {response!r}"
         )
     protected_set = set(protected)
-    start_fit = fit(d, start)
+    core = Factorization(d, response, start.terms)
+    start_fit = core.fit(start)
     current = start_fit
     steps: list[StepwiseStep] = []
     while True:
@@ -189,7 +208,7 @@ def backward_stepwise(
             break
         term, p_value = candidate
         next_spec = current.spec.without(term)
-        current = fit(d, next_spec)
+        current = core.fit(next_spec)
         steps.append(
             StepwiseStep(
                 removed=term,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,29 +150,47 @@ class ModelSpec:
         return max((t.degree_in(predictor) for t in self.terms), default=0)
 
 
+def check_design(spec: ModelSpec, names: Container[str], n: int) -> None:
+    """Raise what ``expand`` raises for ``spec`` on data with these column names and n rows.
+
+    UnknownPredictorError names the first predictor absent from ``names``;
+    UnderdeterminedModelError is raised when p exceeds n.
+    """
+    for name in spec.predictors:
+        if name not in names:
+            raise UnknownPredictorError(f"predictor {name!r} not in dataset")
+    p = spec.n_parameters
+    if p > n:
+        raise UnderdeterminedModelError(
+            f"model has {p} parameters but only {n} observations"
+        )
+
+
+def fill_design(
+    out: np.ndarray, d: Dataset, terms: Sequence[Term], intercept: bool
+) -> list[str]:
+    """Write the intercept (when asked) and each term's column into the
+    leading columns of ``out`` (n x >= p); returns their labels."""
+    labels: list[str] = []
+    if intercept:
+        out[:, 0] = 1.0
+        labels.append("(intercept)")
+    for term in terms:
+        out[:, len(labels)] = term.column(d)
+        labels.append(term.label)
+    return labels
+
+
 def expand(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, list[str]]:
     """Design matrix (n x p) with column labels, intercept column first.
 
     Raises UnknownPredictorError for predictors absent from the data and
     UnderdeterminedModelError when p exceeds n.
     """
-    for name in spec.predictors:
-        if name not in d:
-            raise UnknownPredictorError(f"predictor {name!r} not in dataset")
-    p = spec.n_parameters
-    if p > d.n:
-        raise UnderdeterminedModelError(
-            f"model has {p} parameters but only {d.n} observations"
-        )
-    columns: list[np.ndarray] = []
-    labels: list[str] = []
-    if spec.intercept:
-        columns.append(np.ones(d.n))
-        labels.append("(intercept)")
-    for term in spec.terms:
-        columns.append(term.column(d))
-        labels.append(term.label)
-    return np.column_stack(columns), labels
+    check_design(spec, d, d.n)
+    design = np.empty((d.n, spec.n_parameters), order="F")
+    labels = fill_design(design, d, spec.terms, spec.intercept)
+    return design, labels
 
 
 def full_quadratic_terms(predictors: Sequence[str]) -> list[Term]:

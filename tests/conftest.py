@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from condreg import Dataset
+
+# Property tests replay the same examples on every run, so the suite is
+# deterministic and its run time bounded.
+settings.register_profile("condreg", derandomize=True, max_examples=60, deadline=None, database=None)
+settings.load_profile("condreg")
 
 
 @pytest.fixture

@@ -59,6 +59,12 @@ class TestDatasetConstruction:
         with pytest.raises(UnknownColumnError):
             d.column("b")
 
+    def test_fingerprint_covers_every_column(self):
+        base = Dataset({"y": [1.0, 2.0], "x": [3.0, 4.0]})
+        assert base.fingerprint == Dataset({"y": [1.0, 2.0], "x": [3.0, 4.0]}).fingerprint
+        assert base.fingerprint != Dataset({"y": [1.0, 2.0], "x": [3.0, 5.0]}).fingerprint
+        assert base.fingerprint != Dataset({"y": [1.0, 2.0], "z": [3.0, 4.0]}).fingerprint
+
 
 class TestLoadCsv:
     def test_three_line_csv(self):

@@ -77,6 +77,12 @@ class TestEllipse:
         for point in pts[::30]:
             assert e.mahalanobis_sq(point) == pytest.approx(e.threshold, rel=1e-9)
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_boundary_needs_a_point(self, rng, points):
+        e = ellipse(Dataset({"x": rng.normal(size=20), "y": rng.normal(size=20)}), "x", "y", 0.95)
+        with pytest.raises(DegenerateEllipseError, match="at least 1 point"):
+            boundary(e, points)
+
 
 class TestClassifyPoint:
     def test_center_inside_for_every_level(self, rng):

@@ -222,6 +222,20 @@ class TestCompare:
         with pytest.raises(NestingError):
             compare(m1, m2)
 
+    def test_same_response_different_predictors_rejected(self, rng):
+        d1 = random_dataset(rng, 20, 2)
+        d2 = Dataset(
+            {
+                "Y": d1.column("Y"),
+                "x1": d1.column("x1"),
+                "x2": rng.normal(size=20),
+            }
+        )
+        small = fit(d1, linear_spec("Y", "x1"))
+        large = fit(d2, linear_spec("Y", "x1", "x2"))
+        with pytest.raises(NestingError, match="different data"):
+            compare(small, large)
+
 
 class TestProperties:
     def test_scale_equivariance(self, rng):

@@ -95,6 +95,11 @@ class TestBestSubset:
         with pytest.raises(SearchError):
             best_subset(d, "Y", [Term.linear("a"), Term.linear("b")], 2)
 
+    def test_missing_response_is_a_search_error(self):
+        d = _signal_dataset()
+        with pytest.raises(SearchError, match="every candidate combination was ill-posed"):
+            best_subset(d, "Q", [Term.linear("u"), Term.linear("v")], 1)
+
     def test_candidate_cap(self):
         d = _signal_dataset()
         pool = [Term.linear(f"g{i}") for i in range(60)]
