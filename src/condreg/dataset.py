@@ -1,8 +1,13 @@
 """Tabular data container and descriptive statistics.
 
 A :class:`Dataset` is an immutable table of named float columns of equal
-length.  Loading is complete-case: any CSV row with a missing or
-non-numeric cell is dropped (and counted), never imputed.
+length.  Loading is complete-case: any CSV row with a missing,
+non-numeric or non-finite cell is dropped (and counted), never imputed.
+Plain byte input (no quote character, no carriage return) is parsed in
+one vectorized ``numpy.loadtxt`` pass; anything that pass refuses falls
+back to the row-by-row ``csv`` parser, which also handles every other
+input.  The result, or the error and its line number, is the same either
+way.
 
 Quartiles use linear interpolation between order statistics (the
 "type 7" convention, numpy's default).  Sample variances use the n-1
@@ -15,7 +20,9 @@ import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -114,12 +121,23 @@ class CorrelationReport:
     ``r`` is symmetric with a unit diagonal; ``p`` is symmetric with the
     diagonal pinned to the 1-boundary of (0, 1] (rendered as an em-dash
     in text output, since a column is trivially correlated with itself).
+    ``p`` costs one Student t tail per pair and is computed on first
+    access, so callers that read only ``r`` never pay for it.
     """
 
     names: tuple[str, ...]
     r: np.ndarray
-    p: np.ndarray
     n: int
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        k = len(self.names)
+        p = np.ones((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                p[i, j] = p[j, i] = correlation_p_value(float(self.r[i, j]), self.n)
+        p.flags.writeable = False
+        return p
 
 
 @dataclass(frozen=True)
@@ -164,6 +182,14 @@ def load_csv(
 ) -> tuple[Dataset, int]:
     """Parse an RFC-4180-style CSV stream into a Dataset.
 
+    Byte input with no quote character and no carriage return is parsed
+    in one vectorized pass by ``numpy.loadtxt``.  Anything that pass
+    refuses (an empty or non-numeric cell, a ragged row, bad UTF-8, no
+    data rows), and every text stream or input with quotes or CRLF line
+    ends, goes through the row-by-row parser instead.  Both give the same
+    names, bit-identical columns and the same dropped count; every error
+    and its line number come from the row parser.
+
     Parameters
     ----------
     source : bytes or file-like
@@ -178,7 +204,7 @@ def load_csv(
     -------
     (Dataset, int)
         The dataset plus the count of rows dropped because a cell was
-        missing or non-numeric.
+        missing, non-numeric or non-finite.
 
     Raises
     ------
@@ -191,33 +217,86 @@ def load_csv(
         No usable data rows remain.
     """
     if isinstance(source, bytes):
-        text: IO[str] = io.StringIO(source.decode("utf-8"))
+        raw: bytes | str = source
     elif hasattr(source, "read"):
         raw = source.read()
-        text = io.StringIO(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     else:
         raise TypeError("source must be bytes or a readable stream")
+    if isinstance(raw, bytes) and b'"' not in raw and b"\r" not in raw:
+        loaded = _load_plain(raw, delimiter, header)
+        if loaded is not None:
+            return loaded
+    return _load_rows(raw, delimiter, header)
 
+
+_NON_SPACE = re.compile(rb"\S")
+
+
+def _load_plain(raw: bytes, delimiter: str, header: bool) -> tuple[Dataset, int] | None:
+    """The vectorized pass; None wherever the row parser must decide.
+
+    The header (or, without one, the first record) is read line by line
+    with the row parser's own rules; ``numpy.loadtxt`` parses the rest.
+    Declining, rather than raising, keeps every error the row parser's:
+    it decodes the whole stream before it looks at any row.
+    """
+    skip = 0
+    start = 0
+    names: list[str] | None = None
+    try:
+        while names is None:
+            if start >= len(raw):
+                return None
+            end = raw.find(b"\n", start)
+            if end < 0:
+                end = len(raw)
+            line = raw[start:end].decode("utf-8")
+            record = next(csv.reader([line], delimiter=delimiter), [])
+            start = end + 1
+            if _is_blank(record):
+                skip += 1
+                continue
+            names = _column_names(record, header)
+            if header:
+                skip += 1
+        if header and _NON_SPACE.search(raw, start) is None:
+            return None  # header only: loadtxt would warn about empty input
+        data = np.loadtxt(
+            io.BytesIO(raw),
+            delimiter=delimiter,
+            comments=None,
+            ndmin=2,
+            skiprows=skip,
+            encoding="utf-8",
+        )
+    except (ValueError, TypeError, csv.Error, SchemaError):
+        return None
+    if data.shape[1] != len(names):
+        return None  # every row is short or long: the row parser names the line
+    finite = np.isfinite(data).all(axis=1)
+    kept = int(finite.sum())
+    if kept == 0:
+        return None  # every row dropped: the row parser's error counts them
+    if kept < data.shape[0]:
+        data = data[finite]
+    return Dataset((name, data[:, j]) for j, name in enumerate(names)), len(finite) - kept
+
+
+def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset, int]:
+    """The row-by-row parser: ``csv.reader`` and one ``float`` per cell."""
+    text = io.StringIO(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     reader = csv.reader(text, delimiter=delimiter)
     names: list[str] | None = None
     rows: list[list[float]] = []
     dropped = 0
     try:
         for record in reader:
-            if not record or all(cell.strip() == "" for cell in record):
+            if _is_blank(record):
                 continue  # blank line, e.g. trailing newline
             if names is None:
+                names = _column_names(record, header)
                 if header:
-                    names = [cell.strip() for cell in record]
-                    seen = set()
-                    for name in names:
-                        if not name:
-                            raise SchemaError("empty header field")
-                        if name in seen:
-                            raise SchemaError(f"duplicate header name {name!r}")
-                        seen.add(name)
                     continue
-                names = [f"x{i + 1}" for i in range(len(record))]
             if len(record) != len(names):
                 raise CsvParseError(
                     f"expected {len(names)} fields, found {len(record)}",
@@ -239,6 +318,25 @@ def load_csv(
         )
     data = np.array(rows, dtype=float)
     return Dataset((name, data[:, j]) for j, name in enumerate(names)), dropped
+
+
+def _is_blank(record: list[str]) -> bool:
+    return not record or all(cell.strip() == "" for cell in record)
+
+
+def _column_names(record: list[str], header: bool) -> list[str]:
+    """Names from a header record, or x1, x2, ... for one of data."""
+    if not header:
+        return [f"x{i + 1}" for i in range(len(record))]
+    names = [cell.strip() for cell in record]
+    seen = set()
+    for name in names:
+        if not name:
+            raise SchemaError("empty header field")
+        if name in seen:
+            raise SchemaError(f"duplicate header name {name!r}")
+        seen.add(name)
+    return names
 
 
 def _parse_row(record: list[str]) -> list[float] | None:
@@ -272,7 +370,7 @@ def correlation_p_value(r: float, n: int) -> float:
 
 
 def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> CorrelationReport:
-    """Pearson correlation matrix with two-sided p-values.
+    """Pearson correlation matrix with two-sided p-values (computed lazily).
 
     Requires n >= 3 and nonzero sample variance in every requested
     column.  Diagonal r entries are exactly 1 and diagonal p entries are
@@ -290,14 +388,8 @@ def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> Correlation
     r = (centered.T @ centered) / np.outer(norms, norms)
     r = np.clip(r, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
-    k = len(names)
-    p = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            p[i, j] = p[j, i] = correlation_p_value(float(r[i, j]), d.n)
     r.flags.writeable = False
-    p.flags.writeable = False
-    return CorrelationReport(names=names, r=r, p=p, n=d.n)
+    return CorrelationReport(names=names, r=r, n=d.n)
 
 
 def quartiles(d: Dataset) -> QuartileSummary:

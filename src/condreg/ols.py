@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset
 from .errors import (
@@ -133,6 +132,10 @@ class Factorization:
         a = np.empty((d.n, len(terms) + 2), order="F")
         fill_design(a, d, terms, intercept=True)
         a[:, -1] = y
+        # Imported here, not at module level: scipy is most of condreg's
+        # import time, and commands that fit nothing never need it.
+        import scipy.linalg
+
         geqrf = scipy.linalg.lapack.dgeqrf
         lwork = int(geqrf(a, lwork=-1, overwrite_a=1)[2][0])  # workspace query
         qr, _, _, _ = geqrf(a, lwork=lwork, overwrite_a=1)
@@ -169,6 +172,8 @@ class Factorization:
             )
         columns = [0] if spec.intercept else []
         columns.extend(self._column[term] for term in spec.terms)
+        import scipy.linalg
+
         # Rows of the C-ordered transpose are R's columns: the slice comes
         # out Fortran-ordered, as LAPACK wants it, and is factored in place.
         qr, jpvt, tau, _, _ = scipy.linalg.lapack.dgeqp3(self.r.T[columns].T, overwrite_a=1)
@@ -211,6 +216,8 @@ class Factorization:
 
     def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
         """Coefficients and full inference for a sub-model; see :func:`fit`."""
+        import scipy.linalg
+
         r, perm, qty, rss = self._solve(spec, allow_saturated)
         n, p = self.n, spec.n_parameters
         dof = n - p

@@ -187,9 +187,10 @@ def backward_stepwise(
     ``alpha`` (ties broken by canonical term order) and refits from the
     start model's factorization, so the surviving coefficients are
     recalculated after every exclusion.
-    Protected terms are never dropped; with ``enforce_hierarchy`` a
-    linear term stays as long as any surviving higher-order term uses
-    its predictor.
+    Protected terms are never dropped, nor is a model's last parameter
+    (the last term of a model without an intercept); with
+    ``enforce_hierarchy`` a linear term stays as long as any surviving
+    higher-order term uses its predictor.
     """
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
@@ -233,6 +234,8 @@ def _least_significant(
     enforce_hierarchy: bool,
 ) -> tuple[Term, float] | None:
     spec = model.spec
+    if spec.n_parameters <= 1:
+        return None  # never remove a model's last parameter
     anchored: set[str] = set()
     if enforce_hierarchy:
         for term in spec.terms:

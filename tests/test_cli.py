@@ -2,6 +2,9 @@
 byte-identical reports, and the numbers in them against lstsq oracles."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +173,50 @@ def test_ellipse_rejects_non_positive_points(tmp_path, signal, capsys, points):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error[degenerate-ellipse]: a boundary needs at least 1 point, got {points}"]
     assert not (tmp_path / "ellipse.tsv").exists()
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def two_unusable(tmp_path):
+    """Eight rows of three columns; rows 3 and 6 have an NA and an empty cell."""
+    rng = np.random.default_rng(314)
+    rows = [[repr(float(v)) for v in rng.normal(size=3)] for _ in range(8)]
+    rows[2][1] = "NA"
+    rows[5][0] = ""
+    return _write_lines(tmp_path / "unusable.csv", ["u,v,w"] + [",".join(row) for row in rows])
+
+
+def test_summary_counts_dropped_rows(tmp_path, two_unusable):
+    report = _run_twice(tmp_path, ["summary", f"--data={two_unusable}"])
+    assert report["dropped_rows"] == 2
+    assert report["n"] == 6
+    assert list(report["columns"]) == ["u", "v", "w"]
+
+
+def test_corr_skips_dropped_rows(tmp_path, two_unusable):
+    report = _run_twice(tmp_path, ["corr", f"--data={two_unusable}"])
+    # the corr report has no dropped_rows field; n shows the two are gone
+    assert report["correlation"]["n"] == 6
+    assert report["correlation"]["names"] == ["u", "v", "w"]
+
+
+@pytest.mark.parametrize("command", ["summary", "corr"])
+def test_ragged_row_is_a_csv_parse_error(tmp_path, capsys, command):
+    path = _write_lines(tmp_path / "ragged.csv", ["u,v", "1,2", "3,4", "5,6", "7", "8,9"])
+    code = main([command, f"--data={path}", f"--out={tmp_path / 'out.json'}"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[csv-parse]: line 5: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, condreg.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import pytest
 
 from condreg import (
     Dataset,
+    correlation_p_value,
     ModelSpec,
     Term,
     advisories,
@@ -10,7 +11,9 @@ from condreg import (
     best_subset,
     fit,
     full_quadratic,
+    pearson_matrix,
 )
+from condreg import dataset
 from condreg.errors import SearchError
 from condreg.selection import MAX_CANDIDATE_FITS
 from conftest import random_dataset
@@ -218,6 +221,24 @@ class TestBackwardStepwise:
         kept = backward_stepwise(d, "Y", start, alpha=0.999999)
         assert len(kept.final.spec.terms) == 2
 
+    def test_keeps_the_last_term_without_an_intercept(self):
+        rng = np.random.default_rng(45)
+        d = Dataset({name: rng.normal(size=40) for name in ("Y", "x1", "x2", "x3")})
+        terms = tuple(Term.linear(name) for name in ("x1", "x2", "x3"))
+        start = ModelSpec("Y", terms, intercept=False)
+        result = backward_stepwise(d, "Y", start, alpha=1e-9)
+        assert len(result.final.spec.terms) == 1
+        assert not result.final.spec.intercept
+        # the removals before the last term are the usual least-significant ones
+        spec = start
+        for step in result.steps:
+            stage = fit(d, spec)
+            worst = max(spec.terms, key=lambda t: stage.p[stage.term_index(t)])
+            assert step.removed == worst
+            spec = step.spec_after
+        assert len(result.steps) == 2
+        assert result.final.spec == spec
+
 
 class TestAdvisories:
     def test_k_rule_satisfied(self):
@@ -259,3 +280,26 @@ class TestAdvisories:
         spec = ModelSpec("Y", (Term.cross("x1", "x2"),))
         warnings = advisories(d, spec)
         assert any(w.startswith("hierarchy") for w in warnings)
+
+    def test_computes_no_p_values(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x1 = rng.normal(size=30)
+        x2 = 0.9 * x1 + 0.3 * rng.normal(size=30)
+        d = Dataset({"Y": rng.normal(size=30), "x1": x1, "x2": x2, "x3": rng.normal(size=30)})
+        spec = ModelSpec("Y", tuple(Term.linear(f"x{i}") for i in range(1, 4)))
+        expected = advisories(d, spec)
+        assert any(w.startswith("correlation") for w in expected)
+
+        def refuse(*args):
+            raise AssertionError("p-value computed")
+
+        monkeypatch.setattr(dataset, "student_t_two_sided_p", refuse)
+        assert advisories(d, spec) == expected
+        report = pearson_matrix(d, ["x1", "x2", "x3"])
+        monkeypatch.undo()
+        # on first access, p is what the eager per-pair loop computed
+        eager = np.ones((3, 3))
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            eager[i, j] = eager[j, i] = correlation_p_value(float(report.r[i, j]), d.n)
+        np.testing.assert_array_equal(report.p, eager)
+        assert not report.p.flags.writeable
