@@ -136,6 +136,7 @@ class Factorization:
         # import time, and commands that fit nothing never need it.
         import scipy.linalg
 
+        self._linalg = scipy.linalg
         geqrf = scipy.linalg.lapack.dgeqrf
         lwork = int(geqrf(a, lwork=-1, overwrite_a=1)[2][0])  # workspace query
         qr, _, _, _ = geqrf(a, lwork=lwork, overwrite_a=1)
@@ -172,11 +173,9 @@ class Factorization:
             )
         columns = [0] if spec.intercept else []
         columns.extend(self._column[term] for term in spec.terms)
-        import scipy.linalg
-
         # Rows of the C-ordered transpose are R's columns: the slice comes
         # out Fortran-ordered, as LAPACK wants it, and is factored in place.
-        qr, jpvt, tau, _, _ = scipy.linalg.lapack.dgeqp3(self.r.T[columns].T, overwrite_a=1)
+        qr, jpvt, tau, _, _ = self._linalg.lapack.dgeqp3(self.r.T[columns].T, overwrite_a=1)
         perm = jpvt - 1
         diag = np.abs(np.diag(qr))
         if diag[0] == 0.0:
@@ -187,7 +186,7 @@ class Factorization:
                 "design matrix is rank deficient", column=_label(spec, perm[bad[0]])
             )
         # Q_S' R[:, y]; one column needs no more than the minimal workspace.
-        qty = scipy.linalg.lapack.dormqr("L", "T", qr, tau, self.r[:, -1:], 1)[0][:, 0]
+        qty = self._linalg.lapack.dormqr("L", "T", qr, tau, self.r[:, -1:], 1)[0][:, 0]
         tail = qty[p:]
         return qr[:p], perm, qty[:p], float(tail @ tail)
 
@@ -216,16 +215,14 @@ class Factorization:
 
     def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
         """Coefficients and full inference for a sub-model; see :func:`fit`."""
-        import scipy.linalg
-
         r, perm, qty, rss = self._solve(spec, allow_saturated)
         n, p = self.n, spec.n_parameters
         dof = n - p
         coef = np.empty(p)
-        coef[perm] = scipy.linalg.solve_triangular(r, qty)
+        coef[perm] = self._linalg.solve_triangular(r, qty)
 
         # (X'X)^{-1} from R_S: permute (R'R)^{-1} back to the spec's order.
-        r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+        r_inv = self._linalg.solve_triangular(r, np.eye(p))
         cov_unscaled = np.empty((p, p))
         cov_unscaled[np.ix_(perm, perm)] = r_inv @ r_inv.T
 

@@ -15,13 +15,16 @@ from condreg.cli import main
 RESPONSE = "Y"
 
 
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def _write_csv(path, columns):
     """repr text, which the CLI parses back to the same doubles."""
     names = list(columns)
     rows = zip(*(columns[name] for name in names))
-    lines = [",".join(names)] + [",".join(repr(float(v)) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
+    return _write_lines(path, [",".join(names)] + [",".join(repr(float(v)) for v in row) for row in rows])
 
 
 @pytest.fixture
@@ -173,11 +176,6 @@ def test_ellipse_rejects_non_positive_points(tmp_path, signal, capsys, points):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error[degenerate-ellipse]: a boundary needs at least 1 point, got {points}"]
     assert not (tmp_path / "ellipse.tsv").exists()
-
-
-def _write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
 
 
 @pytest.fixture

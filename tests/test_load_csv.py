@@ -105,8 +105,10 @@ def test_edge_inputs_match_row_parser(raw):
 @pytest.mark.parametrize(
     "raw, delimiter, header, expected",
     [
-        (b"y,x\n1,2\n\n3,nan\n5,6\n", ",", True, (["y", "x"], 2, 1)),
+        (b"y,x\n1,2\n\n3,-1e400\n5,6\n", ",", True, (["y", "x"], 2, 1)),
         (b"\n \n\ty\n1\n", ",", True, (["y"], 1, 0)),
+        (b"y, x\n1, 2\n 3 ,\t4\n", ",", True, (["y", "x"], 2, 0)),
+        (b"y\tx\n1 \t2\n", "\t", True, (["y", "x"], 1, 0)),
         (b" \n1;2;3\n4;5;1e400", ";", False, (["x1", "x2", "x3"], 1, 1)),
     ],
 )
@@ -117,6 +119,30 @@ def test_plain_input_never_reaches_the_row_parser(monkeypatch, raw, delimiter, h
     monkeypatch.setattr(dataset, "_load_rows", refuse)
     d, dropped = load_csv(raw, delimiter=delimiter, header=header)
     assert (d.names, d.n, dropped) == expected
+
+
+@pytest.mark.parametrize(
+    "raw, delimiter, header",
+    [
+        (b"a,b\n1,2\n3,NA\n", ",", True),
+        (b"a,b\n1,2\n3,nan\n", ",", True),
+        (b"a,b\n1,2\n3,\n", ",", True),
+        (b"a,b\n1,2\n,4\n", ",", True),
+        (b"a,b\n1,,2\n", ",", True),
+        (b"a,b\n1, 2\n3,  \n", ",", True),
+        (b"a;b\n1 ;\t2\n \t; 4\n", ";", True),
+        (b"a\tb\n1 \t2\n3\t \n", "\t", True),
+        (b"1,2\n3,4\n5,", ",", False),
+        (b",2\n3,4\n", ",", False),
+        (b"a,b\n1,2\n3,4\xc2\xa0\n", ",", True),
+    ],
+)
+def test_unusable_cell_declines_before_loadtxt(monkeypatch, raw, delimiter, header):
+    def refuse(*args, **kwargs):
+        raise AssertionError("loadtxt called")
+
+    monkeypatch.setattr(dataset.np, "loadtxt", refuse)
+    _assert_same(raw, delimiter, header)
 
 
 @pytest.mark.parametrize("raw", [b"a,b\n", b"a,b\n\n  \n", b"a,b"])
