@@ -23,6 +23,7 @@ from .dataset import (
     CorrelationReport,
     Dataset,
     QuartileSummary,
+    centered_moments,
     column_stats,
     correlation_p_value,
     load_csv,
@@ -30,7 +31,7 @@ from .dataset import (
     quartiles,
 )
 from .errors import CondregError
-from .formula import parse_formula, print_formula
+from .formula import parse_formula, parse_terms, print_formula
 from .geometry import (
     ActionClass,
     ConfidenceEllipse,
@@ -102,6 +103,7 @@ __all__ = [
     "boundary",
     "bridge",
     "canonical_order",
+    "centered_moments",
     "check_hierarchy",
     "classify_action",
     "classify_point",
@@ -117,6 +119,7 @@ __all__ = [
     "full_quadratic_terms",
     "load_csv",
     "parse_formula",
+    "parse_terms",
     "pearson_matrix",
     "predict",
     "print_formula",

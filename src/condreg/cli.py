@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,8 +41,8 @@ from .errors import (
     EmptyDataError,
     FormulaError,
 )
-from .formula import parse_formula, print_formula
-from .ols import FittedModel, fit, predict
+from .formula import parse_formula, parse_terms, print_formula
+from .ols import FittedModel, fit
 from .report import (
     dumps_report,
     format_number,
@@ -51,7 +51,6 @@ from .report import (
     plot_tsv,
     write_text_atomic,
 )
-from .terms import Term
 
 CONFIG_ENV = "CONDREG_CONFIG"
 CONFIG_KEYS = {
@@ -134,19 +133,6 @@ def _parse_coef(text: str, expected: int) -> np.ndarray:
     return np.array(values)
 
 
-def _parse_terms(text: str) -> list[Term]:
-    from .formula import _parse_term  # same syntax as formula terms
-
-    terms: list[Term] = []
-    for token in text.split(","):
-        token = token.strip()
-        if token:
-            terms.append(_parse_term(token))
-    if not terms:
-        raise FormulaError("no terms given")
-    return terms
-
-
 def _obtain_model(args: argparse.Namespace, config: dict) -> tuple[FittedModel, Dataset | None]:
     """Fit from data, or wrap published coefficients when --coef is given."""
     spec = parse_formula(args.formula)
@@ -160,7 +146,7 @@ def _obtain_model(args: argparse.Namespace, config: dict) -> tuple[FittedModel, 
     return fit(data, spec, allow_saturated=getattr(args, "allow_saturated", False)), data
 
 
-def _fixed_values(args, data: Dataset | None, model: FittedModel) -> dict[str, float]:
+def _fixed_values(args, data: Dataset | None) -> dict[str, float]:
     fixes = _parse_fixes(args.fix or [])
     summary = quartiles(data) if data is not None else None
     return cond.resolve_assignment(fixes, summary)
@@ -203,7 +189,7 @@ def _flatten(prefix: str, obj: Any, lines: list[str]) -> None:
     if isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), value, lines)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         for i, value in enumerate(obj):
             _flatten(f"{prefix}[{i}]", value, lines)
     elif isinstance(obj, (float, np.floating)):
@@ -266,22 +252,16 @@ def cmd_fit(args, config) -> int:
 
 def cmd_conditional(args, config) -> int:
     model, data = _obtain_model(args, config)
-    fixed = _fixed_values(args, data, model)
+    fixed = _fixed_values(args, data)
     correlations = _correlations(data, model.spec.predictors)
     section = cond.derive(model, args.target, fixed, correlations=correlations)
     body: dict[str, Any] = {
-        "target": section.target,
-        "fixed": {name: fixed[name] for name in sorted(fixed)},
-        "poly": list(section.poly),
-        "cautions": [
-            {"predictor": name, "r": r} for name, r in section.cautions
-        ],
+        **asdict(section),
+        "fixed": dict(sorted(fixed.items())),
+        "cautions": [{"predictor": name, "r": r} for name, r in section.cautions],
     }
     if section.degree <= 2:
-        tc = cond.t_coefficients(model, args.target, fixed)
-        body["t0"] = tc.t0
-        body["t_linear"] = tc.t_linear
-        body["t_quad"] = tc.t_quad
+        body.update(asdict(cond.t_coefficients(model, args.target, fixed)))
     doc = new_document("conditional", formula=print_formula(model.spec), conditional=body)
     if args.sweep:
         grid = _parse_sweep(args.sweep)
@@ -310,7 +290,7 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 def cmd_effect(args, config) -> int:
     model, data = _obtain_model(args, config)
-    fixed = _fixed_values(args, data, model)
+    fixed = _fixed_values(args, data)
     change = cond.unit_effect(model, args.target, fixed, args.at)
     doc = new_document(
         "effect",
@@ -318,7 +298,7 @@ def cmd_effect(args, config) -> int:
         effect={
             "target": args.target,
             "at": args.at,
-            "fixed": {name: fixed[name] for name in sorted(fixed)},
+            "fixed": dict(sorted(fixed.items())),
             "unit_change": change,
         },
     )
@@ -326,28 +306,20 @@ def cmd_effect(args, config) -> int:
 
 
 def cmd_bridge(args, config) -> int:
-    reconstruction = [args.a1, args.a2, args.c12, args.c21, args.r]
-    if any(value is not None for value in reconstruction):
-        if any(value is None for value in reconstruction):
+    given = {"a1": args.a1, "a2": args.a2, "c12": args.c12, "c21": args.c21, "r": args.r}
+    if any(value is not None for value in given.values()):
+        if any(value is None for value in given.values()):
             raise AssignmentError(
                 "reconstruction mode needs all of --a1 --a2 --c12 --c21 --r"
             )
-        b1, b2 = relations.two_predictor_bridge(
-            args.a1, args.a2, args.c12, args.c21, args.r
-        )
-        doc = new_document(
-            "bridge",
-            reconstruction={
-                "a1": args.a1,
-                "a2": args.a2,
-                "c12": args.c12,
-                "c21": args.c21,
-                "r": args.r,
-                "b1": b1,
-                "b2": b2,
-            },
-        )
+        b1, b2 = relations.two_predictor_bridge(**given)
+        doc = new_document("bridge", reconstruction={**given, "b1": b1, "b2": b2})
         return _finish(args, doc)
+    if not all([args.data, args.response, args.predictors, args.target]):
+        raise AssignmentError(
+            "bridge needs --data/--response/--predictors/--target"
+            " (or the full --a1/--a2/--c12/--c21/--r reconstruction set)"
+        )
 
     data, _ = _load_data(args, config)
     predictors = _split_names(args.predictors)
@@ -358,25 +330,16 @@ def cmd_bridge(args, config) -> int:
         report,
         correlation_threshold=float(_setting(args, config, "correlation_threshold")),
     )
+    section: dict[str, Any] = {}
+    for key, value in asdict(report).items():
+        if key == "c":  # keyed by (of, on) pairs, which JSON cannot hold
+            section["inter_predictor_slopes"] = [
+                {"of": i, "on": j, "slope": slope} for (i, j), slope in sorted(value.items())
+            ]
+        else:
+            section[key] = dict(sorted(value.items())) if isinstance(value, dict) else value
     doc = new_document(
-        "bridge",
-        bridge={
-            "target": report.target,
-            "a": report.a,
-            "b": report.b,
-            "slr": {name: report.slr[name] for name in sorted(report.slr)},
-            "mlr": {name: report.mlr[name] for name in sorted(report.mlr)},
-            "inter_predictor_slopes": [
-                {"of": i, "on": j, "slope": report.c[(i, j)]}
-                for (i, j) in sorted(report.c)
-            ],
-            "r": {name: report.r[name] for name in sorted(report.r)},
-            "ac_sum": report.ac_sum,
-            "sign_flip": report.sign_flip,
-            "expectation_violation": report.expectation_violation,
-            "reconstruction_discrepancy": report.reconstruction_discrepancy,
-        },
-        findings=[{"kind": f.kind, "message": f.message} for f in findings],
+        "bridge", bridge=section, findings=[asdict(finding) for finding in findings]
     )
     return _finish(args, doc)
 
@@ -401,7 +364,7 @@ def cmd_residualize(args, config) -> int:
         residualize={
             "target": args.target,
             "others": others,
-            "slopes": {name: result.slopes[name] for name in sorted(result.slopes)},
+            "slopes": dict(sorted(result.slopes.items())),
         },
     )
     if args.column_out:
@@ -417,7 +380,7 @@ def cmd_residualize(args, config) -> int:
 def cmd_stepwise(args, config) -> int:
     data, _ = _load_data(args, config)
     start = parse_formula(args.formula)
-    protected = _parse_terms(args.protect) if args.protect else []
+    protected = parse_terms(args.protect) if args.protect else []
     result = selection.backward_stepwise(
         data,
         start.response,
@@ -448,7 +411,7 @@ def cmd_stepwise(args, config) -> int:
 
 def cmd_subset(args, config) -> int:
     data, _ = _load_data(args, config)
-    pool = _parse_terms(args.pool)
+    pool = parse_terms(args.pool)
     result = selection.best_subset(data, args.response, pool, args.size)
     doc = new_document(
         "subset",
@@ -474,17 +437,7 @@ def cmd_ellipse(args, config) -> int:
     level = float(_setting(args, config, "level"))
     shape = geometry.ellipse(data, args.x, args.y, level)
     points = geometry.boundary(shape, args.points)
-    doc = new_document(
-        "ellipse",
-        ellipse={
-            "pair": list(shape.pair),
-            "center": [float(v) for v in shape.center],
-            "shape": [[float(shape.shape[i, j]) for j in range(2)] for i in range(2)],
-            "level": shape.level,
-            "threshold": shape.threshold,
-            "n": data.n,
-        },
-    )
+    doc = new_document("ellipse", ellipse={**asdict(shape), "n": data.n})
     comments = [
         f"confidence ellipse boundary for ({args.x}, {args.y})",
         f"level = {format_number(level)}",
@@ -497,9 +450,7 @@ def cmd_ellipse(args, config) -> int:
 def cmd_action(args, config) -> int:
     model, data = _obtain_model(args, config)
     levels = _parse_levels(args.levels or [])
-    fixed = cond.resolve_assignment(
-        _parse_fixes(args.fix or []), quartiles(data) if data is not None else None
-    )
+    fixed = _fixed_values(args, data)
     tolerance = args.control_tolerance
     if tolerance is None:
         tolerance = float(_setting(args, config, "antagonism_tolerance"))
@@ -515,15 +466,7 @@ def cmd_action(args, config) -> int:
     doc = new_document(
         "action",
         formula=print_formula(model.spec),
-        action={
-            "factors": [args.f1, args.f2],
-            "label": result.label,
-            "cross_coef": result.cross_coef,
-            "cross_p": result.cross_p,
-            "effect_1": result.effect_1,
-            "effect_2": result.effect_2,
-            "joint_effect": result.joint_effect,
-        },
+        action={"factors": [args.f1, args.f2], **asdict(result)},
     )
     return _finish(args, doc)
 
@@ -553,8 +496,8 @@ def cmd_corr(args, config) -> int:
         correlation={
             "names": list(report.names),
             "n": report.n,
-            "r": [[float(v) for v in row] for row in report.r],
-            "p": [[float(v) for v in row] for row in report.p],
+            "r": report.r,
+            "p": report.p,
         },
     )
     return _finish(args, doc)
@@ -562,19 +505,10 @@ def cmd_corr(args, config) -> int:
 
 def cmd_summary(args, config) -> int:
     data, dropped = _load_data(args, config)
-    summary = quartiles(data)
-    columns = {}
-    for name in data.names:
-        q = summary.columns[name]
-        stats = column_stats(data, name)
-        columns[name] = {
-            "min": q.min,
-            "q25": q.q25,
-            "mean": q.mean,
-            "q75": q.q75,
-            "max": q.max,
-            "variance": stats.variance,
-        }
+    columns = {
+        name: {**asdict(q), "variance": column_stats(data, name).variance}
+        for name, q in quartiles(data).columns.items()
+    }
     doc = new_document(
         "summary", n=data.n, dropped_rows=dropped, columns=columns
     )
@@ -704,13 +638,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.cmd == "bridge" and args.a1 is None and not all(
-            [args.data, args.response, args.predictors, args.target]
-        ):
-            raise AssignmentError(
-                "bridge needs --data/--response/--predictors/--target"
-                " (or the full --a1/--a2/--c12/--c21/--r reconstruction set)"
-            )
         return args.func(args, config)
     except DataError as exc:
         print(f"error[{exc.code}]: {_one_line(exc)}", file=sys.stderr)

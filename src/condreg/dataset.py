@@ -400,6 +400,34 @@ def correlation_p_value(r: float, n: int) -> float:
     return student_t_two_sided_p(t, n - 2)
 
 
+def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations and centred norms of the named columns, from one product.
+
+    ``r[i, j]`` is the Pearson correlation of columns i and j (clipped to
+    [-1, 1], unit diagonal) and ``norms[i]`` the square root of column i's
+    centred sum of squares, so the least-squares slope of column i on
+    column j is ``r[i, j] * norms[i] / norms[j]``.  Each column is divided
+    by a power of two at its largest magnitude before it is centred and
+    multiplied.  That division is exact, so the results equal the unscaled
+    arithmetic bit for bit wherever that arithmetic stays finite, and no
+    square overflows for any finite column.
+
+    Raises DegenerateColumnError naming the first zero-variance column.
+    """
+    centered = np.column_stack([d.column(name) for name in names])
+    exponents = np.frexp(np.abs(centered).max(axis=0))[1]
+    np.ldexp(centered, -exponents, out=centered)
+    centered -= centered.mean(axis=0)
+    scaled_norms = np.sqrt((centered**2).sum(axis=0))
+    for name, norm in zip(names, scaled_norms):
+        if norm == 0.0:
+            raise DegenerateColumnError(f"column {name!r} has zero variance")
+    r = (centered.T @ centered) / np.outer(scaled_norms, scaled_norms)
+    r = np.clip(r, -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r, np.ldexp(scaled_norms, exponents)
+
+
 def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> CorrelationReport:
     """Pearson correlation matrix with two-sided p-values (computed lazily).
 
@@ -410,15 +438,7 @@ def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> Correlation
     names = tuple(cols) if cols is not None else tuple(d.names)
     if d.n < 3:
         raise InsufficientDataError(f"need n >= 3 observations, got {d.n}")
-    data = np.column_stack([d.column(name) for name in names])
-    centered = data - data.mean(axis=0)
-    norms = np.sqrt((centered**2).sum(axis=0))
-    for j, name in enumerate(names):
-        if norms[j] == 0.0:
-            raise DegenerateColumnError(f"column {name!r} has zero variance")
-    r = (centered.T @ centered) / np.outer(norms, norms)
-    r = np.clip(r, -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
+    r, _ = centered_moments(d, names)
     r.flags.writeable = False
     return CorrelationReport(names=names, r=r, n=d.n)
 
@@ -442,7 +462,8 @@ def column_stats(d: Dataset, col: str) -> ColumnStats:
     """Sample mean, unbiased variance (n-1 divisor), min, and max."""
     values = d.column(col)
     n = values.size
-    variance = float(values.var(ddof=1)) if n > 1 else 0.0
+    with np.errstate(over="ignore"):  # inf beyond about 1e154, null in reports
+        variance = float(values.var(ddof=1)) if n > 1 else 0.0
     return ColumnStats(
         mean=float(values.mean()),
         variance=variance,

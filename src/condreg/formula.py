@@ -67,6 +67,14 @@ def _parse_term(token: str) -> Term:
     return term
 
 
+def parse_terms(text: str) -> list[Term]:
+    """Comma-separated terms in formula syntax, e.g. ``"x1, x1:x2, x2^2"``."""
+    terms = [_parse_term(token) for token in text.split(",") if token.strip()]
+    if not terms:
+        raise FormulaError("no terms given")
+    return terms
+
+
 def parse_formula(text: str) -> ModelSpec:
     """Parse a formula string into a ModelSpec (term order preserved)."""
     sides = text.split("~")

@@ -66,7 +66,12 @@ def ellipse(d: Dataset, x: str, y: str, level: float) -> ConfidenceEllipse:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     xv, yv = d.column(x), d.column(y)
     center = np.array([xv.mean(), yv.mean()])
-    shape = np.cov(xv, yv, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shape = np.cov(xv, yv, ddof=1)
+    if not np.isfinite(shape).all():
+        raise DegenerateEllipseError(
+            f"({x}, {y}) sample covariance overflows; rescale the columns"
+        )
     det = float(np.linalg.det(shape))
     if det <= 0.0 or not math.isfinite(det):
         raise DegenerateEllipseError(

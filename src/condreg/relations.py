@@ -10,35 +10,17 @@ detection of paradoxical coefficient signs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import CollinearityError, DegenerateColumnError, UnknownPredictorError
+from .dataset import Dataset, centered_moments
+from .errors import CollinearityError, UnknownPredictorError
 from .ols import FittedModel, fit
 from .terms import ModelSpec, Term
 
 DESTABILIZATION_THRESHOLD = 0.7
-
-
-def _slr_slope(y: np.ndarray, x: np.ndarray, what: str) -> float:
-    sxx = float(((x - x.mean()) ** 2).sum())
-    if sxx == 0.0:
-        raise DegenerateColumnError(f"zero variance in {what}")
-    sxy = float(((x - x.mean()) * (y - y.mean())).sum())
-    return sxy / sxx
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = math.sqrt(float((ac**2).sum()) * float((bc**2).sum()))
-    if denom == 0.0:
-        raise DegenerateColumnError("zero variance in correlation input")
-    return float((ac * bc).sum()) / denom
 
 
 def two_predictor_bridge(
@@ -95,6 +77,39 @@ def _linear_spec(response: str, predictors: Sequence[str]) -> ModelSpec:
     )
 
 
+def _slopes(d: Dataset, response: str, predictors: Sequence[str], target: str):
+    """(slr, c, r) as in BridgeReport, from one set of centred moments."""
+    names = [response, *predictors]
+    corr, norms = centered_moments(d, names)
+    slope = corr * norms[:, None] / norms  # slope[i, j]: column i on column j
+    at = {name: k for k, name in enumerate(names)}
+    t = at[target]
+    slr = {name: float(slope[0, at[name]]) for name in predictors}
+    c: dict[tuple[str, str], float] = {}
+    r: dict[str, float] = {}
+    for name in predictors:
+        if name != target:
+            j = at[name]
+            c[(name, target)] = float(slope[j, t])
+            c[(target, name)] = float(slope[t, j])
+            r[name] = float(corr[t, j])
+    return slr, c, r
+
+
+def _adjusted_sum(
+    model: FittedModel,
+    slopes: dict[tuple[str, str], float],
+    predictors: Sequence[str],
+    target: str,
+) -> float:
+    """b_target + sum_{j != target} b_j * c[(j, target)] over linear-term b."""
+    return model.coefficient(Term.linear(target)) + sum(
+        model.coefficient(Term.linear(name)) * slopes[(name, target)]
+        for name in predictors
+        if name != target
+    )
+
+
 def bridge(
     d: Dataset,
     response: str,
@@ -104,38 +119,22 @@ def bridge(
 ) -> BridgeReport:
     """Full SLR/MLR coefficient comparison for one target predictor.
 
-    Fits the simple regression of the response on each predictor, the
-    predictor-linear multiple regression on all of them, and the
-    pairwise inter-predictor regressions involving the target.  For
-    exactly two predictors the MLR coefficients are additionally
-    reconstructed from the slope algebra and the residual discrepancy is
-    recorded.
+    Takes the simple slopes of the response on each predictor and the
+    pairwise slopes and correlations involving the target from one set
+    of centred moments, and fits the predictor-linear multiple
+    regression on all of them.  For exactly two predictors the MLR
+    coefficients are additionally reconstructed from the slope algebra
+    and the residual discrepancy is recorded.
     """
     predictors = list(predictors)
     if target not in predictors:
         raise UnknownPredictorError(f"target {target!r} not among predictors {predictors}")
-    y = d.column(response)
-
-    slr = {name: _slr_slope(y, d.column(name), name) for name in predictors}
+    slr, c, r = _slopes(d, response, predictors, target)
     mlr_fit = fit(d, _linear_spec(response, predictors))
     mlr = {
         name: mlr_fit.coefficient(Term.linear(name)) for name in predictors
     }
-
-    xt = d.column(target)
-    c: dict[tuple[str, str], float] = {}
-    r: dict[str, float] = {}
-    for name in predictors:
-        if name == target:
-            continue
-        xj = d.column(name)
-        c[(name, target)] = _slr_slope(xj, xt, f"{name} on {target}")
-        c[(target, name)] = _slr_slope(xt, xj, f"{target} on {name}")
-        r[name] = _pearson(xt, xj)
-
-    ac_sum = mlr[target] + sum(
-        mlr[name] * c[(name, target)] for name in predictors if name != target
-    )
+    ac_sum = _adjusted_sum(mlr_fit, c, predictors, target)
 
     a, b = slr[target], mlr[target]
     sign_flip = a * b < 0.0
@@ -226,15 +225,9 @@ def abbott_carroll(
             raise UnknownPredictorError(
                 f"spec lacks a linear term for predictor {name!r}"
             )
-    xt = d.column(target)
-    ac_sum = model.coefficient(Term.linear(target))
-    for name in predictors:
-        if name == target:
-            continue
-        ac_sum += model.coefficient(Term.linear(name)) * _slr_slope(
-            d.column(name), xt, f"{name} on {target}"
-        )
-    a_target = _slr_slope(d.column(response), xt, target)
+    slr, c, _ = _slopes(d, response, predictors, target)
+    ac_sum = _adjusted_sum(model, c, predictors, target)
+    a_target = slr[target]
     return AbbottCarrollResult(
         ac_sum=ac_sum, a_target=a_target, discrepancy=abs(ac_sum - a_target)
     )

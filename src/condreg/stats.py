@@ -2,16 +2,19 @@
 
 Two-sided Student-t tail probabilities go through the regularized
 incomplete beta function, evaluated with a modified-Lentz continued
-fraction at relative tolerance 1e-12.  The chi-square quantile is only
-needed for 2 degrees of freedom, where the CDF is 1 - exp(-x/2) and the
-inverse is closed-form.
+fraction.  Against 40-digit mpmath the relative error is below 3e-13 at
+dof 5, 30 and 998 for 1e-6 <= |t| <= 40.  log_beta's rounding grows with
+dof (3.7e-12 at dof 920, 3e-9 at 2e5, 2e-7 at 1e8), and p is exactly 1
+once t^2 < dof * 2^-53, where dof/(dof + t^2) rounds to 1.  The chi-square
+quantile is only needed for 2 degrees of freedom, where the CDF is
+1 - exp(-x/2) and the inverse is closed-form.
 """
 
 from __future__ import annotations
 
 import math
 
-_REL_TOL = 1e-12
+_REL_TOL = 1e-13
 _MAX_ITER = 500
 _TINY = 1e-300
 
@@ -72,17 +75,23 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
+    return _incomplete_beta(a, b, x, 1.0 - x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) given both x and y = 1 - x, so neither is formed by subtraction."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(
-        a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    )
     # Use the representation that converges fastest.
     if x < (a + 1.0) / (a + b + 2.0):
+        front = math.exp(a * math.log(x) + b * math.log(y) - log_beta(a, b))
         return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    # Here x is near 1 and the subtraction below amplifies any error in
+    # front, so log x is taken from the complement.
+    front = math.exp(a * math.log1p(-y) + b * math.log(y) - log_beta(a, b))
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
 def student_t_two_sided_p(t: float, dof: float) -> float:
@@ -93,8 +102,9 @@ def student_t_two_sided_p(t: float, dof: float) -> float:
         return math.nan
     if math.isinf(t):
         return _P_FLOOR
-    x = dof / (dof + t * t)
-    p = regularized_incomplete_beta(dof / 2.0, 0.5, x)
+    tt = t * t
+    # 1 - x from tt, not by subtraction (unused when tt = inf, as x = 0)
+    p = _incomplete_beta(dof / 2.0, 0.5, dof / (dof + tt), tt / (dof + tt))
     return min(1.0, max(p, _P_FLOOR))
 
 

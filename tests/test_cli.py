@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from condreg import load_csv, pearson_matrix
 from condreg.cli import main
 
 RESPONSE = "Y"
@@ -218,3 +220,54 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.fixture
+def overflowing(tmp_path):
+    """Column a squares past the largest double; b is ordinary."""
+    columns = {"a": [1e200, -1e200, 3e200, 5.0], "b": [1.0, 2.0, 4.0, 3.0]}
+    return _write_csv(tmp_path / "overflow.csv", columns), columns
+
+
+def test_huge_values_are_correlated_and_summarized_without_warnings(tmp_path, overflowing):
+    path, columns = overflowing
+    # correlation is scale free, so the rescaled data is the oracle
+    want = np.corrcoef([np.array(columns["a"]) / 1e200, columns["b"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _run_twice(tmp_path, ["corr", f"--data={path}"])
+        with open(path, "rb") as handle:
+            r = pearson_matrix(load_csv(handle)[0]).r
+        summary = _run_twice(tmp_path, ["summary", f"--data={path}"])
+    np.testing.assert_allclose(report["correlation"]["r"], want, rtol=1e-12)
+    np.testing.assert_allclose(r, want, rtol=1e-12)
+    assert summary["columns"]["a"]["variance"] is None  # inf, written as null
+    assert summary["columns"]["b"]["variance"] == pytest.approx(np.var(columns["b"], ddof=1))
+
+
+def test_ellipse_of_huge_values_says_the_covariance_overflows(tmp_path, overflowing, capsys):
+    path, _ = overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ellipse", f"--data={path}", "--x=a", "--y=b",
+                     f"--plot-out={tmp_path / 'e.tsv'}", f"--out={tmp_path / 'e.json'}"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error[degenerate-ellipse]: (a, b) sample covariance overflows; rescale the columns"
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--response=Y", "--predictors=a,b", "--target=a"], "bridge needs --data/--response/"),
+        (["--a1=1", "--a2=2", "--r=0.5"], "reconstruction mode needs all of"),
+    ],
+)
+def test_bridge_checks_its_arguments(tmp_path, capsys, args, message):
+    code = main(["bridge", *args, f"--out={tmp_path / 'bridge.json'}"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error[assignment]: {message}")
+    assert not (tmp_path / "bridge.json").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from condreg import (
     Dataset,
+    centered_moments,
     column_stats,
     correlation_p_value,
     load_csv,
@@ -182,6 +183,34 @@ class TestPearson:
         d = Dataset({"a": [1.0, 2.0], "b": [2.0, 1.0]})
         with pytest.raises(InsufficientDataError):
             pearson_matrix(d)
+
+
+class TestCenteredMoments:
+    def test_slopes_and_correlations_match_oracles(self, rng):
+        data = rng.normal(size=(30, 3)) @ (np.eye(3) + 0.5 * rng.normal(size=(3, 3)))
+        d = Dataset({name: data[:, j] for j, name in enumerate("abc")})
+        r, norms = centered_moments(d, ["a", "b", "c"])
+        np.testing.assert_allclose(r, np.corrcoef(data, rowvar=False), rtol=1e-12)
+        centered = data - data.mean(axis=0)
+        np.testing.assert_allclose(norms, np.sqrt((centered**2).sum(axis=0)), rtol=1e-13)
+        for i in range(3):
+            for j in range(3):
+                slope = np.polyfit(data[:, j], data[:, i], 1)[0]
+                assert r[i, j] * norms[i] / norms[j] == pytest.approx(slope, rel=1e-10)
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        a, b = rng.normal(size=(2, 20))
+        r, norms = centered_moments(Dataset({"a": a, "b": b}), ["a", "b"])
+        for k in (-600, -3, 5, 600):
+            scaled = Dataset({"a": np.ldexp(a, k), "b": b})
+            r_k, norms_k = centered_moments(scaled, ["a", "b"])
+            assert np.array_equal(r_k, r)
+            assert np.array_equal(norms_k, [np.ldexp(norms[0], k), norms[1]])
+
+    def test_zero_variance_names_the_column(self):
+        d = Dataset({"a": [1.0, 2.0, 4.0], "k": [3.0, 3.0, 3.0]})
+        with pytest.raises(DegenerateColumnError, match="column 'k' has zero variance"):
+            centered_moments(d, ["a", "k"])
 
 
 class TestQuartiles:

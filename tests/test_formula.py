@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from condreg import ModelSpec, Term, parse_formula, print_formula
+from condreg import ModelSpec, Term, parse_formula, parse_terms, print_formula
 from condreg.errors import FormulaError
 
 
@@ -99,3 +99,18 @@ class TestRoundTrip:
                     assert parse_formula(print_formula(spec)) == spec
                     count += 1
         assert count == (7 + 21 + 35) * 2
+
+
+class TestParseTerms:
+    def test_comma_separated_terms(self):
+        terms = parse_terms(" x1, x2:x1 ,x1^2,, ")
+        assert terms == [Term.linear("x1"), Term.cross("x1", "x2"), Term.power("x1", 2)]
+
+    def test_same_syntax_as_formula_terms(self):
+        text = "a, a:b, b^3"
+        assert parse_terms(text) == list(parse_formula("Y ~ " + text.replace(",", " +")).terms)
+
+    @pytest.mark.parametrize("text", ["", " , ", "x1, 2x", "x1^4"])
+    def test_rejects_empty_and_bad_terms(self, text):
+        with pytest.raises(FormulaError):
+            parse_terms(text)

@@ -139,6 +139,15 @@ class TestAbbottCarroll:
             result = abbott_carroll(d, "Y", [f"x{i + 1}" for i in range(k)], "x1")
             assert result.discrepancy < 1e-9 * max(1.0, abs(result.a_target))
 
+    def test_same_sum_as_bridge(self, rng):
+        for _ in range(10):
+            k = int(rng.integers(2, 6))
+            d = random_dataset(rng, 30, k)
+            names = [f"x{i + 1}" for i in range(k)]
+            report = bridge(d, "Y", names, "x2")
+            result = abbott_carroll(d, "Y", names, "x2")
+            assert (result.ac_sum, result.a_target) == (report.ac_sum, report.a)
+
     def test_cross_term_breaks_identity(self, rng):
         # the collapse is a predictor-linear statement: adding a cross
         # term to the fitted model makes the sum drift from the slope
