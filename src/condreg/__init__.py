@@ -19,12 +19,9 @@ from .conditional import (
 )
 from .dataset import (
     ColumnQuartiles,
-    ColumnStats,
     CorrelationReport,
     Dataset,
-    QuartileSummary,
     centered_moments,
-    column_stats,
     correlation_p_value,
     load_csv,
     pearson_matrix,
@@ -79,7 +76,6 @@ __all__ = [
     "BridgeReport",
     "CodedScale",
     "ColumnQuartiles",
-    "ColumnStats",
     "ConditionalResponse",
     "CondregError",
     "ConfidenceEllipse",
@@ -89,7 +85,6 @@ __all__ = [
     "FittedModel",
     "ModelSpec",
     "NestedComparison",
-    "QuartileSummary",
     "Residualization",
     "SearchResult",
     "StepwiseResult",
@@ -107,7 +102,6 @@ __all__ = [
     "check_hierarchy",
     "classify_action",
     "classify_point",
-    "column_stats",
     "compare",
     "correlation_p_value",
     "derive",

@@ -10,7 +10,11 @@ Every failure prints a single ``error[<code>]: message`` line to stderr.
 
 Defaults can come from a JSON config file (--config or $CONDREG_CONFIG);
 flags override the file, the file overrides built-ins.  Recognized keys:
-delimiter, alpha, level, correlation_threshold, antagonism_tolerance.
+delimiter, alpha, level, correlation_threshold, antagonism_tolerance (the
+default of --control-tolerance).  Every value in the file is checked when
+it is loaded, whether or not the command reads it: an unknown key, or a
+numeric setting whose value is not a number, is a config error.  Each
+setting is resolved once, before the command runs.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ import numpy as np
 
 from . import conditional as cond
 from . import geometry, relations, selection
-from .dataset import (
-    Dataset,
-    column_stats,
-    load_csv,
-    pearson_matrix,
-    quartiles,
-)
+from .dataset import Dataset, load_csv, pearson_matrix, quartiles
 from .errors import (
     AssignmentError,
     ConfigError,
@@ -49,17 +47,11 @@ from .report import (
     model_section,
     new_document,
     plot_tsv,
+    render_text,
     write_text_atomic,
 )
 
 CONFIG_ENV = "CONDREG_CONFIG"
-CONFIG_KEYS = {
-    "delimiter",
-    "alpha",
-    "level",
-    "correlation_threshold",
-    "antagonism_tolerance",
-}
 DEFAULTS = {
     "delimiter": ",",
     "alpha": 0.05,
@@ -67,9 +59,12 @@ DEFAULTS = {
     "correlation_threshold": relations.DESTABILIZATION_THRESHOLD,
     "antagonism_tolerance": geometry.CONTROL_TOLERANCE,
 }
+# Settings whose flag has another name than the config key.
+FLAG_NAMES = {"antagonism_tolerance": "control_tolerance"}
 
 
 def _load_config(path: str | None) -> dict:
+    """The config file's settings, each converted to its default's type."""
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     if not path:
@@ -81,26 +76,31 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = sorted(set(raw) - CONFIG_KEYS)
+    unknown = sorted(set(raw) - set(DEFAULTS))
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; expected {sorted(CONFIG_KEYS)}")
-    return raw
+        raise ConfigError(f"unknown config keys {unknown}; expected {sorted(DEFAULTS)}")
+    config = {}
+    for key, value in raw.items():
+        try:
+            config[key] = type(DEFAULTS[key])(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from exc
+    return config
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return DEFAULTS[key]
+def _resolve_settings(args: argparse.Namespace, config: dict) -> None:
+    """Fill every setting no flag gave from the config file, else the default."""
+    for key, default in DEFAULTS.items():
+        name = FLAG_NAMES.get(key, key)
+        if getattr(args, name, None) is None:
+            setattr(args, name, config.get(key, default))
 
 
-def _load_data(args: argparse.Namespace, config: dict) -> tuple[Dataset, int]:
+def _load_data(args: argparse.Namespace) -> tuple[Dataset, int]:
     if not args.data:
         raise EmptyDataError("this command needs --data")
     with open(args.data, "rb") as handle:
-        return load_csv(handle, delimiter=str(_setting(args, config, "delimiter")))
+        return load_csv(handle, delimiter=args.delimiter)
 
 
 def _parse_fixes(pairs: Sequence[str]) -> dict[str, float | str]:
@@ -133,17 +133,17 @@ def _parse_coef(text: str, expected: int) -> np.ndarray:
     return np.array(values)
 
 
-def _obtain_model(args: argparse.Namespace, config: dict) -> tuple[FittedModel, Dataset | None]:
+def _obtain_model(args: argparse.Namespace) -> tuple[FittedModel, Dataset | None]:
     """Fit from data, or wrap published coefficients when --coef is given."""
     spec = parse_formula(args.formula)
-    if getattr(args, "coef", None):
+    if args.coef:
         model = FittedModel.from_coefficients(spec, _parse_coef(args.coef, spec.n_parameters))
         data = None
         if args.data:
-            data, _ = _load_data(args, config)
+            data, _ = _load_data(args)
         return model, data
-    data, _ = _load_data(args, config)
-    return fit(data, spec, allow_saturated=getattr(args, "allow_saturated", False)), data
+    data, _ = _load_data(args)
+    return fit(data, spec, allow_saturated=args.allow_saturated), data
 
 
 def _fixed_values(args, data: Dataset | None) -> dict[str, float]:
@@ -162,10 +162,7 @@ def _correlations(data: Dataset | None, names: Sequence[str]):
 
 
 def _finish(args: argparse.Namespace, doc: dict) -> int:
-    if getattr(args, "format", "json") == "text":
-        text = render_text(doc)
-    else:
-        text = dumps_report(doc)
+    text = render_text(doc) if args.format == "text" else dumps_report(doc)
     if args.out:
         write_text_atomic(args.out, text)
     else:
@@ -181,77 +178,26 @@ def _write_plot(args: argparse.Namespace, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
-# ---------------------------------------------------------------------------
-
-
-def _flatten(prefix: str, obj: Any, lines: list[str]) -> None:
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value, lines)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        for i, value in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", value, lines)
-    elif isinstance(obj, (float, np.floating)):
-        lines.append(f"{prefix} = {format_number(obj)}")
-    elif isinstance(obj, bool) or obj is None:
-        lines.append(f"{prefix} = {json.dumps(obj)}")
-    else:
-        lines.append(f"{prefix} = {obj}")
-
-
-def _correlation_table(section: dict) -> list[str]:
-    names = section["names"]
-    width = max(12, max(len(str(n)) for n in names) + 2)
-    head = "".rjust(width) + "".join(str(n).rjust(width) for n in names)
-    lines = [head]
-    r, p = section["r"], section["p"]
-    for i, name in enumerate(names):
-        r_cells = "".join(format_number(r[i][j]).rjust(width) for j in range(len(names)))
-        lines.append(str(name).rjust(width) + r_cells)
-        p_cells = "".join(
-            ("—" if i == j else format_number(p[i][j])).rjust(width)
-            for j in range(len(names))
-        )
-        lines.append("p".rjust(width) + p_cells)
-    return lines
-
-
-def render_text(doc: dict) -> str:
-    """Flat deterministic key = value rendering of a report document."""
-    lines: list[str] = []
-    for key, value in doc.items():
-        if key == "correlation" and isinstance(value, dict) and "names" in value:
-            lines.append("correlation:")
-            lines.extend(_correlation_table(value))
-        else:
-            _flatten(key, value, lines)
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args, config) -> int:
+def cmd_fit(args) -> int:
     spec = parse_formula(args.formula)
-    data, dropped = _load_data(args, config)
+    data, dropped = _load_data(args)
     model = fit(data, spec, allow_saturated=args.allow_saturated)
     doc = new_document(
         "fit",
         formula=print_formula(spec),
         dropped_rows=dropped,
         model=model_section(model),
-        warnings=selection.advisories(
-            data, spec, float(_setting(args, config, "correlation_threshold"))
-        ),
+        warnings=selection.advisories(data, spec, args.correlation_threshold),
     )
     return _finish(args, doc)
 
 
-def cmd_conditional(args, config) -> int:
-    model, data = _obtain_model(args, config)
+def cmd_conditional(args) -> int:
+    model, data = _obtain_model(args)
     fixed = _fixed_values(args, data)
     correlations = _correlations(data, model.spec.predictors)
     section = cond.derive(model, args.target, fixed, correlations=correlations)
@@ -288,8 +234,8 @@ def _parse_sweep(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def cmd_effect(args, config) -> int:
-    model, data = _obtain_model(args, config)
+def cmd_effect(args) -> int:
+    model, data = _obtain_model(args)
     fixed = _fixed_values(args, data)
     change = cond.unit_effect(model, args.target, fixed, args.at)
     doc = new_document(
@@ -305,7 +251,7 @@ def cmd_effect(args, config) -> int:
     return _finish(args, doc)
 
 
-def cmd_bridge(args, config) -> int:
+def cmd_bridge(args) -> int:
     given = {"a1": args.a1, "a2": args.a2, "c12": args.c12, "c21": args.c21, "r": args.r}
     if any(value is not None for value in given.values()):
         if any(value is None for value in given.values()):
@@ -321,15 +267,12 @@ def cmd_bridge(args, config) -> int:
             " (or the full --a1/--a2/--c12/--c21/--r reconstruction set)"
         )
 
-    data, _ = _load_data(args, config)
+    data, _ = _load_data(args)
     predictors = _split_names(args.predictors)
     report = relations.bridge(
         data, args.response, predictors, args.target, expected_sign=args.expected_sign
     )
-    findings = relations.detect_paradox(
-        report,
-        correlation_threshold=float(_setting(args, config, "correlation_threshold")),
-    )
+    findings = relations.detect_paradox(report, correlation_threshold=args.correlation_threshold)
     section: dict[str, Any] = {}
     for key, value in asdict(report).items():
         if key == "c":  # keyed by (of, on) pairs, which JSON cannot hold
@@ -351,8 +294,8 @@ def _split_names(text: str) -> list[str]:
     return names
 
 
-def cmd_residualize(args, config) -> int:
-    data, _ = _load_data(args, config)
+def cmd_residualize(args) -> int:
+    data, _ = _load_data(args)
     others = (
         _split_names(args.others)
         if args.others
@@ -377,15 +320,15 @@ def cmd_residualize(args, config) -> int:
     return _finish(args, doc)
 
 
-def cmd_stepwise(args, config) -> int:
-    data, _ = _load_data(args, config)
+def cmd_stepwise(args) -> int:
+    data, _ = _load_data(args)
     start = parse_formula(args.formula)
     protected = parse_terms(args.protect) if args.protect else []
     result = selection.backward_stepwise(
         data,
         start.response,
         start,
-        alpha=float(_setting(args, config, "alpha")),
+        alpha=args.alpha,
         protected=protected,
         enforce_hierarchy=not args.no_hierarchy,
     )
@@ -409,8 +352,8 @@ def cmd_stepwise(args, config) -> int:
     return _finish(args, doc)
 
 
-def cmd_subset(args, config) -> int:
-    data, _ = _load_data(args, config)
+def cmd_subset(args) -> int:
+    data, _ = _load_data(args)
     pool = parse_terms(args.pool)
     result = selection.best_subset(data, args.response, pool, args.size)
     doc = new_document(
@@ -432,36 +375,30 @@ def cmd_subset(args, config) -> int:
     return _finish(args, doc)
 
 
-def cmd_ellipse(args, config) -> int:
-    data, _ = _load_data(args, config)
-    level = float(_setting(args, config, "level"))
-    shape = geometry.ellipse(data, args.x, args.y, level)
+def cmd_ellipse(args) -> int:
+    data, _ = _load_data(args)
+    shape = geometry.ellipse(data, args.x, args.y, args.level)
     points = geometry.boundary(shape, args.points)
     doc = new_document("ellipse", ellipse={**asdict(shape), "n": data.n})
     comments = [
         f"confidence ellipse boundary for ({args.x}, {args.y})",
-        f"level = {format_number(level)}",
+        f"level = {format_number(args.level)}",
         f"threshold = {format_number(shape.threshold)}",
     ]
     _write_plot(args, plot_tsv(comments, [args.x, args.y], points))
     return _finish(args, doc)
 
 
-def cmd_action(args, config) -> int:
-    model, data = _obtain_model(args, config)
-    levels = _parse_levels(args.levels or [])
-    fixed = _fixed_values(args, data)
-    tolerance = args.control_tolerance
-    if tolerance is None:
-        tolerance = float(_setting(args, config, "antagonism_tolerance"))
+def cmd_action(args) -> int:
+    model, data = _obtain_model(args)
     result = geometry.classify_action(
         model,
         args.f1,
         args.f2,
-        alpha=float(_setting(args, config, "alpha")),
-        levels=levels,
-        fixed=fixed,
-        control_tolerance=tolerance,
+        alpha=args.alpha,
+        levels=_parse_levels(args.levels or []),
+        fixed=_fixed_values(args, data),
+        control_tolerance=args.control_tolerance,
     )
     doc = new_document(
         "action",
@@ -487,8 +424,8 @@ def _parse_levels(pairs: Sequence[str]) -> dict[str, tuple[float, float]]:
     return levels
 
 
-def cmd_corr(args, config) -> int:
-    data, _ = _load_data(args, config)
+def cmd_corr(args) -> int:
+    data, _ = _load_data(args)
     names = _split_names(args.cols) if args.cols else data.names
     report = pearson_matrix(data, names)
     doc = new_document(
@@ -503,15 +440,10 @@ def cmd_corr(args, config) -> int:
     return _finish(args, doc)
 
 
-def cmd_summary(args, config) -> int:
-    data, dropped = _load_data(args, config)
-    columns = {
-        name: {**asdict(q), "variance": column_stats(data, name).variance}
-        for name, q in quartiles(data).columns.items()
-    }
-    doc = new_document(
-        "summary", n=data.n, dropped_rows=dropped, columns=columns
-    )
+def cmd_summary(args) -> int:
+    data, dropped = _load_data(args)
+    columns = {name: asdict(q) for name, q in quartiles(data).items()}
+    doc = new_document("summary", n=data.n, dropped_rows=dropped, columns=columns)
     return _finish(args, doc)
 
 
@@ -537,6 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "text"), default="json", help="report format"
         )
 
+    def model_source(p):
+        """A model from --data and --formula, or from published --coef values."""
+        p.add_argument("--formula", required=True)
+        p.add_argument("--fix", action="append", help="name=value or name=preset (repeatable)")
+        p.add_argument("--coef", help="published coefficients, comma separated")
+        p.add_argument("--allow-saturated", action="store_true")
+
     p = sub.add_parser("fit", help="fit a model and report coefficients")
     common(p)
     p.add_argument("--formula", required=True)
@@ -545,23 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditional", help="one-factor conditional response")
     common(p, data_required=False)
-    p.add_argument("--formula", required=True)
+    model_source(p)
     p.add_argument("--target", required=True)
-    p.add_argument("--fix", action="append", help="name=value or name=preset (repeatable)")
     p.add_argument("--sweep", help="min:max:steps grid for plot data")
-    p.add_argument("--coef", help="published coefficients, comma separated")
-    p.add_argument("--allow-saturated", action="store_true")
     p.add_argument("--plot-out", help="write sweep TSV here")
     p.set_defaults(func=cmd_conditional)
 
     p = sub.add_parser("effect", help="unit-change effect at a point")
     common(p, data_required=False)
-    p.add_argument("--formula", required=True)
+    model_source(p)
     p.add_argument("--target", required=True)
-    p.add_argument("--fix", action="append")
     p.add_argument("--at", type=float, required=True)
-    p.add_argument("--coef")
-    p.add_argument("--allow-saturated", action="store_true")
     p.set_defaults(func=cmd_effect)
 
     p = sub.add_parser("bridge", help="SLR vs MLR coefficient bridge")
@@ -610,14 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("action", help="combined-action classification")
     common(p, data_required=False)
-    p.add_argument("--formula", required=True)
+    model_source(p)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--levels", action="append", help="name=low:high (default -1:1)")
-    p.add_argument("--fix", action="append", help="pin further predictors")
-    p.add_argument("--coef")
-    p.add_argument("--allow-saturated", action="store_true")
     p.add_argument("--control-tolerance", type=float)
     p.set_defaults(func=cmd_action)
 
@@ -637,8 +567,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        _resolve_settings(args, _load_config(args.config))
+        return args.func(args)
     except DataError as exc:
         print(f"error[{exc.code}]: {_one_line(exc)}", file=sys.stderr)
         return 1

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dataset import PRESET_STATS, QuartileSummary
-from .errors import AssignmentError, ScopeError
+from .dataset import PRESET_STATS, ColumnQuartiles
+from .errors import AssignmentError, ScopeError, UnknownColumnError
 from .ols import FittedModel
 
 CAUTION_CORRELATION = 0.7
@@ -57,12 +57,12 @@ class TCoefficients:
 
 def resolve_assignment(
     fixed: Mapping[str, float | str],
-    summary: QuartileSummary | None = None,
+    summary: Mapping[str, ColumnQuartiles] | None = None,
 ) -> dict[str, float]:
     """Turn preset names (min/q25/mean/q75/max) into numbers.
 
-    Numeric values pass through; presets require a QuartileSummary whose
-    columns cover the named predictors.
+    Numeric values pass through; presets require a column summary (as
+    from ``dataset.quartiles``) that covers the named predictors.
     """
     resolved: dict[str, float] = {}
     for name, value in fixed.items():
@@ -75,7 +75,9 @@ def resolve_assignment(
                 raise AssignmentError(
                     f"preset {value!r} for {name!r} needs a dataset summary to resolve"
                 )
-            resolved[name] = summary.lookup(name, value)
+            if name not in summary:
+                raise UnknownColumnError(f"no summary for column {name!r}")
+            resolved[name] = getattr(summary[name], value)
         else:
             resolved[name] = float(value)
     return resolved

@@ -22,7 +22,7 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -143,37 +143,17 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class ColumnQuartiles:
+    """One column's five-number summary, mean and sample variance.
+
+    The variance has the n-1 divisor and is 0 when n = 1.
+    """
+
     min: float
     q25: float
     mean: float
     q75: float
     max: float
-
-
-@dataclass(frozen=True)
-class QuartileSummary:
-    """Per-column five-number-plus-mean summary."""
-
-    columns: dict[str, ColumnQuartiles] = field(default_factory=dict)
-
-    def lookup(self, name: str, stat: str) -> float:
-        """Resolve a preset name ('min', 'q25', 'mean', 'q75', 'max')."""
-        if name not in self.columns:
-            raise UnknownColumnError(f"no summary for column {name!r}")
-        if stat not in PRESET_STATS:
-            raise ValueError(f"unknown summary statistic {stat!r}")
-        return getattr(self.columns[name], stat)
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Sample mean/variance/extrema; variance reported as 0 when n = 1."""
-
-    mean: float
     variance: float
-    min: float
-    max: float
-    n: int
 
 
 def load_csv(
@@ -211,14 +191,18 @@ def load_csv(
 
     Raises
     ------
+    ValueError
+        A delimiter that is not one character, before anything is read.
     CsvParseError
-        Malformed structure (wrong field count, bad quoting), with the
-        offending line number.
+        Malformed structure (wrong field count, bad quoting) or a byte
+        that is not UTF-8, with the offending line number.
     SchemaError
         Duplicate or empty header names.
     EmptyDataError
         No usable data rows remain.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     if isinstance(source, bytes):
         raw: bytes | str = source
     elif hasattr(source, "read"):
@@ -315,8 +299,13 @@ def _all_cells_numeric(body: bytes, delimiter: bytes) -> bool:
 
 def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset, int]:
     """The row-by-row parser: ``csv.reader`` and one ``float`` per cell."""
-    text = io.StringIO(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    reader = csv.reader(text, delimiter=delimiter)
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise CsvParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8", line=line) from exc
+    reader = csv.reader(io.StringIO(raw), delimiter=delimiter)
     names: list[str] | None = None
     rows: list[list[float]] = []
     dropped = 0
@@ -443,31 +432,20 @@ def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> Correlation
     return CorrelationReport(names=names, r=r, n=d.n)
 
 
-def quartiles(d: Dataset) -> QuartileSummary:
-    """Five-number-plus-mean summary per column (type-7 quartiles)."""
+def quartiles(d: Dataset) -> dict[str, ColumnQuartiles]:
+    """Summary per column, in column order (type-7 quartiles)."""
     summary: dict[str, ColumnQuartiles] = {}
     for name in d.names:
         col = d.column(name)
+        q25, q75 = np.quantile(col, [0.25, 0.75])
+        with np.errstate(over="ignore"):  # inf beyond about 1e154, null in reports
+            variance = float(col.var(ddof=1)) if d.n > 1 else 0.0
         summary[name] = ColumnQuartiles(
             min=float(col.min()),
-            q25=float(np.quantile(col, 0.25)),
+            q25=float(q25),
             mean=float(col.mean()),
-            q75=float(np.quantile(col, 0.75)),
+            q75=float(q75),
             max=float(col.max()),
+            variance=variance,
         )
-    return QuartileSummary(columns=summary)
-
-
-def column_stats(d: Dataset, col: str) -> ColumnStats:
-    """Sample mean, unbiased variance (n-1 divisor), min, and max."""
-    values = d.column(col)
-    n = values.size
-    with np.errstate(over="ignore"):  # inf beyond about 1e154, null in reports
-        variance = float(values.var(ddof=1)) if n > 1 else 0.0
-    return ColumnStats(
-        mean=float(values.mean()),
-        variance=variance,
-        min=float(values.min()),
-        max=float(values.max()),
-        n=int(n),
-    )
+    return summary

@@ -106,10 +106,6 @@ class ScopeError(ModelError):
     code = "scope"
 
 
-class HierarchyError(ModelError):
-    code = "hierarchy"
-
-
 class DegenerateEllipseError(ModelError):
     code = "degenerate-ellipse"
 

@@ -1,10 +1,12 @@
 """Deterministic report serialization and plot-data output.
 
 JSON reports follow the "condreg/1" schema: fixed key order, floats
-rendered with 12 significant digits, NaN/Inf mapped to null.  The same
-float formatting feeds the TSV plot files, so identical inputs always
-produce byte-identical output.  File writes go through a temp file and
-rename, never a partial file.
+rendered with 12 significant digits, NaN/Inf mapped to null.  The text
+format prints the same document as flat ``key = value`` lines (and the
+correlation section as a table); the same number rules feed it and the
+TSV plot files, so identical inputs always produce byte-identical
+output.  File writes go through a temp file and rename, never a partial
+file.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -30,16 +33,22 @@ def format_number(x: float) -> str:
     return format(value, ".12g")
 
 
+def _scalar(obj: Any) -> str | None:
+    """A number, bool or None as both formats print it; None for anything else."""
+    if isinstance(obj, (float, np.floating)):
+        return format_number(obj)
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    return None
+
+
 def _emit(obj: Any, pieces: list[str], indent: int) -> None:
     pad = "  " * indent
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(format_number(obj))
+    scalar = _scalar(obj)
+    if scalar is not None:
+        pieces.append(scalar)
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -73,6 +82,53 @@ def dumps_report(document: dict) -> str:
     _emit(document, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def _flatten(prefix: str, obj: Any, lines: list[str]) -> None:
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _flatten(f"{prefix}.{key}" if prefix else str(key), value, lines)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for i, value in enumerate(obj):
+            _flatten(f"{prefix}[{i}]", value, lines)
+    else:
+        scalar = _scalar(obj)
+        lines.append(f"{prefix} = {obj if scalar is None else scalar}")
+
+
+def _correlation_table(section: dict) -> list[str]:
+    """r and p rows under a header of names, each cell right-aligned.
+
+    Every column is one wider than the widest name or cell, so cells
+    never run together.
+    """
+    names = [str(name) for name in section["names"]]
+    r = [[format_number(value) for value in row] for row in section["r"]]
+    p = [
+        ["—" if i == j else format_number(value) for j, value in enumerate(row)]
+        for i, row in enumerate(section["p"])
+    ]
+    width = 1 + max(len(cell) for cell in chain(names, *r, *p))
+
+    def row(label: str, cells: list[str]) -> str:
+        return "".join(cell.rjust(width) for cell in [label, *cells])
+
+    lines = [row("", names)]
+    for name, r_cells, p_cells in zip(names, r, p):
+        lines += [row(name, r_cells), row("p", p_cells)]
+    return lines
+
+
+def render_text(document: dict) -> str:
+    """Flat deterministic key = value rendering of a report document."""
+    lines: list[str] = []
+    for key, value in document.items():
+        if key == "correlation" and isinstance(value, dict) and "names" in value:
+            lines.append("correlation:")
+            lines.extend(_correlation_table(value))
+        else:
+            _flatten(key, value, lines)
+    return "\n".join(lines) + "\n"
 
 
 def new_document(command: str, **sections: Any) -> dict:

@@ -271,3 +271,164 @@ def test_bridge_checks_its_arguments(tmp_path, capsys, args, message):
     assert len(lines) == 1
     assert lines[0].startswith(f"error[assignment]: {message}")
     assert not (tmp_path / "bridge.json").exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SURVEY = os.path.join(GOLDEN, "survey.csv")
+CODED_ACTION = ["action", "--formula=SDH ~ Pb + Cd + Pb:Cd", "--allow-saturated",
+                f"--data={os.path.join(GOLDEN, 'coded.csv')}", "--f1=Pb", "--f2=Cd"]
+
+# Where a setting can come from, highest precedence first.
+LEVELS = ["flag", "config", "env", "default"]
+
+
+def _layered(tmp_path, monkeypatch, key, flag, level, win, lose):
+    """Global and command arguments that put ``win`` at ``level`` and
+    ``lose`` at every lower level, so the report shows which one was read."""
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    top, extra = [], []
+    for rank, layer in enumerate(LEVELS[:-1]):
+        if rank < LEVELS.index(level):
+            continue
+        value = win if layer == level else lose
+        if layer == "flag":
+            extra.append(f"{flag}={value}")
+            continue
+        path = tmp_path / f"{layer}.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        if layer == "config":
+            top.append(f"--config={path}")
+        else:
+            monkeypatch.setenv("CONDREG_CONFIG", str(path))
+    return top, extra
+
+
+# key: flag, command, winning and losing values, what the report shows,
+# and what it shows for the winning value and for the built-in default.
+SETTINGS = {
+    "alpha": ("--alpha", ["stepwise", f"--data={SURVEY}", "--formula=Y ~ quad(x1,x2) + x3"],
+              0.7, 0.55, lambda report: len(report["steps"]), 0, 2),
+    "correlation_threshold": (None, ["fit", f"--data={SURVEY}", "--formula=Y ~ x1 + x2"],
+                              0.8, 0.5, lambda report: report["warnings"][1:],
+                              ["correlation: |r(x1, x2)| = 0.838 exceeds 0.8"],
+                              ["correlation: |r(x1, x2)| = 0.838 exceeds 0.7"]),
+    "antagonism_tolerance": ("--control-tolerance", CODED_ACTION, 0.001, 0.5,
+                             lambda report: report["action"]["label"], "less-than-additive", "antagonism"),
+}
+
+
+@pytest.mark.parametrize(
+    "key, level",
+    [(key, level) for key in SETTINGS for level in LEVELS if level != "flag" or SETTINGS[key][0]],
+)
+def test_setting_precedence(tmp_path, monkeypatch, key, level):
+    flag, argv, win, lose, shown, shown_win, shown_default = SETTINGS[key]
+    top, extra = _layered(tmp_path, monkeypatch, key, flag, level, win, lose)
+    out = tmp_path / "report.json"
+    assert main([*top, *argv, *extra, f"--out={out}"]) == 0
+    assert shown(json.loads(out.read_text(encoding="utf-8"))) == (
+        shown_default if level == "default" else shown_win
+    )
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_delimiter_precedence(tmp_path, monkeypatch, level):
+    # Only the delimiter the file is written with parses it: under any other
+    # every row is one non-numeric cell and the command exits 1.
+    delimiter = "," if level == "default" else ";"
+    path = _write_lines(tmp_path / "data.csv", [delimiter.join(row) for row in
+                                                [("u", "v"), ("1", "2"), ("3", "5"), ("4", "4")]])
+    top, extra = _layered(tmp_path, monkeypatch, "delimiter", "--delimiter", level, ";", "|")
+    report = _run_twice(tmp_path, [*top, "summary", f"--data={path}", *extra])
+    assert list(report["columns"]) == ["u", "v"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"alpha": 0.1, "colour": "red"}', "unknown config keys ['colour']"),
+        ("{alpha: 1", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"alpha": "abc"}', "config key 'alpha' must be a number, got 'abc'"),
+        ('{"level": null}', "config key 'level' must be a number, got None"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_bad_config_is_a_config_error(tmp_path, monkeypatch, capsys, text, message, source):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    top = [f"--config={path}"] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("CONDREG_CONFIG", str(path))
+    code = main([*top, "summary", f"--data={SURVEY}", f"--out={tmp_path / 'out.json'}"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[config]: ")
+    assert message in lines[0]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_missing_config_file_is_an_io_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    code = main([f"--config={tmp_path / 'absent.json'}", "summary", f"--data={SURVEY}"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[io]: ")
+
+
+@pytest.fixture
+def hostile_files(tmp_path):
+    (tmp_path / "utf16.csv").write_bytes(b"\xff\xfeu,v\n1,2\n")
+    (tmp_path / "late-byte.csv").write_bytes(b"u,v\n1,2\n3,4\n5,\xe96\n")
+    (tmp_path / "header-only.csv").write_bytes(b"u,v\n")
+    return tmp_path
+
+
+SATURATED_CODED = ["--formula=SDH ~ Pb + Cd + Pb:Cd", "--allow-saturated",
+                   f"--data={os.path.join(GOLDEN, 'coded.csv')}"]
+
+# argv ({dir} names the fixture directory) -> exit status and error line
+HOSTILE = [
+    (["summary", f"--data={SURVEY}", "--delimiter=;;"], 2,
+     "error[value]: delimiter must be one character, got ';;'"),
+    (["summary", f"--data={SURVEY}", "--delimiter="], 2,
+     "error[value]: delimiter must be one character, got ''"),
+    (["summary", "--data={dir}/utf16.csv"], 1, "error[csv-parse]: line 1: byte 0xff is not UTF-8"),
+    (["corr", "--data={dir}/late-byte.csv"], 1, "error[csv-parse]: line 4: byte 0xe9 is not UTF-8"),
+    (["summary", "--data={dir}/header-only.csv"], 1, "error[empty-data]: "),
+    (["summary", "--data={dir}"], 1, "error[io]: "),
+    (["fit", "--data={dir}/absent.csv", "--formula=Y ~ x1"], 1, "error[io]: "),
+    (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--level=1.5"], 2,
+     "error[value]: level must lie in (0, 1), got 1.5"),
+    (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--points=0"], 2, "error[degenerate-ellipse]: "),
+    (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x1"], 2, "error[degenerate-ellipse]: "),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=0:1:x"], 2,
+     "error[formula]: bad --sweep value: "),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=median"], 2,
+     "error[assignment]: unknown preset 'median' for 'Cd'"),
+    (["effect", *SATURATED_CODED, "--target=Pb", "--fix=zz=mean", "--at=0"], 1,
+     "error[unknown-column]: no summary for column 'zz'"),
+    (["subset", f"--data={SURVEY}", "--response=Y", "--pool=x1,x2", "--size=-1"], 2, "error[search]: "),
+    (["fit", f"--data={SURVEY}", "--formula=Y ~"], 2, "error[formula]: "),
+    (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--levels=Pb=1"], 2,
+     "error[assignment]: --levels expects name=low:high"),
+    (["corr", f"--data={SURVEY}", "--cols=x1,zz"], 1, "error[unknown-column]: "),
+]
+
+
+@pytest.mark.parametrize("argv, status, error", HOSTILE, ids=[" ".join(case[0][:1] + case[0][-1:]) for case in HOSTILE])
+def test_hostile_argv_gives_one_classified_error(hostile_files, monkeypatch, capsys, argv, status, error):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    out = hostile_files / "out"
+    argv = [arg.format(dir=hostile_files) for arg in argv]
+    extra = [f"--plot-out={out}.tsv"] if argv[0] in ("ellipse", "conditional") else []
+    assert main([*argv, *extra, f"--out={out}.json"]) == status
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(error)
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not os.path.exists(f"{out}.json")

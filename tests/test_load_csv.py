@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from condreg import dataset, load_csv
 from condreg.dataset import _load_rows
-from condreg.errors import EmptyDataError
+from condreg.errors import CsvParseError, EmptyDataError
 
 
 def _outcome(parse, raw, delimiter, header):
@@ -151,3 +151,28 @@ def test_header_only_is_empty_data_without_a_warning(raw):
         warnings.simplefilter("error")
         with pytest.raises(EmptyDataError):
             load_csv(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (b"\xff\xfea,b\n1,2\n", 1),
+        (b"a,b\n1,2\n3,\xe94\n", 3),
+        (b'a,b\n"1\n\xc0",2\n', 3),
+    ],
+)
+def test_byte_that_is_not_utf8_is_a_parse_error_on_its_line(raw, line):
+    for parse in (load_csv, _load_rows):
+        with pytest.raises(CsvParseError, match="is not UTF-8") as caught:
+            parse(raw, ",", True)
+        assert caught.value.line == line
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", b","])
+def test_delimiter_must_be_one_character_before_reading(delimiter):
+    class Unread:
+        def read(self):
+            raise AssertionError("source read")
+
+    with pytest.raises(ValueError, match="delimiter must be one character"):
+        load_csv(Unread(), delimiter=delimiter)

@@ -1,11 +1,14 @@
-"""Atomic report writes: a failed write leaves the old file and no temp file."""
+"""Atomic report writes (a failed write leaves the old file and no temp
+file) and the text rendering of the correlation table."""
 
 import os
 
+import numpy as np
 import pytest
 
+from condreg import Dataset, pearson_matrix
 from condreg.cli import main
-from condreg.report import write_text_atomic
+from condreg.report import format_number, new_document, render_text, write_text_atomic
 
 
 @pytest.fixture
@@ -43,3 +46,24 @@ def test_write_replaces_the_old_file(tmp_path):
     write_text_atomic(str(target), "new\n")
     assert target.read_text(encoding="utf-8") == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_correlation_table_keeps_every_cell_apart():
+    # Negative r at 12 digits and p in e-notation are the widest cells.
+    rng = np.random.default_rng(77)
+    a, b, c = rng.normal(size=(3, 12))
+    d = Dataset({"a": a, "b": b - 0.6 * a, "a_long_name": a + 1e-4 * c})
+    report = pearson_matrix(d)
+    doc = new_document("corr", correlation={"names": list(report.names), "n": report.n,
+                                            "r": report.r, "p": report.p})
+    lines = render_text(doc).splitlines()
+    table = lines[lines.index("correlation:") + 1:]
+    k = len(report.names)
+    assert table[0].split() == list(report.names)
+    assert len(table) == 1 + 2 * k
+    assert len({len(line) for line in table}) == 1
+    for i, name in enumerate(report.names):
+        r_row, p_row = table[1 + 2 * i].split(), table[2 + 2 * i].split()
+        assert len(r_row) == len(p_row) == k + 1
+        assert r_row == [name, *(format_number(v) for v in report.r[i])]
+        assert p_row == ["p", *("—" if i == j else format_number(v) for j, v in enumerate(report.p[i]))]
