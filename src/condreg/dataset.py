@@ -163,13 +163,14 @@ def load_csv(
 ) -> tuple[Dataset, int]:
     """Parse an RFC-4180-style CSV stream into a Dataset.
 
-    Byte input with no quote character and no carriage return is parsed
-    in one vectorized pass by ``numpy.loadtxt``.  Data rows with an empty
-    cell or a byte other than digits, signs, dots, e/E, the delimiter and
-    whitespace (NA, nan, any non-ASCII) skip that pass before it starts;
-    they, anything the pass refuses (a ragged row, a malformed number, no
-    data rows), and every text stream or input with quotes or CRLF line
-    ends, go through the row-by-row parser instead.  Both give the same names, bit-identical columns and the
+    Byte input with no quote character, with LF or CRLF line ends, is
+    parsed in one vectorized pass by ``numpy.loadtxt``.  Data rows with
+    an empty cell or a byte other than digits, signs, dots, e/E, the
+    delimiter and whitespace (NA, nan, any non-ASCII) skip that pass
+    before it starts; they, anything the pass refuses (a ragged row, a
+    malformed number, a lone carriage return, no data rows), and every
+    text stream or input with quotes, go through the row-by-row parser
+    instead.  Both give the same names, bit-identical columns and the
     same dropped count; every error and its line number come from the
     row parser.
 
@@ -209,7 +210,7 @@ def load_csv(
         raw = source.read()
     else:
         raise TypeError("source must be bytes or a readable stream")
-    if isinstance(raw, bytes) and b'"' not in raw and b"\r" not in raw:
+    if isinstance(raw, bytes) and b'"' not in raw:
         loaded = _load_plain(raw, delimiter, header)
         if loaded is not None:
             return loaded
@@ -218,7 +219,7 @@ def load_csv(
 
 _NON_SPACE = re.compile(rb"\S")
 # Bytes a body of plain numbers may hold besides the delimiter.
-_NUMBER_BYTES = b"0123456789+-.eE \t\n"
+_NUMBER_BYTES = b"0123456789+-.eE \t\r\n"
 
 
 def _load_plain(raw: bytes, delimiter: str, header: bool) -> tuple[Dataset, int] | None:
@@ -285,8 +286,8 @@ def _all_cells_numeric(body: bytes, delimiter: bytes) -> bool:
     """
     if len(delimiter) != 1 or body.translate(None, _NUMBER_BYTES + delimiter):
         return False
-    if b" " in body or b"\t" in body:
-        body = body.translate(None, b" \t".replace(delimiter, b""))
+    if b" " in body or b"\t" in body or b"\r" in body:
+        body = body.translate(None, b" \t\r".replace(delimiter, b""))
     a = np.frombuffer(body, np.uint8)
     cut = a == delimiter[0]
     edge = cut | (a == ord("\n"))

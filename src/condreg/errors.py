@@ -75,7 +75,9 @@ class UnderdeterminedModelError(ModelError):
 
 
 class CollinearityError(ModelError):
-    """Rank-deficient design; names one linearly dependent column."""
+    """Rank-deficient design; names the first column, in the model's term
+    order, that the columns before it span (for an all-zero design, the
+    first column)."""
 
     code = "collinearity"
 

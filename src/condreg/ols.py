@@ -2,16 +2,18 @@
 
 Every fit goes through one :class:`Factorization`: the intercept, a pool
 of term columns and the response are written into one n x (P + 2) array,
-which is factored once, in place, by unpivoted Householder QR.  Only the
-small R factor is kept, never Q and never the normal equations.  A
+whose R factor is built by numpy's Householder QR folded over row blocks
+(R <- qr([R; block]), as in TSQR), so that array is never copied.  Only
+the small R is kept, never Q and never the normal equations.  A
 sub-model S of the pool has design X_S = Q R[:, S] and response
 y = Q R[:, y], so it is solved from R alone, at a cost that does not
 depend on n:
 
-* rank test: QR with column pivoting of the slice R[:, S]; a pivot below
-  1e-10 times the largest pivot declares rank deficiency and names the
-  offending column;
-* residual sum of squares: the squared tail of Q_S' R[:, y];
+* one unpivoted QR of the slice R[:, S + [y]] gives R_S, Q_S' y and,
+  as the square of its corner entry, the residual sum of squares;
+* rank test: the first column, in the spec's order, whose diagonal
+  entry of R_S is below 1e-10 times the largest column norm of X_S is
+  named as dependent; a design whose columns are all zero is "zero";
 * inference: standard errors from sigma^2 * (X'X)^{-1} with
   sigma^2 = RSS/dof, two-sided Student t p-values.
 
@@ -40,6 +42,8 @@ from .stats import student_t_two_sided_p
 from .terms import ModelSpec, Term, check_design, fill_design
 
 RANK_TOLERANCE = 1e-10
+# Rows per block of the fold that builds R.
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -132,17 +136,13 @@ class Factorization:
         a = np.empty((d.n, len(terms) + 2), order="F")
         fill_design(a, d, terms, intercept=True)
         a[:, -1] = y
-        # Imported here, not at module level: scipy is most of condreg's
-        # import time, and commands that fit nothing never need it.
-        import scipy.linalg
-
-        self._linalg = scipy.linalg
-        geqrf = scipy.linalg.lapack.dgeqrf
-        lwork = int(geqrf(a, lwork=-1, overwrite_a=1)[2][0])  # workspace query
-        qr, _, _, _ = geqrf(a, lwork=lwork, overwrite_a=1)
         # R is upper trapezoidal, min(n, P + 2) x (P + 2); y = Q R[:, -1].
-        self.r = np.triu(qr[: min(a.shape)])
-        del a, qr
+        r = np.zeros((0, a.shape[1]))
+        for start in range(0, d.n, _BLOCK_ROWS):
+            r = np.linalg.qr(np.vstack([r, a[start : start + _BLOCK_ROWS]]), mode="r")
+        del a
+        self.r = r
+        self._norms = np.hypot.reduce(r, axis=0)  # the design's column norms, without overflow
         self.response = response
         self.n = d.n
         self.names = frozenset(d.names)
@@ -152,10 +152,10 @@ class Factorization:
         self._column = {term: j for j, term in enumerate(terms, start=1)}
 
     def _solve(self, spec: ModelSpec, allow_saturated: bool):
-        """Checks in ``fit``'s order, then a pivoted QR of the slice R[:, S].
+        """Checks in ``fit``'s order, then a QR of the slice R[:, S + [y]].
 
-        Returns the slice's QR (upper triangle R_S), its column
-        permutation, Q_S' R[:, y] and the residual sum of squares.
+        Returns the slice's p x p upper triangle R_S, Q_S' R[:, y] and
+        the residual sum of squares.
         """
         if spec.response != self.response:
             raise ModelError(
@@ -173,22 +173,16 @@ class Factorization:
             )
         columns = [0] if spec.intercept else []
         columns.extend(self._column[term] for term in spec.terms)
-        # Rows of the C-ordered transpose are R's columns: the slice comes
-        # out Fortran-ordered, as LAPACK wants it, and is factored in place.
-        qr, jpvt, tau, _, _ = self._linalg.lapack.dgeqp3(self.r.T[columns].T, overwrite_a=1)
-        perm = jpvt - 1
-        diag = np.abs(np.diag(qr))
-        if diag[0] == 0.0:
-            raise CollinearityError("design matrix is zero", column=_label(spec, perm[0]))
-        bad = np.nonzero(diag < RANK_TOLERANCE * diag[0])[0]
+        largest = self._norms[columns].max()
+        if largest == 0.0:
+            raise CollinearityError("design matrix is zero", column=_label(spec, 0))
+        r = np.linalg.qr(self.r[:, columns + [-1]], mode="r")
+        # Written so that a NaN diagonal (an overflowed column) also fails.
+        bad = np.nonzero(~(np.abs(np.diag(r[:, :p])) >= RANK_TOLERANCE * largest))[0]
         if bad.size:
-            raise CollinearityError(
-                "design matrix is rank deficient", column=_label(spec, perm[bad[0]])
-            )
-        # Q_S' R[:, y]; one column needs no more than the minimal workspace.
-        qty = self._linalg.lapack.dormqr("L", "T", qr, tau, self.r[:, -1:], 1)[0][:, 0]
-        tail = qty[p:]
-        return qr[:p], perm, qty[:p], float(tail @ tail)
+            raise CollinearityError("design matrix is rank deficient", column=_label(spec, bad[0]))
+        rss = float(r[p, p] ** 2) if r.shape[0] > p else 0.0
+        return r[:p, :p], r[:p, p], rss
 
     def _r2(self, spec: ModelSpec, rss: float) -> tuple[float, float]:
         """R^2 (centered with an intercept) and adjusted R^2 (NaN at dof 0)."""
@@ -210,21 +204,17 @@ class Factorization:
         Raises what ``fit`` raises for the same spec (saturated models
         are refused).
         """
-        _, _, _, rss = self._solve(spec, allow_saturated=False)
+        _, _, rss = self._solve(spec, allow_saturated=False)
         return self._r2(spec, rss)
 
     def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
         """Coefficients and full inference for a sub-model; see :func:`fit`."""
-        r, perm, qty, rss = self._solve(spec, allow_saturated)
+        r, qty, rss = self._solve(spec, allow_saturated)
         n, p = self.n, spec.n_parameters
         dof = n - p
-        coef = np.empty(p)
-        coef[perm] = self._linalg.solve_triangular(r, qty)
-
-        # (X'X)^{-1} from R_S: permute (R'R)^{-1} back to the spec's order.
-        r_inv = self._linalg.solve_triangular(r, np.eye(p))
-        cov_unscaled = np.empty((p, p))
-        cov_unscaled[np.ix_(perm, perm)] = r_inv @ r_inv.T
+        coef = np.linalg.solve(r, qty)
+        r_inv = np.linalg.inv(r)
+        cov_unscaled = r_inv @ r_inv.T  # (X'X)^{-1} = (R'R)^{-1}
 
         r2, r2_adj = self._r2(spec, rss)
         if dof > 0:

@@ -4,7 +4,7 @@ Each search factors its data once: one :class:`~condreg.ols.Factorization`
 (a Householder QR of [intercept | term pool | response]) covers every
 candidate, and a candidate is solved from its slice of the small R
 factor, so its cost does not depend on n.  The slice gets the same
-pivoted rank test as :func:`~condreg.ols.fit`; rank-deficient or
+rank test as :func:`~condreg.ols.fit`; rank-deficient or
 otherwise ill-posed candidates are skipped with a note rather than
 aborting the search.  Best-subset ranks candidates by R^2 alone and
 computes a ranked model's coefficients and inference

@@ -114,7 +114,7 @@ def test_subset_ranks_and_skips(tmp_path, signal):
     for pair, entry in zip(got, ranked):
         key = pair if pair in scores else pair[::-1]
         assert entry["r2"] == pytest.approx(scores[key], abs=1e-12)
-    deficient = "design matrix is rank deficient (dependent column: (intercept))"
+    deficient = "design matrix is rank deficient (dependent column: k)"
     unknown = "predictor 'zz' not in dataset"
     assert report["skipped"] == [
         {"terms": ["a", "k"], "reason": deficient},
@@ -215,11 +215,26 @@ def test_ragged_row_is_a_csv_parse_error(tmp_path, capsys, command):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, condreg.cli; print('scipy' in sys.modules)"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """Neither the import nor any command that fits a model loads scipy."""
+    commands = [
+        ["fit", f"--data={SURVEY}", "--formula=Y ~ x1 + x2 + x1:x2"],
+        ["stepwise", f"--data={SURVEY}", "--formula=Y ~ quad(x1,x2) + x3"],
+        ["subset", f"--data={SURVEY}", "--response=Y", "--pool=x1,x2,x3,x1:x2,x1^2", "--size=2"],
+        ["bridge", f"--data={SURVEY}", "--response=Y", "--predictors=x1,x2", "--target=x1"],
+        ["residualize", f"--data={SURVEY}", "--target=x1", "--others=x2,x3"],
+    ]
+    commands = [argv + [f"--out={tmp_path / argv[0]}.json"] for argv in commands]
+    code = (
+        "import sys, condreg.cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"print([condreg.cli.main(argv) for argv in {commands!r}])\n"
+        "print('scipy' in sys.modules)\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "[0, 0, 0, 0, 0]", "False"]
+    assert all((tmp_path / f"{argv[0]}.json").exists() for argv in commands)
 
 
 @pytest.fixture

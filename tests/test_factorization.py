@@ -19,6 +19,7 @@ from condreg import (
     full_quadratic_terms,
 )
 from condreg.errors import SearchError
+from condreg.ols import _BLOCK_ROWS
 
 NAMES = ["x1", "x2", "x3"]
 # x1 and dup = 2 * x1 are an exactly collinear pair; zz is in no dataset.
@@ -158,3 +159,26 @@ def test_stepwise_steps_match_fresh_fits(case):
         assert step.r2_after == pytest.approx(after.r2, abs=1e-12)
     assert result.final.spec == spec
     _assert_same_fit(result.final, fit(d, spec))
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17])
+def test_fold_over_row_blocks_matches_lstsq(n):
+    """R is built block by block; around and past a block's end the fits
+    still match lstsq and the explicit (X'X)^{-1}."""
+    d = _dataset(n, seed=n)
+    pool = full_quadratic_terms(NAMES)
+    spec = ModelSpec("Y", tuple(pool))
+    X, y = _design(d, spec), d.column("Y")
+    coef = np.linalg.lstsq(X, y, rcond=None)[0]
+    resid = y - X @ coef
+    rss = resid @ resid
+    se = np.sqrt(rss / (n - X.shape[1]) * np.diag(np.linalg.inv(X.T @ X)))
+    m = fit(d, spec)
+    np.testing.assert_allclose(m.coef, coef, rtol=1e-10)
+    np.testing.assert_allclose(m.se, se, rtol=1e-10)
+    assert m.rss == pytest.approx(rss, rel=1e-10)
+
+    result = best_subset(d, "Y", pool, 2)
+    assert len(result.ranked) == len(list(itertools.combinations(pool, 2)))
+    for entry in result.ranked:
+        assert entry.r2 == pytest.approx(_oracle(d, entry.spec)[1], abs=1e-12)

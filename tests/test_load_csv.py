@@ -89,6 +89,9 @@ def test_matches_row_parser(case):
         b"a,b\n1,2\n\xff\n",
         b"a,b\r1,2\r3,4\r",
         b"a,b\n1,2\r3,4\n",
+        b"a,b\r\r\n1,2\r\r\n3,4\r\r\n",
+        b"a,b\r\n1,\r\n3,4\r\n",
+        b"a,b\r\n1,2\r\n\r\n3,4",
         b'a,b\n"1",2\n3,4\n',
         b'"a\nb"\n1\n2\n',
         b"a,a\n1,2\n",
@@ -110,6 +113,7 @@ def test_edge_inputs_match_row_parser(raw):
         (b"y, x\n1, 2\n 3 ,\t4\n", ",", True, (["y", "x"], 2, 0)),
         (b"y\tx\n1 \t2\n", "\t", True, (["y", "x"], 1, 0)),
         (b" \n1;2;3\n4;5;1e400", ";", False, (["x1", "x2", "x3"], 1, 1)),
+        (b"y,x\r\n1,2\r\n\r\n3, 4 \r\n5,1e400\r\n", ",", True, (["y", "x"], 2, 1)),
     ],
 )
 def test_plain_input_never_reaches_the_row_parser(monkeypatch, raw, delimiter, header, expected):
@@ -135,6 +139,7 @@ def test_plain_input_never_reaches_the_row_parser(monkeypatch, raw, delimiter, h
         (b"1,2\n3,4\n5,", ",", False),
         (b",2\n3,4\n", ",", False),
         (b"a,b\n1,2\n3,4\xc2\xa0\n", ",", True),
+        (b"a,b\r\n1,\r\n3,4\r\n", ",", True),
     ],
 )
 def test_unusable_cell_declines_before_loadtxt(monkeypatch, raw, delimiter, header):

@@ -113,6 +113,37 @@ class TestFit:
         assert m.r2 == pytest.approx(1.0 - m.rss / (y**2).sum(), rel=1e-12)
 
 
+class TestRankRule:
+    """The dependent column named is the first, in the spec's order, that
+    the columns before it span."""
+
+    @pytest.mark.parametrize("names, dependent", [(("a", "b"), "b"), (("b", "a"), "a")])
+    def test_first_dependent_column_in_spec_order(self, rng, names, dependent):
+        x = rng.normal(size=10)
+        d = Dataset({"Y": rng.normal(size=10), "a": x, "b": 2.0 * x})
+        with pytest.raises(CollinearityError, match=rf"rank deficient \(dependent column: {dependent}\)$") as err:
+            fit(d, linear_spec("Y", *names))
+        assert err.value.column == dependent
+
+    def test_constant_column_beside_the_intercept(self, rng):
+        d = Dataset({"Y": rng.normal(size=10), "k": np.full(10, 3.0), "a": rng.normal(size=10)})
+        with pytest.raises(CollinearityError, match="rank deficient") as err:
+            fit(d, linear_spec("Y", "k", "a"))
+        assert err.value.column == "k"
+
+    def test_overflowed_column_is_refused_not_fitted_to_nan(self):
+        d = Dataset({"Y": [1.0, 2.0, 3.0, 5.0], "a": [1e200, 2e200, -1e200, 4e200]})
+        with np.errstate(over="ignore"), pytest.raises(CollinearityError, match="rank deficient"):
+            fit(d, ModelSpec("Y", (Term.linear("a"), Term.power("a", 2))))
+
+    def test_zero_design_names_its_first_column(self, rng):
+        d = Dataset({"Y": rng.normal(size=6), "z": np.zeros(6), "w": np.zeros(6)})
+        spec = ModelSpec("Y", (Term.linear("w"), Term.linear("z")), intercept=False)
+        with pytest.raises(CollinearityError, match=r"^design matrix is zero \(dependent column: w\)$") as err:
+            fit(d, spec)
+        assert err.value.column == "w"
+
+
 class TestOracleSuite:
     def test_small_designs_match_normal_equations(self):
         # every p <= 3, n <= 8 combination over several seeds
