@@ -63,7 +63,6 @@ from .terms import (
     Term,
     canonical_order,
     check_hierarchy,
-    expand,
     full_quadratic,
     full_quadratic_terms,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "derive",
     "detect_paradox",
     "ellipse",
-    "expand",
     "fit",
     "full_quadratic",
     "full_quadratic_terms",
@@ -118,8 +116,8 @@ __all__ = [
     "predict",
     "print_formula",
     "quartiles",
-    "resolve_assignment",
     "residualize",
+    "resolve_assignment",
     "t_coefficients",
     "two_predictor_bridge",
     "unit_effect",

@@ -3,12 +3,13 @@
 A :class:`Dataset` is an immutable table of named float columns of equal
 length.  Loading is complete-case: any CSV row with a missing,
 non-numeric or non-finite cell is dropped (and counted), never imputed.
-Plain byte input (no quote character, no carriage return, nothing but
-numbers, delimiters and whitespace after the header, no empty cell) is
-parsed in one vectorized ``numpy.loadtxt`` pass; anything that pass
-refuses falls back to the row-by-row ``csv`` parser, which also handles
-every other input.  The result, or the error and its line number, is the
-same either way.
+Plain byte input (no quote character, no lone carriage return, no byte
+after the header but digits, signs, dots, e/E, delimiters and
+whitespace) is parsed in one vectorized ``numpy.loadtxt`` pass; anything
+that pass refuses, such as an empty cell or ``1.2.3``, falls back to the
+row-by-row ``csv`` parser, which also handles every other input, so such
+a file is parsed twice.  The result, or the error and its line number,
+is the same either way.
 
 Quartiles use linear interpolation between order statistics (the
 "type 7" convention, numpy's default).  Sample variances use the n-1
@@ -165,14 +166,15 @@ def load_csv(
 
     Byte input with no quote character, with LF or CRLF line ends, is
     parsed in one vectorized pass by ``numpy.loadtxt``.  Data rows with
-    an empty cell or a byte other than digits, signs, dots, e/E, the
-    delimiter and whitespace (NA, nan, any non-ASCII) skip that pass
-    before it starts; they, anything the pass refuses (a ragged row, a
+    a byte other than digits, signs, dots, e/E, the delimiter and
+    whitespace (NA, nan, any non-ASCII) skip that pass before it starts;
+    they, anything the pass refuses (an empty cell, a ragged row, a
     malformed number, a lone carriage return, no data rows), and every
     text stream or input with quotes, go through the row-by-row parser
-    instead.  Both give the same names, bit-identical columns and the
-    same dropped count; every error and its line number come from the
-    row parser.
+    instead.  No scan looks for empty cells first, so an input the pass
+    refuses part-way is parsed twice.  Both give the same names,
+    bit-identical columns and the same dropped count; every error and its
+    line number come from the row parser.
 
     Parameters
     ----------
@@ -252,7 +254,13 @@ def _load_plain(raw: bytes, delimiter: str, header: bool) -> tuple[Dataset, int]
             start = end + 1
         if _NON_SPACE.search(raw, start) is None:
             return None  # header only: loadtxt would warn about empty input
-        if not _all_cells_numeric(raw[start:], delimiter.encode("utf-8")):
+        # A byte no plain number, delimiter or space has (NA, nan, text,
+        # non-ASCII) is a cell loadtxt refuses: leave it to the row parser.
+        # The header's own bytes are subtracted, so clean input allocates nothing.
+        keep = _NUMBER_BYTES + delimiter.encode("utf-8")
+        if not delimiter.isascii():
+            return None
+        if len(raw.translate(None, keep)) > len(raw[:start].translate(None, keep)):
             return None
         data = np.loadtxt(
             io.BytesIO(raw),
@@ -273,29 +281,6 @@ def _load_plain(raw: bytes, delimiter: str, header: bool) -> tuple[Dataset, int]
     if kept < data.shape[0]:
         data = data[finite]
     return Dataset((name, data[:, j]) for j, name in enumerate(names)), len(finite) - kept
-
-
-def _all_cells_numeric(body: bytes, delimiter: bytes) -> bool:
-    """False when a cell of body is surely not a number, without parsing it.
-
-    A missing or non-numeric cell (NA, nan, an empty or blank cell, a
-    quote, any non-ASCII byte) is found here, in a few percent of a
-    loadtxt pass, rather than by loadtxt at the bad row after it has
-    parsed every row before it.  Cells that pass can still fail loadtxt
-    ("1.2.3", a lone "."); those inputs are parsed twice.
-    """
-    if len(delimiter) != 1 or body.translate(None, _NUMBER_BYTES + delimiter):
-        return False
-    if b" " in body or b"\t" in body or b"\r" in body:
-        body = body.translate(None, b" \t\r".replace(delimiter, b""))
-    a = np.frombuffer(body, np.uint8)
-    cut = a == delimiter[0]
-    edge = cut | (a == ord("\n"))
-    if cut[0] or cut[-1]:
-        return False
-    # Two adjacent edges are an empty cell unless both are line ends.
-    twin = edge[1:] & edge[:-1]
-    return not (twin.any() and (twin & (cut[1:] | cut[:-1])).any())
 
 
 def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset, int]:

@@ -1,13 +1,13 @@
 """Least-squares fitting with full coefficient inference.
 
-Every fit goes through one :class:`Factorization`: the intercept, a pool
-of term columns and the response are written into one n x (P + 2) array,
-whose R factor is built by numpy's Householder QR folded over row blocks
-(R <- qr([R; block]), as in TSQR), so that array is never copied.  Only
-the small R is kept, never Q and never the normal equations.  A
-sub-model S of the pool has design X_S = Q R[:, S] and response
-y = Q R[:, y], so it is solved from R alone, at a cost that does not
-depend on n:
+Every fit goes through one :class:`Factorization`: the R factor of
+[intercept | pool term columns | response] is built by numpy's
+Householder QR folded over row blocks (R <- qr([R; block]), as in TSQR),
+and each block's design rows are built from that block's rows of the
+data alone, so the n x (P + 2) design never exists.  Only the small R
+is kept, never Q and never the normal equations.  A sub-model S of the
+pool has design X_S = Q R[:, S] and response y = Q R[:, y], so it is
+solved from R alone, at a cost that does not depend on n:
 
 * one unpivoted QR of the slice R[:, S + [y]] gives R_S, Q_S' y and,
   as the square of its corner entry, the residual sum of squares;
@@ -37,9 +37,11 @@ from .errors import (
     ModelError,
     NestingError,
     SaturatedModelError,
+    UnderdeterminedModelError,
+    UnknownPredictorError,
 )
 from .stats import student_t_two_sided_p
-from .terms import ModelSpec, Term, check_design, fill_design
+from .terms import ModelSpec, Term
 
 RANK_TOLERANCE = 1e-10
 # Rows per block of the fold that builds R.
@@ -125,7 +127,9 @@ class Factorization:
     terms come from the pool is then fitted from the small R factor
     alone, at a cost that does not depend on n.  Pool terms that use a
     predictor absent from the data are left out; a sub-model that uses
-    one raises UnknownPredictorError when solved.
+    one raises UnknownPredictorError when solved.  A pool term whose
+    column is not finite (it overflowed) is left out of R; a sub-model
+    that uses it raises CollinearityError naming it.
 
     Raises UnknownColumnError when the response is not in the data.
     """
@@ -133,14 +137,21 @@ class Factorization:
     def __init__(self, d: Dataset, response: str, pool: Sequence[Term]):
         y = d.column(response)
         terms = [t for t in pool if all(name in d for name in t.predictors)]
-        a = np.empty((d.n, len(terms) + 2), order="F")
-        fill_design(a, d, terms, intercept=True)
-        a[:, -1] = y
         # R is upper trapezoidal, min(n, P + 2) x (P + 2); y = Q R[:, -1].
-        r = np.zeros((0, a.shape[1]))
+        r = np.zeros((0, len(terms) + 2))
+        self._overflowed: set[Term] = set()
         for start in range(0, d.n, _BLOCK_ROWS):
-            r = np.linalg.qr(np.vstack([r, a[start : start + _BLOCK_ROWS]]), mode="r")
-        del a
+            rows = slice(start, start + _BLOCK_ROWS)
+            values = {name: d.column(name)[rows] for name in d.names}
+            with np.errstate(over="ignore", invalid="ignore"):
+                columns = [term.column(values) for term in terms]
+            block = np.column_stack([np.ones(len(y[rows])), *columns, y[rows]])
+            # A non-finite entry would turn all of R into NaN: its term's
+            # column is zeroed and no sub-model may use it.
+            for j in np.flatnonzero(~np.isfinite(block).all(axis=0)):
+                block[:, j] = 0.0
+                self._overflowed.add(terms[j - 1])
+            r = np.linalg.qr(np.vstack([r, block]), mode="r")
         self.r = r
         self._norms = np.hypot.reduce(r, axis=0)  # the design's column norms, without overflow
         self.response = response
@@ -161,8 +172,14 @@ class Factorization:
             raise ModelError(
                 f"model responds to {spec.response!r}, factorization to {self.response!r}"
             )
-        check_design(spec, self.names, self.n)
+        for name in spec.predictors:
+            if name not in self.names:
+                raise UnknownPredictorError(f"predictor {name!r} not in dataset")
         p = spec.n_parameters
+        if p > self.n:
+            raise UnderdeterminedModelError(
+                f"model has {p} parameters but only {self.n} observations"
+            )
         if p == 0:
             raise ModelError("model has no parameters to fit")
         dof = self.n - p
@@ -171,13 +188,16 @@ class Factorization:
                 f"model has {p} parameters for {self.n} observations (dof={dof});"
                 " pass allow_saturated=True to permit an exact fit"
             )
+        for term in spec.terms:
+            if term in self._overflowed:
+                raise CollinearityError("design matrix is rank deficient", column=term.label)
         columns = [0] if spec.intercept else []
         columns.extend(self._column[term] for term in spec.terms)
         largest = self._norms[columns].max()
         if largest == 0.0:
             raise CollinearityError("design matrix is zero", column=_label(spec, 0))
         r = np.linalg.qr(self.r[:, columns + [-1]], mode="r")
-        # Written so that a NaN diagonal (an overflowed column) also fails.
+        # Written so that a NaN diagonal also fails.
         bad = np.nonzero(~(np.abs(np.diag(r[:, :p])) >= RANK_TOLERANCE * largest))[0]
         if bad.size:
             raise CollinearityError("design matrix is rank deficient", column=_label(spec, bad[0]))
@@ -267,7 +287,8 @@ def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedMod
     Raises
     ------
     CollinearityError
-        Rank-deficient design, naming a dependent column.
+        Rank-deficient design, or a term column that overflowed, naming
+        a dependent column.
     SaturatedModelError
         dof < 1 without ``allow_saturated`` (or dof < 0 always).
     """
@@ -279,10 +300,11 @@ def predict(m: FittedModel, point: Mapping[str, float]) -> float:
     missing = [name for name in m.spec.predictors if name not in point]
     if missing:
         raise AssignmentError(f"assignment missing predictors: {missing}")
+    x = {name: float(point[name]) for name in m.spec.predictors}
     value = m.intercept_value
     offset = 1 if m.spec.intercept else 0
     for i, term in enumerate(m.spec.terms):
-        value += float(m.coef[offset + i]) * term.value_at(point)
+        value += float(m.coef[offset + i]) * term.column(x)
     return value
 
 

@@ -1,4 +1,4 @@
-"""Term algebra, design-matrix expansion, and coded-dose scales.
+"""Term algebra, model specifications, and coded-dose scales.
 
 A :class:`Term` is a product of predictor powers (x1, x1*x2, x1^2,
 x1^2*x2, ...).  Repeated predictors merge into powers, so x1*x1 and
@@ -6,23 +6,20 @@ x1^2 compare equal.  Canonical ordering sorts by total degree, then
 puts products of more distinct predictors first (cross terms before
 pure powers), then compares factor tuples; this reproduces the
 conventional "linear, cross, square" layout of a full quadratic.
+A term's values come from :meth:`Term.column`; design matrices are built
+where they are used, a row block at a time, in :mod:`condreg.ols`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (
-    DuplicateTermError,
-    SchemaError,
-    UnderdeterminedModelError,
-    UnknownPredictorError,
-)
+from .errors import DuplicateTermError, SchemaError, UnknownPredictorError
 
 
 @dataclass(frozen=True)
@@ -88,17 +85,13 @@ class Term:
             parts.append(name if power == 1 else f"{name}^{power}")
         return ":".join(parts)
 
-    def value_at(self, point: Mapping[str, float]) -> float:
+    def column(self, values: Mapping[str, np.ndarray | float]) -> np.ndarray | float:
+        """The term evaluated on each predictor's values: equal-length
+        arrays (rows of data) give its column, floats (one point) its value."""
         out = 1.0
         for name, power in self.factors:
-            out *= float(point[name]) ** power
+            out = out * values[name] ** power
         return out
-
-    def column(self, d: Dataset) -> np.ndarray:
-        col = np.ones(d.n)
-        for name, power in self.factors:
-            col = col * d.column(name) ** power
-        return col
 
     def __repr__(self) -> str:
         return f"Term({self.label})"
@@ -148,49 +141,6 @@ class ModelSpec:
 
     def degree_in(self, predictor: str) -> int:
         return max((t.degree_in(predictor) for t in self.terms), default=0)
-
-
-def check_design(spec: ModelSpec, names: Container[str], n: int) -> None:
-    """Raise what ``expand`` raises for ``spec`` on data with these column names and n rows.
-
-    UnknownPredictorError names the first predictor absent from ``names``;
-    UnderdeterminedModelError is raised when p exceeds n.
-    """
-    for name in spec.predictors:
-        if name not in names:
-            raise UnknownPredictorError(f"predictor {name!r} not in dataset")
-    p = spec.n_parameters
-    if p > n:
-        raise UnderdeterminedModelError(
-            f"model has {p} parameters but only {n} observations"
-        )
-
-
-def fill_design(
-    out: np.ndarray, d: Dataset, terms: Sequence[Term], intercept: bool
-) -> list[str]:
-    """Write the intercept (when asked) and each term's column into the
-    leading columns of ``out`` (n x >= p); returns their labels."""
-    labels: list[str] = []
-    if intercept:
-        out[:, 0] = 1.0
-        labels.append("(intercept)")
-    for term in terms:
-        out[:, len(labels)] = term.column(d)
-        labels.append(term.label)
-    return labels
-
-
-def expand(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, list[str]]:
-    """Design matrix (n x p) with column labels, intercept column first.
-
-    Raises UnknownPredictorError for predictors absent from the data and
-    UnderdeterminedModelError when p exceeds n.
-    """
-    check_design(spec, d, d.n)
-    design = np.empty((d.n, spec.n_parameters), order="F")
-    labels = fill_design(design, d, spec.terms, spec.intercept)
-    return design, labels
 
 
 def full_quadratic_terms(predictors: Sequence[str]) -> list[Term]:

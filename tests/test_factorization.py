@@ -3,6 +3,7 @@ backward_stepwise, against per-candidate numpy.linalg.lstsq and
 numpy.linalg.matrix_rank oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from condreg import (
     full_quadratic_terms,
 )
 from condreg.errors import SearchError
-from condreg.ols import _BLOCK_ROWS
+from condreg.ols import _BLOCK_ROWS, Factorization
 
 NAMES = ["x1", "x2", "x3"]
 # x1 and dup = 2 * x1 are an exactly collinear pair; zz is in no dataset.
@@ -182,3 +183,21 @@ def test_fold_over_row_blocks_matches_lstsq(n):
     assert len(result.ranked) == len(list(itertools.combinations(pool, 2)))
     for entry in result.ranked:
         assert entry.r2 == pytest.approx(_oracle(d, entry.spec)[1], abs=1e-12)
+
+
+def test_factorization_never_holds_the_design():
+    """Design rows are built a block at a time: the peak stays far below
+    the n x (P + 2) doubles a whole design would take."""
+    names = [f"x{i}" for i in range(1, 6)]
+    n = 20 * _BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    d = Dataset({"Y": rng.normal(size=n), **{name: rng.normal(size=n) for name in names}})
+    pool = full_quadratic_terms(names)
+    assert len(pool) == 20
+    tracemalloc.start()
+    try:
+        Factorization(d, "Y", pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (len(pool) + 2) * 8 / 3

@@ -10,6 +10,7 @@ from condreg import (
     Term,
     compare,
     fit,
+    full_quadratic,
     predict,
 )
 from condreg.errors import (
@@ -17,6 +18,8 @@ from condreg.errors import (
     CollinearityError,
     NestingError,
     SaturatedModelError,
+    UnderdeterminedModelError,
+    UnknownPredictorError,
 )
 from conftest import random_dataset
 
@@ -112,6 +115,33 @@ class TestFit:
         y = d.column("Y")
         assert m.r2 == pytest.approx(1.0 - m.rss / (y**2).sum(), rel=1e-12)
 
+    def test_more_parameters_than_rows(self):
+        spec = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2")))
+        d = Dataset({"Y": [0.0, 1.0], "x1": [2.0, 0.0], "x2": [3.0, 0.0]})
+        with pytest.raises(UnderdeterminedModelError, match="model has 4 parameters but only 2 observations"):
+            fit(d, spec)
+
+    def test_unknown_predictor(self):
+        d = Dataset({"Y": [1.0, 2.0], "x1": [1.0, 2.0]})
+        with pytest.raises(UnknownPredictorError, match="predictor 'zz' not in dataset"):
+            fit(d, ModelSpec("Y", (Term.linear("zz"),)))
+
+    def test_full_quadratic_parameter_count(self, rng):
+        d = random_dataset(rng, 20, 4)
+        m = fit(d, full_quadratic([f"x{i}" for i in range(1, 5)]))
+        # 1 intercept + 4 linear + 6 cross + 4 squares
+        assert m.coef.shape == (15,)
+        assert m.labels[:6] == ["(intercept)", "x1", "x2", "x3", "x4", "x1:x2"]
+
+    def test_row_permutation_leaves_coefficients(self, rng):
+        data = {"Y": rng.normal(size=9), "a": rng.normal(size=9), "b": rng.normal(size=9)}
+        spec = ModelSpec("Y", (Term.linear("a"), Term.cross("a", "b")))
+        perm = rng.permutation(9)
+        m1 = fit(Dataset(data), spec)
+        m2 = fit(Dataset({k: v[perm] for k, v in data.items()}), spec)
+        np.testing.assert_allclose(m2.coef, m1.coef, rtol=1e-12)
+        np.testing.assert_allclose(m2.se, m1.se, rtol=1e-12)
+
 
 class TestRankRule:
     """The dependent column named is the first, in the spec's order, that
@@ -132,9 +162,11 @@ class TestRankRule:
         assert err.value.column == "k"
 
     def test_overflowed_column_is_refused_not_fitted_to_nan(self):
+        # No errstate here: numpy's overflow warning must not leak from fit.
         d = Dataset({"Y": [1.0, 2.0, 3.0, 5.0], "a": [1e200, 2e200, -1e200, 4e200]})
-        with np.errstate(over="ignore"), pytest.raises(CollinearityError, match="rank deficient"):
+        with pytest.raises(CollinearityError, match="rank deficient") as err:
             fit(d, ModelSpec("Y", (Term.linear("a"), Term.power("a", 2))))
+        assert err.value.column == "a^2"
 
     def test_zero_design_names_its_first_column(self, rng):
         d = Dataset({"Y": rng.normal(size=6), "z": np.zeros(6), "w": np.zeros(6)})
@@ -177,9 +209,8 @@ class TestOracleSuite:
                 (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2")),
             )
             m = fit(d, spec)
-            from condreg.terms import expand
-
-            X, _ = expand(d, spec)
+            values = {name: d.column(name) for name in d.names}
+            X = np.column_stack([np.ones(n)] + [term.column(values) for term in spec.terms])
             resid = d.column("Y") - X @ m.coef
             scale = np.abs(X).sum(axis=0) * np.abs(resid).max() + 1e-30
             assert np.all(np.abs(X.T @ resid) / scale < 1e-8)

@@ -91,6 +91,20 @@ class TestBestSubset:
         assert len(result.skipped) == 1
         assert set(result.skipped[0][0]) == {"a", "b"}
 
+    def test_overflowed_term_is_skipped_without_spoiling_the_others(self):
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=30)
+        d = Dataset(
+            {"Y": 1.0 + b + 0.1 * rng.normal(size=30), "a": 1e200 * rng.normal(size=30), "b": b, "c": rng.normal(size=30)}
+        )
+        pool = [Term.linear("a"), Term.linear("b"), Term.linear("c"), Term.power("a", 2)]
+        result = best_subset(d, "Y", pool, 1)
+        best = result.ranked[0]
+        assert best.spec.terms == (Term.linear("b"),)
+        assert best.r2 > 0.9
+        assert best.r2 == pytest.approx(fit(d, best.spec).r2, abs=1e-12)
+        assert (("a^2",), "design matrix is rank deficient (dependent column: a^2)") in result.skipped
+
     def test_all_skipped_is_an_error(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=20)

@@ -7,16 +7,10 @@ from condreg import (
     ModelSpec,
     Term,
     check_hierarchy,
-    expand,
     full_quadratic,
     full_quadratic_terms,
 )
-from condreg.errors import (
-    DuplicateTermError,
-    SchemaError,
-    UnderdeterminedModelError,
-    UnknownPredictorError,
-)
+from condreg.errors import DuplicateTermError, SchemaError, UnknownPredictorError
 
 
 class TestTermAlgebra:
@@ -45,7 +39,15 @@ class TestTermAlgebra:
 
     def test_value_at(self):
         t = Term([("a", 2), ("b", 1)])
-        assert t.value_at({"a": 3.0, "b": 2.0}) == 18.0
+        assert t.column({"a": 3.0, "b": 2.0}) == 18.0
+
+    def test_column_of_a_product(self):
+        values = {"x1": np.array([2.0, 0.0, 1.0, 1.0]), "x2": np.array([3.0, 0.0, 1.0, 2.0])}
+        np.testing.assert_array_equal(Term.cross("x1", "x2").column(values), [6.0, 0.0, 1.0, 2.0])
+
+    def test_column_of_an_even_power(self):
+        column = Term.power("x1", 2).column({"x1": np.array([-1.0, 2.0])})
+        np.testing.assert_array_equal(column, [1.0, 4.0])
 
 
 class TestModelSpec:
@@ -65,60 +67,6 @@ class TestModelSpec:
         spec = full_quadratic(["u", "v"])
         assert spec.degree_in("u") == 2
         assert spec.degree_in("w") == 0
-
-
-class TestExpand:
-    def test_direct_product_row(self):
-        spec = ModelSpec(
-            "Y", (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2"))
-        )
-        d = Dataset(
-            {
-                "Y": [0.0, 0.0, 0.0, 0.0],
-                "x1": [2.0, 0.0, 1.0, 1.0],
-                "x2": [3.0, 0.0, 1.0, 2.0],
-            }
-        )
-        matrix, labels = expand(d, spec)
-        assert labels == ["(intercept)", "x1", "x2", "x1:x2"]
-        np.testing.assert_allclose(matrix[0], [1.0, 2.0, 3.0, 6.0])
-
-    def test_underdetermined(self):
-        spec = ModelSpec(
-            "Y", (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2"))
-        )
-        d = Dataset({"Y": [0.0, 0.0], "x1": [2.0, 0.0], "x2": [3.0, 0.0]})
-        with pytest.raises(UnderdeterminedModelError):
-            expand(d, spec)
-
-    def test_even_power(self):
-        d = Dataset({"Y": [0.0, 1.0], "x1": [-1.0, 2.0]})
-        matrix, _ = expand(d, ModelSpec("Y", (Term.power("x1", 2),)))
-        np.testing.assert_allclose(matrix[:, 1], [1.0, 4.0])
-
-    def test_full_quadratic_column_count(self):
-        rng = np.random.default_rng(3)
-        cols = {"Y": rng.normal(size=20)}
-        cols.update({f"x{i}": rng.normal(size=20) for i in range(1, 5)})
-        d = Dataset(cols)
-        spec = full_quadratic([f"x{i}" for i in range(1, 5)])
-        matrix, labels = expand(d, spec)
-        # 1 intercept + 4 linear + 6 cross + 4 squares
-        assert matrix.shape == (20, 15)
-        assert len(spec.terms) == 14
-
-    def test_unknown_predictor(self):
-        d = Dataset({"Y": [1.0, 2.0], "x1": [1.0, 2.0]})
-        with pytest.raises(UnknownPredictorError):
-            expand(d, ModelSpec("Y", (Term.linear("zz"),)))
-
-    def test_row_permutation_permutes_design(self, rng):
-        data = {"Y": rng.normal(size=9), "a": rng.normal(size=9), "b": rng.normal(size=9)}
-        spec = ModelSpec("Y", (Term.linear("a"), Term.cross("a", "b")))
-        m1, _ = expand(Dataset(data), spec)
-        perm = rng.permutation(9)
-        m2, _ = expand(Dataset({k: v[perm] for k, v in data.items()}), spec)
-        np.testing.assert_allclose(m1[perm], m2)
 
 
 class TestFullQuadratic:
