@@ -11,10 +11,12 @@ Every failure prints a single ``error[<code>]: message`` line to stderr.
 Defaults can come from a JSON config file (--config or $CONDREG_CONFIG);
 flags override the file, the file overrides built-ins.  Recognized keys:
 delimiter, alpha, level, correlation_threshold, antagonism_tolerance (the
-default of --control-tolerance).  Every value in the file is checked when
-it is loaded, whether or not the command reads it: an unknown key, or a
-numeric setting whose value is not a number, is a config error.  Each
-setting is resolved once, before the command runs.
+default of --control-tolerance).  correlation_threshold is the |r| above
+which every command's correlation warnings (fit, stepwise, subset) and
+bridge's high-correlation findings are raised.  Every value in the file
+is checked when it is loaded, whether or not the command reads it: an
+unknown key, or a numeric setting whose value is not a number, is a
+config error.  Each setting is resolved once, before the command runs.
 """
 
 from __future__ import annotations
@@ -347,7 +349,7 @@ def cmd_stepwise(args) -> int:
         ],
         final=model_section(result.final),
         final_formula=print_formula(result.final.spec),
-        warnings=result.warnings,
+        warnings=selection.advisories(data, result.final.spec, args.correlation_threshold),
     )
     return _finish(args, doc)
 
@@ -370,7 +372,7 @@ def cmd_subset(args) -> int:
             {"terms": list(labels), "reason": reason}
             for labels, reason in result.skipped
         ],
-        warnings=result.warnings,
+        warnings=selection.advisories(data, result.best.spec, args.correlation_threshold),
     )
     return _finish(args, doc)
 

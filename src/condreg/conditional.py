@@ -8,7 +8,6 @@ package is built to report on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -104,13 +103,12 @@ def derive(
     target: str,
     fixed: Mapping[str, float],
     correlations=None,
-    caution_threshold: float = CAUTION_CORRELATION,
 ) -> ConditionalResponse:
     """Section the model along ``target`` at a fixed co-predictor point.
 
     Substitutes the fixed values into every term and collects by powers
     of the target.  When a CorrelationReport covering the target and a
-    fixed predictor is supplied, pairs with |r| >= ``caution_threshold``
+    fixed predictor is supplied, pairs with |r| >= ``CAUTION_CORRELATION``
     are attached as cautions (no gating).
     """
     _check_assignment(m, target, fixed)
@@ -132,7 +130,7 @@ def derive(
         for name in sorted(fixed):
             if name in correlations.names:
                 r = float(correlations.r[ti, correlations.names.index(name)])
-                if abs(r) >= caution_threshold:
+                if abs(r) >= CAUTION_CORRELATION:
                     cautions.append((name, r))
     return ConditionalResponse(
         target=target,

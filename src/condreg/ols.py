@@ -1,21 +1,28 @@
-"""Least-squares fitting with full coefficient inference.
+"""Least-squares fitting; inference is computed when first read.
 
 Every fit goes through one :class:`Factorization`: the R factor of
 [intercept | pool term columns | response] is built by numpy's
 Householder QR folded over row blocks (R <- qr([R; block]), as in TSQR),
 and each block's design rows are built from that block's rows of the
 data alone, so the n x (P + 2) design never exists.  Only the small R
-is kept, never Q and never the normal equations.  A sub-model S of the
-pool has design X_S = Q R[:, S] and response y = Q R[:, y], so it is
-solved from R alone, at a cost that does not depend on n:
+is kept, never Q and never the normal equations.  Each column of R is
+then divided by the power of two at its norm, which is exact, so no
+later step depends on the data's scale.  A sub-model S of the pool has
+design X_S = Q R[:, S] and response y = Q R[:, y], so it is solved from
+R alone, at a cost that does not depend on n:
 
 * one unpivoted QR of the slice R[:, S + [y]] gives R_S, Q_S' y and,
   as the square of its corner entry, the residual sum of squares;
 * rank test: the first column, in the spec's order, whose diagonal
-  entry of R_S is below 1e-10 times the largest column norm of X_S is
-  named as dependent; a design whose columns are all zero is "zero";
+  entry of R_S is below 1e-10 times the largest column norm of the
+  scaled X_S is named as dependent; a design whose columns are all zero
+  is "zero";
 * inference: standard errors from sigma^2 * (X'X)^{-1} with
   sigma^2 = RSS/dof, two-sided Student t p-values.
+
+A :class:`FittedModel` solves its slice again for coefficients and
+inference only when they are first read, so a ranked candidate costs
+one QR.
 
 R^2 uses the centered total sum of squares when an intercept is present
 and the uncentered one otherwise.  :func:`fit` is one factorization over
@@ -25,7 +32,8 @@ the model's own terms; model search reuses one for many sub-models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,27 +56,45 @@ RANK_TOLERANCE = 1e-10
 _BLOCK_ROWS = 2048
 
 
+def _read_only(values, exponent=0) -> np.ndarray:
+    """values * 2**exponent as a read-only array (inf or 0 out of range)."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.asarray(np.ldexp(values, exponent))
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class FittedModel:
-    """Coefficients plus inference for one least-squares fit.
+    """One least-squares fit, or published coefficients without data.
 
-    ``coef`` is ordered as the design matrix: intercept first when
-    present, then the spec's terms.  Models built from published
-    coefficients (no data) carry NaN inference fields and ``n = 0``.
+    A fit keeps its spec, R^2, n and data fingerprint and the
+    :class:`Factorization` it was solved from.  ``coef``,
+    ``cov``, ``rss``, ``se``, ``t`` and ``p`` are computed on first read
+    from that factorization.  ``coef`` is ordered as the design matrix:
+    intercept first when present, then the spec's terms.  At dof = 0
+    (an exact fit, or published coefficients, which have ``n = 0``)
+    ``cov``, ``se``, ``t`` and ``p`` are NaN.
     """
 
     spec: ModelSpec
-    coef: np.ndarray
-    se: np.ndarray
-    t: np.ndarray
-    p: np.ndarray
     r2: float
-    r2_adj: float
-    rss: float
     n: int
-    dof: int
-    cov: np.ndarray
-    data_fingerprint: str | None = None
+    data_fingerprint: str | None
+    # the Factorization the model was solved from, or published coefficients
+    _source: Factorization | np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def dof(self) -> int:
+        """n - p, and 0 for published coefficients (n = 0)."""
+        return max(self.n - self.spec.n_parameters, 0)
+
+    @property
+    def r2_adj(self) -> float:
+        """Adjusted R^2; NaN at dof 0."""
+        if self.dof == 0:
+            return math.nan
+        return 1.0 - (1.0 - self.r2) * (self.n - 1) / self.dof
 
     @property
     def labels(self) -> list[str]:
@@ -95,29 +121,63 @@ class FittedModel:
     def from_coefficients(cls, spec: ModelSpec, coef) -> "FittedModel":
         """Wrap externally supplied (e.g. published) coefficients.
 
-        Inference quantities are unavailable and set to NaN.
+        Raises AssignmentError unless there is one finite value per
+        parameter.
         """
-        coef = np.asarray(coef, dtype=float)
+        coef = np.array(coef, dtype=float)
         p = spec.n_parameters
         if coef.shape != (p,):
             raise AssignmentError(
                 f"expected {p} coefficients for this model, got {coef.size}"
             )
-        nan_vec = np.full(p, np.nan)
-        return cls(
-            spec=spec,
-            coef=coef,
-            se=nan_vec,
-            t=nan_vec.copy(),
-            p=nan_vec.copy(),
-            r2=math.nan,
-            r2_adj=math.nan,
-            rss=math.nan,
-            n=0,
-            dof=0,
-            cov=np.full((p, p), np.nan),
-            data_fingerprint=None,
-        )
+        if not np.isfinite(coef).all():
+            raise AssignmentError(f"coefficients must be finite numbers, got {coef.tolist()}")
+        return cls(spec, r2=math.nan, n=0, data_fingerprint=None, _source=coef)
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """coef and cov over the scaled R, the exponents that take each
+        coefficient back to the data's scale, and the RSS at that scale."""
+        p = self.spec.n_parameters
+        if isinstance(self._source, np.ndarray):
+            return self._source, np.full((p, p), np.nan), np.zeros(p, dtype=int), math.nan
+        r, qty, rss, exponents = self._source._solve(self.spec, allow_saturated=True)
+        cov = np.full((p, p), np.nan)
+        if self.dof > 0:
+            r_inv = np.linalg.inv(r)
+            cov = (rss / self.dof) * (r_inv @ r_inv.T)  # (X'X)^{-1} = (R'R)^{-1}
+        shift = exponents[-1] - exponents[:-1]
+        return np.linalg.solve(r, qty), cov, shift, float(_read_only(rss, 2 * exponents[-1]))
+
+    @cached_property
+    def coef(self) -> np.ndarray:
+        coef, _, shift, _ = self._scaled
+        return _read_only(coef, shift)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        _, cov, shift, _ = self._scaled
+        return _read_only(cov, shift[:, None] + shift)
+
+    @cached_property
+    def rss(self) -> float:
+        return self._scaled[3]
+
+    @cached_property
+    def se(self) -> np.ndarray:
+        _, cov, shift, _ = self._scaled
+        return _read_only(np.sqrt(np.diag(cov)), shift)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        coef, cov, _, _ = self._scaled
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _read_only(coef / np.sqrt(np.diag(cov)))
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        dof = self.dof
+        return _read_only([student_t_two_sided_p(float(v), dof) if dof else math.nan for v in self.t])
 
 
 class Factorization:
@@ -129,7 +189,9 @@ class Factorization:
     predictor absent from the data are left out; a sub-model that uses
     one raises UnknownPredictorError when solved.  A pool term whose
     column is not finite (it overflowed) is left out of R; a sub-model
-    that uses it raises CollinearityError naming it.
+    that uses it raises CollinearityError naming it.  ``r`` is R, and
+    ``tss_*`` the response's sums of squares, with each column divided
+    by the power of two at its norm.
 
     Raises UnknownColumnError when the response is not in the data.
     """
@@ -152,8 +214,10 @@ class Factorization:
                 block[:, j] = 0.0
                 self._overflowed.add(terms[j - 1])
             r = np.linalg.qr(np.vstack([r, block]), mode="r")
-        self.r = r
-        self._norms = np.hypot.reduce(r, axis=0)  # the design's column norms, without overflow
+        # the scaled column norms lie in [0.5, 1), or are 0 for a zero column
+        self._norms, self._exponents = np.frexp(np.hypot.reduce(r, axis=0))
+        self.r = np.ldexp(r, -self._exponents)
+        y = np.ldexp(y, -self._exponents[-1])
         self.response = response
         self.n = d.n
         self.names = frozenset(d.names)
@@ -166,7 +230,8 @@ class Factorization:
         """Checks in ``fit``'s order, then a QR of the slice R[:, S + [y]].
 
         Returns the slice's p x p upper triangle R_S, Q_S' R[:, y] and
-        the residual sum of squares.
+        the residual sum of squares, all over the scaled R, and the
+        exponents of the slice's columns (the response's last).
         """
         if spec.response != self.response:
             raise ModelError(
@@ -196,16 +261,18 @@ class Factorization:
         largest = self._norms[columns].max()
         if largest == 0.0:
             raise CollinearityError("design matrix is zero", column=_label(spec, 0))
-        r = np.linalg.qr(self.r[:, columns + [-1]], mode="r")
+        columns.append(-1)
+        r = np.linalg.qr(self.r[:, columns], mode="r")
         # Written so that a NaN diagonal also fails.
         bad = np.nonzero(~(np.abs(np.diag(r[:, :p])) >= RANK_TOLERANCE * largest))[0]
         if bad.size:
             raise CollinearityError("design matrix is rank deficient", column=_label(spec, bad[0]))
         rss = float(r[p, p] ** 2) if r.shape[0] > p else 0.0
-        return r[:p, :p], r[:p, p], rss
+        return r[:p, :p], r[:p, p], rss, self._exponents[columns]
 
-    def _r2(self, spec: ModelSpec, rss: float) -> tuple[float, float]:
-        """R^2 (centered with an intercept) and adjusted R^2 (NaN at dof 0)."""
+    def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
+        """A sub-model's fit; see :func:`fit`."""
+        rss = self._solve(spec, allow_saturated)[2]
         tss = self.tss_centered if spec.intercept else self.tss_uncentered
         if tss > 0.0:
             r2 = 1.0 - rss / tss
@@ -214,57 +281,7 @@ class Factorization:
         else:
             # constant response: an exact fit explains it fully
             r2 = 1.0 if rss <= 1e-12 else 0.0
-        n, p = self.n, spec.n_parameters
-        r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p) if n > p else math.nan
-        return float(r2), float(r2_adj)
-
-    def score(self, spec: ModelSpec) -> tuple[float, float]:
-        """R^2 and adjusted R^2 of a sub-model, without inference.
-
-        Raises what ``fit`` raises for the same spec (saturated models
-        are refused).
-        """
-        _, _, rss = self._solve(spec, allow_saturated=False)
-        return self._r2(spec, rss)
-
-    def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
-        """Coefficients and full inference for a sub-model; see :func:`fit`."""
-        r, qty, rss = self._solve(spec, allow_saturated)
-        n, p = self.n, spec.n_parameters
-        dof = n - p
-        coef = np.linalg.solve(r, qty)
-        r_inv = np.linalg.inv(r)
-        cov_unscaled = r_inv @ r_inv.T  # (X'X)^{-1} = (R'R)^{-1}
-
-        r2, r2_adj = self._r2(spec, rss)
-        if dof > 0:
-            cov = (rss / dof) * cov_unscaled
-            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(se > 0.0, coef / se, np.inf * np.sign(coef))
-            pvals = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
-        else:
-            cov = np.full((p, p), np.nan)
-            se = np.full(p, np.nan)
-            t = np.full(p, np.nan)
-            pvals = np.full(p, np.nan)
-
-        for arr in (coef, se, t, pvals, cov):
-            arr.flags.writeable = False
-        return FittedModel(
-            spec=spec,
-            coef=coef,
-            se=se,
-            t=t,
-            p=pvals,
-            r2=r2,
-            r2_adj=r2_adj,
-            rss=rss,
-            n=n,
-            dof=dof,
-            cov=cov,
-            data_fingerprint=self.fingerprint,
-        )
+        return FittedModel(spec, r2, self.n, self.fingerprint, _source=self)
 
 
 def _label(spec: ModelSpec, column: int) -> str:
@@ -281,8 +298,8 @@ def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedMod
     spec : ModelSpec
         Response and term list; the response column must exist in ``d``.
     allow_saturated : bool
-        Permit dof = 0 (exact fit).  Inference (se/t/p, adjusted R^2) is
-        suppressed to NaN in that case.
+        Permit dof = 0 (exact fit).  Inference (cov/se/t/p, adjusted
+        R^2) is NaN in that case.
 
     Raises
     ------

@@ -6,20 +6,20 @@ candidate, and a candidate is solved from its slice of the small R
 factor, so its cost does not depend on n.  The slice gets the same
 rank test as :func:`~condreg.ols.fit`; rank-deficient or
 otherwise ill-posed candidates are skipped with a note rather than
-aborting the search.  Best-subset ranks candidates by R^2 alone and
-computes a ranked model's coefficients and inference
-(:attr:`RankedModel.fitted`) only when first asked for.  Stepwise takes
-every round's p-values from slices of its start model's factorization.
-Advisory checks cover the term-count rule (k < n/10), strong pairwise
-predictor correlations, and hierarchy violations.
+aborting the search.  Best-subset ranks the candidates'
+:class:`~condreg.ols.FittedModel` by R^2, which a fitted model computes
+at once; its coefficients and inference are solved only when first
+read.  Stepwise takes every round's p-values from slices of its start
+model's factorization.  Advisory checks cover the term-count rule
+(k < n/10), strong pairwise predictor correlations, and hierarchy
+violations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import Dataset, pearson_matrix
@@ -32,29 +32,14 @@ MAX_CANDIDATE_FITS = 1_000_000
 
 
 @dataclass(frozen=True)
-class RankedModel:
-    """One scored candidate; ``fitted`` is solved on first access."""
-
-    spec: ModelSpec
-    r2: float
-    r2_adj: float
-    factorization: Factorization = field(repr=False, compare=False)
-
-    @cached_property
-    def fitted(self) -> FittedModel:
-        return self.factorization.fit(self.spec)
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Candidate models ranked by R^2 (ties: fewer terms, then term order)."""
 
-    ranked: list[RankedModel]
-    warnings: list[str]
+    ranked: list[FittedModel]
     skipped: list[tuple[tuple[str, ...], str]]
 
     @property
-    def best(self) -> RankedModel:
+    def best(self) -> FittedModel:
         return self.ranked[0]
 
 
@@ -95,7 +80,7 @@ def advisories(
     return out
 
 
-def _ranking_key(entry: RankedModel):
+def _ranking_key(entry: FittedModel):
     return (
         -entry.r2,
         len(entry.spec.terms),
@@ -134,24 +119,18 @@ def best_subset(
     except UnknownColumnError as exc:
         # no response column: every candidate would fail on it alike
         raise SearchError("every candidate combination was ill-posed") from exc
-    ranked: list[RankedModel] = []
+    ranked: list[FittedModel] = []
     skipped: list[tuple[tuple[str, ...], str]] = []
     for combo in itertools.combinations(unique_pool, subset_size):
         spec = ModelSpec(response=response, terms=combo, intercept=intercept)
         try:
-            r2, r2_adj = core.score(spec)
+            ranked.append(core.fit(spec))
         except CondregError as exc:
             skipped.append((tuple(t.label for t in combo), str(exc)))
-            continue
-        ranked.append(RankedModel(spec=spec, r2=r2, r2_adj=r2_adj, factorization=core))
     if not ranked:
         raise SearchError("every candidate combination was ill-posed")
     ranked.sort(key=_ranking_key)
-    return SearchResult(
-        ranked=ranked,
-        warnings=advisories(d, ranked[0].spec),
-        skipped=skipped,
-    )
+    return SearchResult(ranked=ranked, skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -170,7 +149,6 @@ class StepwiseResult:
     start: FittedModel
     steps: list[StepwiseStep]
     final: FittedModel
-    warnings: list[str]
 
 
 def backward_stepwise(
@@ -219,12 +197,7 @@ def backward_stepwise(
                 r2_adj_after=current.r2_adj,
             )
         )
-    return StepwiseResult(
-        start=start_fit,
-        steps=steps,
-        final=current,
-        warnings=advisories(d, current.spec),
-    )
+    return StepwiseResult(start=start_fit, steps=steps, final=current)
 
 
 def _least_significant(

@@ -93,6 +93,20 @@ def test_fit_report_matches_oracle(tmp_path, signal):
     assert report["model"]["stats"]["r2"] == pytest.approx(r2, abs=1e-12)
 
 
+def test_fit_of_a_tiny_response_matches_the_unscaled_oracle(tmp_path, signal):
+    """A response of order 1e-170 has squares below the smallest double;
+    its t, p and R^2 are those of the same data at order 1."""
+    path, data = signal
+    tiny = {**data, RESPONSE: data[RESPONSE] * 1e-170}
+    tiny_path = _write_csv(tmp_path / "tiny.csv", tiny)
+    report = _run_twice(tmp_path, ["fit", f"--data={tiny_path}", "--formula=Y ~ a + b"])
+    rows = report["model"]["coefficients"]
+    coef, r2, pvals = _oracle(data, ["(intercept)", "a", "b"])
+    np.testing.assert_allclose([row["coef"] for row in rows], coef * 1e-170, rtol=1e-10)
+    np.testing.assert_allclose([row["p"] for row in rows], pvals, rtol=1e-9)
+    assert report["model"]["stats"]["r2"] == pytest.approx(r2, abs=1e-12)
+
+
 def test_subset_ranks_and_skips(tmp_path, signal):
     path, data = signal
     pool = "a,b,c,k,a:b,b^2,zz"
@@ -346,6 +360,25 @@ def test_setting_precedence(tmp_path, monkeypatch, key, level):
     )
 
 
+# Every command whose report lists correlation warnings.
+CORRELATION_WARNED = [
+    ["fit", f"--data={SURVEY}", "--formula=Y ~ x1 + x2"],
+    ["stepwise", f"--data={SURVEY}", "--formula=Y ~ quad(x1,x2) + x3"],
+    ["subset", f"--data={SURVEY}", "--response=Y", "--pool=x1,x2,x3", "--size=2"],
+]
+
+
+@pytest.mark.parametrize("argv", CORRELATION_WARNED, ids=lambda argv: argv[0])
+def test_every_correlation_warning_reads_the_configured_threshold(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"correlation_threshold": 0.5}), encoding="utf-8")
+    report = _run_twice(tmp_path, [f"--config={config}", *argv])
+    assert [w for w in report["warnings"] if w.startswith("correlation")] == [
+        "correlation: |r(x1, x2)| = 0.838 exceeds 0.5"
+    ]
+
+
 @pytest.mark.parametrize("level", LEVELS)
 def test_delimiter_precedence(tmp_path, monkeypatch, level):
     # Only the delimiter the file is written with parses it: under any other
@@ -431,6 +464,8 @@ HOSTILE = [
     (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--levels=Pb=1"], 2,
      "error[assignment]: --levels expects name=low:high"),
     (["corr", f"--data={SURVEY}", "--cols=x1,zz"], 1, "error[unknown-column]: "),
+    (["conditional", "--formula=Y ~ x + x^2", "--coef=nan,1,inf", "--target=x", "--sweep=0:1:3"], 2,
+     "error[assignment]: coefficients must be finite numbers"),
 ]
 
 

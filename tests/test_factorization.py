@@ -4,6 +4,7 @@ numpy.linalg.matrix_rank oracles."""
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_best_subset_matches_lstsq_oracle(case):
         _, r2, r2_adj = expected[terms]
         assert entry.r2 == pytest.approx(r2, abs=1e-12)
         assert entry.r2_adj == pytest.approx(r2_adj, abs=1e-12 * d.n)
-        _assert_same_fit(entry.fitted, fit(d, entry.spec))
+        _assert_same_fit(entry, fit(d, entry.spec))
 
     skipped = [(c, e) for c, e in expected.items() if e[0] == "skipped"]
     assert [labels for labels, _ in result.skipped] == [
@@ -160,6 +161,49 @@ def test_stepwise_steps_match_fresh_fits(case):
         assert step.r2_after == pytest.approx(after.r2, abs=1e-12)
     assert result.final.spec == spec
     _assert_same_fit(result.final, fit(d, spec))
+
+
+QUAD = ModelSpec("Y", tuple(full_quadratic_terms(["x1", "x2"])))
+
+
+def _quad_fit(d, y_factor=1.0, x1_factor=1.0, scale=np.multiply):
+    """``QUAD`` fitted with the response and x1 rescaled by ``scale``."""
+    y, x1 = scale(d.column("Y"), y_factor), scale(d.column("x1"), x1_factor)
+    return fit(Dataset({"Y": y, "x1": x1, "x2": d.column("x2")}), QUAD)
+
+
+@given(st.integers(8, 40), st.integers(0, 2**32 - 1), st.integers(-900, 900), st.integers(-300, 300))
+def test_power_of_two_scaling_leaves_inference_bit_identical(n, seed, k, m):
+    """R is scaled column by column by powers of two, which is exact, so
+    y * 2^k and x1 * 2^m give the very same t, p and R^2."""
+    d = _dataset(n, seed)
+    base = _quad_fit(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _quad_fit(d, k, m, scale=np.ldexp)
+        np.testing.assert_array_equal(scaled.t, base.t)
+        np.testing.assert_array_equal(scaled.p, base.p)
+    assert (scaled.r2, scaled.r2_adj) == (base.r2, base.r2_adj)
+
+
+@given(
+    st.integers(20, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e150, 1e-150]),
+    st.sampled_from([1.0, 1e150, 1e-150]),
+)
+def test_scaling_by_powers_of_ten_leaves_inference_unchanged(n, seed, y_factor, x1_factor):
+    """Whose squares leave the double range, at the rounding of the
+    rescaled data alone."""
+    d = _dataset(n, seed)
+    base = _quad_fit(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _quad_fit(d, y_factor, x1_factor)
+        np.testing.assert_allclose(scaled.t, base.t, rtol=1e-12)
+        np.testing.assert_allclose(scaled.p, base.p, rtol=1e-12)
+    assert scaled.r2 == pytest.approx(base.r2, rel=1e-12)
+    assert scaled.r2_adj == pytest.approx(base.r2_adj, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17])

@@ -8,11 +8,17 @@ from condreg import (
     FittedModel,
     ModelSpec,
     Term,
+    best_subset,
+    bridge,
     compare,
+    derive,
     fit,
     full_quadratic,
     predict,
+    residualize,
 )
+from condreg import ols
+from condreg.stats import student_t_two_sided_p
 from condreg.errors import (
     AssignmentError,
     CollinearityError,
@@ -168,6 +174,14 @@ class TestRankRule:
             fit(d, ModelSpec("Y", (Term.linear("a"), Term.power("a", 2))))
         assert err.value.column == "a^2"
 
+    @pytest.mark.parametrize("scale, names", [(1e200, ("a",)), (1e-12, ("a", "b"))])
+    def test_badly_scaled_predictor_is_not_dependent(self, rng, scale, names):
+        d = Dataset({"Y": rng.normal(size=20), "a": 1.0 + rng.normal(size=20), "b": rng.normal(size=20)})
+        scaled = Dataset({"Y": d.column("Y"), "a": scale * d.column("a"), "b": d.column("b")})
+        m, unit = fit(scaled, linear_spec("Y", *names)), fit(d, linear_spec("Y", *names))
+        np.testing.assert_allclose(m.p, unit.p, rtol=1e-12)
+        assert m.coefficient(Term.linear("a")) == pytest.approx(unit.coefficient(Term.linear("a")) / scale)
+
     def test_zero_design_names_its_first_column(self, rng):
         d = Dataset({"Y": rng.normal(size=6), "z": np.zeros(6), "w": np.zeros(6)})
         spec = ModelSpec("Y", (Term.linear("w"), Term.linear("z")), intercept=False)
@@ -241,6 +255,53 @@ class TestPredict:
         spec = linear_spec("Y", "x1")
         with pytest.raises(AssignmentError):
             FittedModel.from_coefficients(spec, [1.0, 2.0, 3.0])
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_published_coefficients_must_be_finite(self, bad):
+        with pytest.raises(AssignmentError, match="must be finite"):
+            FittedModel.from_coefficients(linear_spec("Y", "x1"), [1.0, bad])
+
+
+class TestLazyInference:
+    """A model's p-values are computed when first read, and only then."""
+
+    @pytest.fixture
+    def t_tail_calls(self, monkeypatch):
+        calls = []
+
+        def counted(t, dof):
+            calls.append((t, dof))
+            return student_t_two_sided_p(t, dof)
+
+        monkeypatch.setattr(ols, "student_t_two_sided_p", counted)
+        return calls
+
+    def test_coefficient_readers_compute_no_p_values(self, rng, t_tail_calls):
+        d = random_dataset(rng, 40, 3)
+        bridge(d, "Y", ["x1", "x2", "x3"], "x1")
+        residualize(d, "x1", ["x2", "x3"])
+        m = fit(d, linear_spec("Y", "x1", "x2", "x3"))
+        derive(m, "x1", {"x2": 0.5, "x3": -1.0})
+        ranked = best_subset(d, "Y", [Term.linear(f"x{i}") for i in (1, 2, 3)], 2).ranked
+        assert [entry.r2 for entry in ranked] == sorted((entry.r2 for entry in ranked), reverse=True)
+        assert t_tail_calls == []
+
+    def test_reading_p_computes_each_once(self, rng, t_tail_calls):
+        m = fit(random_dataset(rng, 40, 3), linear_spec("Y", "x1", "x2", "x3"))
+        first = m.p
+        assert m.p is first
+        assert [dof for _, dof in t_tail_calls] == [36] * 4
+        np.testing.assert_array_equal([t for t, _ in t_tail_calls], m.t)
+
+    def test_no_inference_at_zero_dof(self, coded_cells, t_tail_calls):
+        spec = ModelSpec("SDH", (Term.linear("Pb"), Term.linear("Cd"), Term.cross("Pb", "Cd")))
+        for m in (fit(coded_cells, spec, allow_saturated=True),
+                  FittedModel.from_coefficients(spec, [693.0, -4.70, 4.49, 43.92])):
+            assert m.dof == 0
+            for name in ("cov", "se", "t", "p"):
+                assert np.isnan(getattr(m, name)).all(), name
+        assert t_tail_calls == []
 
 
 class TestCompare:

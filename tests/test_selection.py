@@ -105,6 +105,20 @@ class TestBestSubset:
         assert best.r2 == pytest.approx(fit(d, best.spec).r2, abs=1e-12)
         assert (("a^2",), "design matrix is rank deficient (dependent column: a^2)") in result.skipped
 
+    def test_badly_scaled_term_is_ranked(self):
+        """The rank rule looks at each column at its own scale: a ~ 1e200
+        is no multiple of the intercept, and only the overflowed a^2 goes."""
+        rng = np.random.default_rng(8)
+        a, b, c = rng.normal(size=(3, 30))
+        y = 1.0 + b + 0.1 * rng.normal(size=30) + 0.05 * a
+        d = Dataset({"Y": y, "a": 1e200 * a, "b": b, "c": c})
+        pool = [Term.linear("a"), Term.linear("b"), Term.linear("c"), Term.power("a", 2)]
+        result = best_subset(d, "Y", pool, 1)
+        assert result.skipped == [(("a^2",), "design matrix is rank deficient (dependent column: a^2)")]
+        ranked = {entry.spec.terms: entry.r2 for entry in result.ranked}
+        unit = fit(Dataset({"Y": y, "a": a}), ModelSpec("Y", (Term.linear("a"),)))
+        assert ranked[(Term.linear("a"),)] == pytest.approx(unit.r2, rel=1e-12)
+
     def test_all_skipped_is_an_error(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=20)
