@@ -9,10 +9,14 @@ is kept, never Q and never the normal equations.  Each column of R is
 then divided by the power of two at its norm, which is exact, so no
 later step depends on the data's scale.  A sub-model S of the pool has
 design X_S = Q R[:, S] and response y = Q R[:, y], so it is solved from
-R alone, at a cost that does not depend on n:
+R alone, at a cost that does not depend on n.
 
-* one unpivoted QR of the slice R[:, S + [y]] gives R_S, Q_S' y and,
-  as the square of its corner entry, the residual sum of squares;
+Sub-models are solved as a stack: the slices R[:, [0] + S + [y]] of C
+sub-models with the same number of terms go to one call of numpy's
+batched QR, and for each of them
+
+* its R factor gives R_S, Q_S' y and, as the square of its corner
+  entry, the residual sum of squares;
 * rank test: the first column, in the spec's order, whose diagonal
   entry of R_S is below 1e-10 times the largest column norm of the
   scaled X_S is named as dependent; a design whose columns are all zero
@@ -20,13 +24,21 @@ R alone, at a cost that does not depend on n:
 * inference: standard errors from sigma^2 * (X'X)^{-1} with
   sigma^2 = RSS/dof, two-sided Student t p-values.
 
-A :class:`FittedModel` solves its slice again for coefficients and
-inference only when they are first read, so a ranked candidate costs
-one QR.
+The checks that need no QR (a predictor absent from the data, an
+overflowed term column, too few observations, an all-zero design) read
+flags kept once per pool term, and the rank test reads the stacked
+diagonals, so every rule is applied by the same code whatever the
+stack's size.  :meth:`Factorization.fit` solves a stack of one; model
+search solves its candidates a block at a time.  A :class:`FittedModel`
+solves its slice again for coefficients and inference only when they
+are first read.
 
 R^2 uses the centered total sum of squares when an intercept is present
-and the uncentered one otherwise.  :func:`fit` is one factorization over
-the model's own terms; model search reuses one for many sub-models.
+and the uncentered one otherwise.  A response whose centered sum of
+squares is within (n eps)^2 of its uncentered one is constant: that
+much is the rounding error of its mean.  :func:`fit` is one
+factorization over the model's own terms; model search reuses one for
+many sub-models.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from .dataset import Dataset
 from .errors import (
     AssignmentError,
     CollinearityError,
+    CondregError,
     ModelError,
     NestingError,
     SaturatedModelError,
@@ -52,6 +65,7 @@ from .stats import student_t_two_sided_p
 from .terms import ModelSpec, Term
 
 RANK_TOLERANCE = 1e-10
+_EPS = float(np.finfo(float).eps)
 # Rows per block of the fold that builds R.
 _BLOCK_ROWS = 2048
 
@@ -141,13 +155,17 @@ class FittedModel:
         p = self.spec.n_parameters
         if isinstance(self._source, np.ndarray):
             return self._source, np.full((p, p), np.nan), np.zeros(p, dtype=int), math.nan
-        r, qty, rss, exponents = self._source._solve(self.spec, allow_saturated=True)
+        core = self._source
+        candidates = core._candidates(self.spec)
+        r, rss, _ = core._solve(self.spec.intercept, candidates, allow_saturated=True)
+        r, rss = r[0], float(rss[0])
         cov = np.full((p, p), np.nan)
         if self.dof > 0:
-            r_inv = np.linalg.inv(r)
+            r_inv = np.linalg.inv(r[:p, :p])
             cov = (rss / self.dof) * (r_inv @ r_inv.T)  # (X'X)^{-1} = (R'R)^{-1}
+        exponents = core._exponents[core._columns(self.spec.intercept, candidates)[0]]
         shift = exponents[-1] - exponents[:-1]
-        return np.linalg.solve(r, qty), cov, shift, float(_read_only(rss, 2 * exponents[-1]))
+        return np.linalg.solve(r[:p, :p], r[:p, p]), cov, shift, float(_read_only(rss, 2 * exponents[-1]))
 
     @cached_property
     def coef(self) -> np.ndarray:
@@ -191,17 +209,19 @@ class Factorization:
     column is not finite (it overflowed) is left out of R; a sub-model
     that uses it raises CollinearityError naming it.  ``r`` is R, and
     ``tss_*`` the response's sums of squares, with each column divided
-    by the power of two at its norm.
+    by the power of two at its norm.  ``pool`` keeps the terms in the
+    order given: :meth:`score` takes sub-models as positions in it.
 
     Raises UnknownColumnError when the response is not in the data.
     """
 
     def __init__(self, d: Dataset, response: str, pool: Sequence[Term]):
         y = d.column(response)
-        terms = [t for t in pool if all(name in d for name in t.predictors)]
+        self.pool = tuple(pool)
+        terms = [t for t in self.pool if all(name in d for name in t.predictors)]
         # R is upper trapezoidal, min(n, P + 2) x (P + 2); y = Q R[:, -1].
         r = np.zeros((0, len(terms) + 2))
-        self._overflowed: set[Term] = set()
+        overflowed: set[Term] = set()
         for start in range(0, d.n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             values = {name: d.column(name)[rows] for name in d.names}
@@ -212,7 +232,7 @@ class Factorization:
             # column is zeroed and no sub-model may use it.
             for j in np.flatnonzero(~np.isfinite(block).all(axis=0)):
                 block[:, j] = 0.0
-                self._overflowed.add(terms[j - 1])
+                overflowed.add(terms[j - 1])
             r = np.linalg.qr(np.vstack([r, block]), mode="r")
         # the scaled column norms lie in [0.5, 1), or are 0 for a zero column
         self._norms, self._exponents = np.frexp(np.hypot.reduce(r, axis=0))
@@ -220,73 +240,129 @@ class Factorization:
         y = np.ldexp(y, -self._exponents[-1])
         self.response = response
         self.n = d.n
-        self.names = frozenset(d.names)
         self.fingerprint = d.fingerprint
         self.tss_centered = float(((y - y.mean()) ** 2).sum())
         self.tss_uncentered = float((y**2).sum())
-        self._column = {term: j for j, term in enumerate(terms, start=1)}
+        # Per pool position: the term's first predictor absent from the
+        # data (or None), whether its column overflowed, its column of R.
+        self._absent = [next((n for n in t.predictors if n not in d), None) for t in self.pool]
+        self._unknown = np.array([name is not None for name in self._absent], dtype=bool)
+        self._overflowed = np.array([t in overflowed for t in self.pool], dtype=bool)
+        column = {term: j for j, term in enumerate(terms, start=1)}
+        self._column = np.array([column.get(t, 0) for t in self.pool], dtype=np.intp)
+        self._position = {term: i for i, term in enumerate(self.pool)}
 
-    def _solve(self, spec: ModelSpec, allow_saturated: bool):
-        """Checks in ``fit``'s order, then a QR of the slice R[:, S + [y]].
+    def _candidates(self, spec: ModelSpec) -> np.ndarray:
+        """A stack of one: the spec's terms as positions in the pool."""
+        return np.array([[self._position[t] for t in spec.terms]], dtype=np.intp)
 
-        Returns the slice's p x p upper triangle R_S, Q_S' R[:, y] and
-        the residual sum of squares, all over the scaled R, and the
-        exponents of the slice's columns (the response's last).
+    def _columns(self, intercept: bool, candidates: np.ndarray) -> np.ndarray:
+        """Each candidate's columns of R: [0] + S + [y]."""
+        count = len(candidates)
+        parts = [np.zeros((count, 1), np.intp)] if intercept else []
+        y = np.full((count, 1), self.r.shape[1] - 1, np.intp)
+        return np.hstack([*parts, self._column[candidates], y])
+
+    def _solve(self, intercept: bool, candidates: np.ndarray, allow_saturated: bool):
+        """Checks in ``fit``'s order, then one QR of the stacked slices R[:, S + [y]].
+
+        ``candidates`` is a C x k array of positions in the pool, one row
+        per sub-model of k terms.  Returns the C slices' R factors (the
+        response's column last), their residual sums of squares, both
+        over the scaled R, and a dict from candidate index to the
+        CondregError that refuses it.
         """
+        count, k = candidates.shape
+        p = k + intercept
+        errors: dict[int, CondregError] = {}
+
+        def label(i: int, column: int) -> str:
+            if intercept and column == 0:
+                return "(intercept)"
+            return self.pool[candidates[i, column - intercept]].label
+
+        for i, j in _first(self._unknown[candidates]):
+            name = self._absent[candidates[i, j]]
+            errors[i] = UnknownPredictorError(f"predictor {name!r} not in dataset")
+        shared = None
+        if p > self.n:
+            shared = UnderdeterminedModelError(
+                f"model has {p} parameters but only {self.n} observations"
+            )
+        elif p == 0:
+            shared = ModelError("model has no parameters to fit")
+        elif self.n - p < 1 and not (allow_saturated and self.n == p):
+            shared = SaturatedModelError(
+                f"model has {p} parameters for {self.n} observations (dof={self.n - p});"
+                " pass allow_saturated=True to permit an exact fit"
+            )
+        if shared is not None:
+            for i in range(count):
+                errors.setdefault(i, shared)
+            return np.empty((count, 0, p + 1)), np.full(count, math.nan), errors
+        for i, j in _first(self._overflowed[candidates]):
+            column = label(i, j + intercept)
+            errors.setdefault(i, CollinearityError("design matrix is rank deficient", column=column))
+        columns = self._columns(intercept, candidates)
+        largest = self._norms[columns[:, :p]].max(axis=1)
+        for i in np.flatnonzero(largest == 0.0):
+            errors.setdefault(i, CollinearityError("design matrix is zero", column=label(i, 0)))
+        # rows of R.T are R's columns: each slice comes out in Fortran order
+        r = np.linalg.qr(self.r.T[columns].swapaxes(1, 2), mode="r")
+        # Written so that a NaN diagonal also fails.
+        diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :p])
+        for i, j in _first(~(diagonal >= RANK_TOLERANCE * largest[:, None])):
+            column = label(i, j)
+            errors.setdefault(i, CollinearityError("design matrix is rank deficient", column=column))
+        rss = r[:, p, p] ** 2 if r.shape[1] > p else np.zeros(count)
+        return r, rss, errors
+
+    def score(self, intercept: bool, candidates: np.ndarray, allow_saturated: bool = False):
+        """R^2 of a stack of sub-models, and the errors that refuse some.
+
+        ``candidates`` is a C x k array of positions in ``pool``.  Returns
+        C values of R^2 (meaningless where refused) and a dict from
+        candidate index to the CondregError that refuses it.  R^2 uses
+        the centered total sum of squares with an intercept and the
+        uncentered one without; a constant response is explained fully
+        by an exact fit and not at all otherwise.
+        """
+        _, rss, errors = self._solve(intercept, candidates, allow_saturated)
+        if intercept:
+            tss = self.tss_centered
+            # a constant response's centered TSS is its mean's rounding
+            # error, within (n eps)^2 of the uncentered one
+            varies = tss > (self.n * _EPS) ** 2 * self.tss_uncentered
+        else:
+            tss = self.tss_uncentered
+            varies = tss > 0.0
+        if not varies:
+            return np.where(rss <= 1e-12, 1.0, 0.0), errors
+        r2 = 1.0 - rss / tss
+        return (np.clip(r2, 0.0, 1.0) if intercept else r2), errors
+
+    def model(self, spec: ModelSpec, r2: float) -> FittedModel:
+        """The fitted model of a sub-model scored at ``r2``."""
+        return FittedModel(spec, float(r2), self.n, self.fingerprint, _source=self)
+
+    def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
+        """A sub-model's fit; see :func:`fit`."""
         if spec.response != self.response:
             raise ModelError(
                 f"model responds to {spec.response!r}, factorization to {self.response!r}"
             )
-        for name in spec.predictors:
-            if name not in self.names:
-                raise UnknownPredictorError(f"predictor {name!r} not in dataset")
-        p = spec.n_parameters
-        if p > self.n:
-            raise UnderdeterminedModelError(
-                f"model has {p} parameters but only {self.n} observations"
-            )
-        if p == 0:
-            raise ModelError("model has no parameters to fit")
-        dof = self.n - p
-        if dof < 1 and not (allow_saturated and dof == 0):
-            raise SaturatedModelError(
-                f"model has {p} parameters for {self.n} observations (dof={dof});"
-                " pass allow_saturated=True to permit an exact fit"
-            )
-        for term in spec.terms:
-            if term in self._overflowed:
-                raise CollinearityError("design matrix is rank deficient", column=term.label)
-        columns = [0] if spec.intercept else []
-        columns.extend(self._column[term] for term in spec.terms)
-        largest = self._norms[columns].max()
-        if largest == 0.0:
-            raise CollinearityError("design matrix is zero", column=_label(spec, 0))
-        columns.append(-1)
-        r = np.linalg.qr(self.r[:, columns], mode="r")
-        # Written so that a NaN diagonal also fails.
-        bad = np.nonzero(~(np.abs(np.diag(r[:, :p])) >= RANK_TOLERANCE * largest))[0]
-        if bad.size:
-            raise CollinearityError("design matrix is rank deficient", column=_label(spec, bad[0]))
-        rss = float(r[p, p] ** 2) if r.shape[0] > p else 0.0
-        return r[:p, :p], r[:p, p], rss, self._exponents[columns]
-
-    def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
-        """A sub-model's fit; see :func:`fit`."""
-        rss = self._solve(spec, allow_saturated)[2]
-        tss = self.tss_centered if spec.intercept else self.tss_uncentered
-        if tss > 0.0:
-            r2 = 1.0 - rss / tss
-            if spec.intercept:
-                r2 = min(1.0, max(0.0, r2))
-        else:
-            # constant response: an exact fit explains it fully
-            r2 = 1.0 if rss <= 1e-12 else 0.0
-        return FittedModel(spec, r2, self.n, self.fingerprint, _source=self)
+        r2, errors = self.score(spec.intercept, self._candidates(spec), allow_saturated)
+        if errors:
+            raise errors[0]
+        return self.model(spec, r2[0])
 
 
-def _label(spec: ModelSpec, column: int) -> str:
-    labels = ["(intercept)"] * spec.intercept + [term.label for term in spec.terms]
-    return labels[column]
+def _first(mask: np.ndarray):
+    """(row, column) of the first True in each row of ``mask`` that has one."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return []
+    return zip(rows.tolist(), mask[rows].argmax(axis=1).tolist())
 
 
 def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:

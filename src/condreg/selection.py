@@ -2,17 +2,19 @@
 
 Each search factors its data once: one :class:`~condreg.ols.Factorization`
 (a Householder QR of [intercept | term pool | response]) covers every
-candidate, and a candidate is solved from its slice of the small R
-factor, so its cost does not depend on n.  The slice gets the same
-rank test as :func:`~condreg.ols.fit`; rank-deficient or
-otherwise ill-posed candidates are skipped with a note rather than
-aborting the search.  Best-subset ranks the candidates'
-:class:`~condreg.ols.FittedModel` by R^2, which a fitted model computes
-at once; its coefficients and inference are solved only when first
-read.  Stepwise takes every round's p-values from slices of its start
-model's factorization.  Advisory checks cover the term-count rule
-(k < n/10), strong pairwise predictor correlations, and hierarchy
-violations.
+candidate, and candidates are solved from slices of the small R factor,
+so their cost does not depend on n.  Best-subset scores its candidates
+a block at a time: one batched QR factors the slices of up to
+``_BLOCK_CANDIDATES`` candidates, each candidate's R^2 comes from the
+corner entry of its factor, and the rank test and every other check are
+those of :func:`~condreg.ols.fit`, applied to the whole block.
+Rank-deficient or otherwise ill-posed candidates are skipped with a
+note rather than aborting the search.  The ranked
+:class:`~condreg.ols.FittedModel` solve their coefficients and
+inference only when first read.  Stepwise takes every round's p-values
+from slices of its start model's factorization.  Advisory checks cover
+the term-count rule (k < n/10), strong pairwise predictor correlations,
+and hierarchy violations.
 """
 
 from __future__ import annotations
@@ -22,18 +24,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dataset import Dataset, pearson_matrix
-from .errors import CondregError, ModelError, SearchError, UnknownColumnError
+from .errors import ModelError, SearchError, UnknownColumnError
 from .ols import Factorization, FittedModel
 from .relations import DESTABILIZATION_THRESHOLD
 from .terms import ModelSpec, Term, check_hierarchy
 
 MAX_CANDIDATE_FITS = 1_000_000
+# Candidates factored by one numpy.linalg.qr call; bounds the stack's memory.
+_BLOCK_CANDIDATES = 512
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Candidate models ranked by R^2 (ties: fewer terms, then term order)."""
+    """Candidate models ranked by R^2 (ties: canonical term order)."""
 
     ranked: list[FittedModel]
     skipped: list[tuple[tuple[str, ...], str]]
@@ -80,14 +86,6 @@ def advisories(
     return out
 
 
-def _ranking_key(entry: FittedModel):
-    return (
-        -entry.r2,
-        len(entry.spec.terms),
-        tuple(t.sort_key for t in entry.spec.terms),
-    )
-
-
 def best_subset(
     d: Dataset,
     response: str,
@@ -119,17 +117,24 @@ def best_subset(
     except UnknownColumnError as exc:
         # no response column: every candidate would fail on it alike
         raise SearchError("every candidate combination was ill-posed") from exc
-    ranked: list[FittedModel] = []
+    combinations = itertools.combinations(range(len(unique_pool)), subset_size)
+    models: list[FittedModel] = []
     skipped: list[tuple[tuple[str, ...], str]] = []
-    for combo in itertools.combinations(unique_pool, subset_size):
-        spec = ModelSpec(response=response, terms=combo, intercept=intercept)
-        try:
-            ranked.append(core.fit(spec))
-        except CondregError as exc:
-            skipped.append((tuple(t.label for t in combo), str(exc)))
-    if not ranked:
+    for _ in range(0, n_candidates, _BLOCK_CANDIDATES):
+        block = np.array(list(itertools.islice(combinations, _BLOCK_CANDIDATES)), dtype=np.intp)
+        scores, errors = core.score(intercept, block)
+        for i, (combo, r2) in enumerate(zip(block.tolist(), scores.tolist())):
+            terms = tuple(unique_pool[j] for j in combo)
+            if i in errors:
+                skipped.append((tuple(t.label for t in terms), str(errors[i])))
+            else:
+                models.append(core.model(ModelSpec(response, terms, intercept), r2))
+    if not models:
         raise SearchError("every candidate combination was ill-posed")
-    ranked.sort(key=_ranking_key)
+    # Candidates come in combination order of the sorted pool, so a stable
+    # sort by R^2 breaks ties by term order.
+    r2 = np.fromiter((m.r2 for m in models), dtype=float, count=len(models))
+    ranked = [models[i] for i in np.argsort(-r2, kind="stable").tolist()]
     return SearchResult(ranked=ranked, skipped=skipped)
 
 
@@ -162,7 +167,8 @@ def backward_stepwise(
     """Iteratively drop the least-significant removable term.
 
     Each round removes the removable term with the largest p-value above
-    ``alpha`` (ties broken by canonical term order) and refits from the
+    ``alpha`` (ties broken by the smallest |t|, then by canonical term
+    order) and refits from the
     start model's factorization, so the surviving coefficients are
     recalculated after every exclusion.
     Protected terms are never dropped, nor is a model's last parameter
@@ -214,7 +220,7 @@ def _least_significant(
         for term in spec.terms:
             if term.degree >= 2:
                 anchored.update(term.predictors)
-    best: tuple[Term, float] | None = None
+    removable = []
     for term in spec.terms:
         if term in protected:
             continue
@@ -224,11 +230,14 @@ def _least_significant(
             and term.factors[0][0] in anchored
         ):
             continue
-        p = float(model.p[model.term_index(term)])
+        i = model.term_index(term)
+        p = float(model.p[i])
         if math.isnan(p) or p <= alpha:
             continue
-        if best is None or p > best[1] or (
-            p == best[1] and term.sort_key < best[0].sort_key
-        ):
-            best = (term, p)
-    return best
+        # largest p; ties by smallest |t|, the same rule in exact arithmetic
+        # at the model's one dof, then by term order
+        removable.append(((-p, abs(float(model.t[i])), term.sort_key), term, p))
+    if not removable:
+        return None
+    _, term, p = min(removable, key=lambda entry: entry[0])
+    return term, p

@@ -4,8 +4,9 @@ Two-sided Student-t tail probabilities go through the regularized
 incomplete beta function, evaluated with a modified-Lentz continued
 fraction.  Against 40-digit mpmath the relative error is below 3e-13 at
 dof 5, 30 and 998 for 1e-6 <= |t| <= 40.  log_beta's rounding grows with
-dof (3.7e-12 at dof 920, 3e-9 at 2e5, 2e-7 at 1e8), and p is exactly 1
-once t^2 < dof * 2^-53, where dof/(dof + t^2) rounds to 1.  The chi-square
+dof (3.7e-12 at dof 920, 3e-9 at 2e5, 2e-7 at 1e8).  Once t^2 < dof * 2^-53,
+dof/(dof + t^2) rounds to 1 but its complement t^2/(dof + t^2) does not,
+so p is taken from the complement and stays below 1.  The chi-square
 quantile is only needed for 2 degrees of freedom, where the CDF is
 1 - exp(-x/2) and the inverse is closed-form.
 """
@@ -82,7 +83,7 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
     """I_x(a, b) given both x and y = 1 - x, so neither is formed by subtraction."""
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
     # Use the representation that converges fastest.
     if x < (a + 1.0) / (a + b + 2.0):

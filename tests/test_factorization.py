@@ -3,6 +3,7 @@ backward_stepwise, against per-candidate numpy.linalg.lstsq and
 numpy.linalg.matrix_rank oracles."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -20,8 +21,9 @@ from condreg import (
     fit,
     full_quadratic_terms,
 )
-from condreg.errors import SearchError
+from condreg.errors import CondregError, SearchError
 from condreg.ols import _BLOCK_ROWS, Factorization
+from condreg.selection import _BLOCK_CANDIDATES
 
 NAMES = ["x1", "x2", "x3"]
 # x1 and dup = 2 * x1 are an exactly collinear pair; zz is in no dataset.
@@ -143,6 +145,118 @@ def test_best_subset_matches_lstsq_oracle(case):
             prefix = f"{reason} (dependent column: "
             assert got.startswith(prefix) and got.endswith(")")
             assert got[len(prefix):-1] in dependent
+
+
+# b = 2a is exactly dependent on a and c nearly so; k is constant beside
+# the intercept, o is all zero, h^2 overflows, and zz is in no dataset.
+HOSTILE_POOL = [Term.linear(name) for name in ("a", "b", "c", "k", "o", "h", "x", "zz")] + [
+    Term.power("h", 2),
+    Term.cross("a", "x"),
+]
+
+
+@st.composite
+def hostile_cases(draw):
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, x, noise = rng.normal(size=(3, n))
+    columns = {
+        "a": a,
+        "b": 2.0 * a,
+        "c": a + draw(st.sampled_from([1e-13, 1e-10, 1e-8, 1e-4])) * rng.normal(size=n),
+        "k": np.full(n, 3.0),
+        "o": np.zeros(n),
+        "h": 1e200 * rng.normal(size=n),
+        "x": x,
+    }
+    d = Dataset({"Y": 1.0 + a - 0.5 * x + noise, **columns})
+    pool = draw(st.lists(st.sampled_from(HOSTILE_POOL), min_size=1, unique=True))
+    return d, pool, draw(st.integers(1, min(3, len(pool)))), draw(st.booleans())
+
+
+@given(hostile_cases())
+def test_batched_search_matches_a_loop_of_fits(case):
+    """Stacked candidates get the same ranking, skips and messages as
+    fitting each candidate on its own."""
+    d, pool, size, intercept = case
+    unique_pool = sorted(set(pool), key=lambda t: t.sort_key)
+    core = Factorization(d, "Y", unique_pool)
+    fitted, skipped = [], []
+    for combo in itertools.combinations(unique_pool, size):
+        try:
+            fitted.append(core.fit(ModelSpec("Y", combo, intercept=intercept)))
+        except CondregError as exc:
+            skipped.append((tuple(t.label for t in combo), str(exc)))
+    if not fitted:
+        with pytest.raises(SearchError, match="every candidate combination was ill-posed"):
+            best_subset(d, "Y", pool, size, intercept=intercept)
+        # the search reports no skips then: compare the stack's own
+        stack = np.array(list(itertools.combinations(range(len(unique_pool)), size)))
+        errors = core.score(intercept, stack)[1]
+        assert [str(errors[i]) for i in range(len(stack))] == [reason for _, reason in skipped]
+        return
+    fitted.sort(key=lambda m: (-m.r2, tuple(t.sort_key for t in m.spec.terms)))
+    result = best_subset(d, "Y", pool, size, intercept=intercept)
+    assert [m.spec for m in result.ranked] == [m.spec for m in fitted]
+    assert result.skipped == skipped
+    for got, want in zip(result.ranked, fitted):
+        assert got.r2 == pytest.approx(want.r2, rel=1e-13, abs=0.0)
+
+
+def _search_shape(n=200):
+    """27 full-quadratic terms of six predictors, as the search benchmark."""
+    names = [f"x{i}" for i in range(1, 7)]
+    rng = np.random.default_rng(2)
+    d = Dataset({"Y": rng.normal(size=n), **{name: rng.normal(size=n) for name in names}})
+    return d, full_quadratic_terms(names)
+
+
+def test_search_factors_candidates_in_blocks(monkeypatch):
+    d, pool = _search_shape()
+    assert len(pool) == 27 and d.n <= _BLOCK_ROWS
+    qr = np.linalg.qr
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    result = best_subset(d, "Y", pool, 3)
+    candidates = math.comb(27, 3)
+    assert len(result.ranked) + len(result.skipped) == candidates
+    # one call folds the rows into R, then one per block of candidates
+    assert len(calls) <= -(-candidates // _BLOCK_CANDIDATES) + 1
+    # across block boundaries the ranking is that of one fit at a time
+    core = Factorization(d, "Y", sorted(pool, key=lambda t: t.sort_key))
+    fitted = [core.fit(ModelSpec("Y", combo)) for combo in itertools.combinations(core.pool, 3)]
+    fitted.sort(key=lambda m: -m.r2)
+    assert [(m.spec, m.r2) for m in result.ranked] == [(m.spec, m.r2) for m in fitted]
+
+
+def _transient_peak(d, pool, size):
+    """Bytes the search allocates above what its result keeps."""
+    best_subset(d, "Y", pool, size)
+    tracemalloc.start()
+    try:
+        result = best_subset(d, "Y", pool, size)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ranked
+    return peak - current
+
+
+def test_search_memory_does_not_grow_with_candidates():
+    """From k = 2 (351 candidates, one block) to k = 3 (2,925, six blocks)
+    the peak above the result grows with the largest stack only, not
+    with the number of candidates."""
+    d, pool = _search_shape()
+    pair, triple = _transient_peak(d, pool, 2), _transient_peak(d, pool, 3)
+    # the largest stack: 351 slices of 4 columns, then 512 slices of 5
+    assert triple / (_BLOCK_CANDIDATES * 5) < 1.5 * pair / (351 * 4)
+    # one copy of every k = 3 slice at once
+    assert triple < math.comb(27, 3) * (len(pool) + 2) * (3 + 2) * 8
 
 
 @given(stepwise_cases())

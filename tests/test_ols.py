@@ -121,6 +121,29 @@ class TestFit:
         y = d.column("Y")
         assert m.r2 == pytest.approx(1.0 - m.rss / (y**2).sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [30, 40])
+    @pytest.mark.parametrize("value", [0.1, 3.0, 1e6, 1e12, 1e200])
+    def test_constant_response_is_explained_fully(self, n, value):
+        """A constant's centered TSS is the rounding error of its mean, not
+        variance; fit and best_subset share the rule."""
+        rng = np.random.default_rng(n)
+        d = Dataset({"Y": np.full(n, value), "x": rng.normal(size=n), "z": rng.normal(size=n)})
+        assert fit(d, linear_spec("Y", "x")).r2 == 1.0
+        result = best_subset(d, "Y", [Term.linear("x"), Term.linear("z")], 1)
+        assert [m.r2 for m in result.ranked] == [1.0, 1.0]
+
+    def test_small_variance_response_keeps_its_r2(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=50)
+        y = 1.0 + 1e-6 * (0.5 * x + rng.normal(size=50))
+        m = fit(Dataset({"Y": y, "x": x}), linear_spec("Y", "x"))
+        # oracle: y - 1 is exact here and R^2 does not depend on the shift
+        z = y - 1.0
+        X = np.column_stack([np.ones(50), x])
+        resid = z - X @ np.linalg.lstsq(X, z, rcond=None)[0]
+        assert m.r2 == pytest.approx(1.0 - resid @ resid / ((z - z.mean()) ** 2).sum(), rel=1e-9)
+        assert 0.1 < m.r2 < 0.5
+
     def test_more_parameters_than_rows(self):
         spec = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2")))
         d = Dataset({"Y": [0.0, 1.0], "x1": [2.0, 0.0], "x2": [3.0, 0.0]})

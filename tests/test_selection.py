@@ -15,6 +15,7 @@ from condreg import (
 )
 from condreg import dataset
 from condreg.errors import SearchError
+from condreg.ols import Factorization
 from condreg.selection import MAX_CANDIDATE_FITS
 from conftest import random_dataset
 
@@ -203,6 +204,34 @@ class TestBackwardStepwise:
             }
             worst = max(removable_ps.values())
             assert removable_ps[step.removed.label] == pytest.approx(worst)
+            spec = step.spec_after
+
+    def test_null_terms_leave_in_order_of_smallest_t(self):
+        """Noise orthogonal to the whole design leaves every null term with
+        |t| near 1e-14 and p within 1e-13 of 1: the term dropped is the one
+        with the largest p and, among equal p, the smallest |t|."""
+        rng = np.random.default_rng(61)
+        n = 400
+        x1, x2, x3 = rng.uniform(-1.0, 1.0, size=(3, n))
+        x = {"x1": x1, "x2": x2, "x3": x3}
+        start = full_quadratic(list(x), response="Y")
+        full = np.column_stack([np.ones(n)] + [t.column(x) for t in start.terms])
+        noise = rng.normal(size=n)
+        noise -= full @ np.linalg.lstsq(full, noise, rcond=None)[0]
+        d = Dataset({**x, "Y": 1.0 + x1 - x2 * x3 + noise})
+        result = backward_stepwise(d, "Y", start, alpha=0.05, enforce_hierarchy=False)
+        assert {t.label for t in result.final.spec.terms} == {"x1", "x2:x3"}
+        # |t| this small is rounding noise: read it from the search's own
+        # factorization, as a fresh fit's R would give other noise
+        core = Factorization(d, "Y", start.terms)
+        spec = start
+        for step in result.steps:
+            stage = core.fit(spec)
+            index = {t: stage.term_index(t) for t in spec.terms}
+            assert step.removed == min(
+                spec.terms, key=lambda t: (-stage.p[index[t]], abs(stage.t[index[t]]))
+            )
+            assert step.p_value < 1.0
             spec = step.spec_after
 
     def test_hierarchy_keeps_linear_terms_under_live_cross(self):

@@ -90,6 +90,22 @@ class TestStudentT:
                 ours = student_t_two_sided_p(float(t), dof)
                 assert ours == pytest.approx(float(ref), rel=1e-12), t
 
+    @pytest.mark.parametrize("dof", [5, 30, 998, 2e5])
+    def test_tiny_t_takes_p_from_the_complement(self, dof):
+        """Where t^2 < dof * 2^-53, dof/(dof + t^2) rounds to 1 but p does not."""
+        bound = math.sqrt(dof * 2.0**-53)
+        with mpmath.workdps(50):
+            v = mpmath.mpf(dof)
+            for t in np.logspace(math.log10(bound) - 8.0, math.log10(bound), 40, endpoint=False):
+                t = float(t)
+                assert t * t < dof * 2.0**-53
+                tt = mpmath.mpf(t) ** 2
+                ref = float(mpmath.betainc(v / 2, mpmath.mpf(0.5), 0, v / (v + tt), regularized=True))
+                ours = student_t_two_sided_p(t, dof)
+                assert ours < 1.0
+                assert ours == pytest.approx(ref, rel=2e-15, abs=0.0), t
+                assert ours == pytest.approx(2.0 * float(scipy.special.stdtr(dof, -t)), rel=2e-15, abs=0.0), t
+
 
 class TestChiSquareQuantile:
     def test_95_percent(self):
