@@ -123,8 +123,9 @@ class CorrelationReport:
     ``r`` is symmetric with a unit diagonal; ``p`` is symmetric with the
     diagonal pinned to the 1-boundary of (0, 1] (rendered as an em-dash
     in text output, since a column is trivially correlated with itself).
-    ``p`` costs one Student t tail per pair and is computed on first
-    access, so callers that read only ``r`` never pay for it.
+    ``p`` is computed on first access, with one Student t tail call over
+    the upper triangle's t statistics, so callers that read only ``r``
+    never pay for it.
     """
 
     names: tuple[str, ...]
@@ -133,11 +134,10 @@ class CorrelationReport:
 
     @cached_property
     def p(self) -> np.ndarray:
-        k = len(self.names)
-        p = np.ones((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                p[i, j] = p[j, i] = correlation_p_value(float(self.r[i, j]), self.n)
+        p = np.ones((len(self.names),) * 2)
+        upper = np.triu_indices(len(self.names), 1)
+        if upper[0].size:
+            p[upper] = p[upper[::-1]] = correlation_p_value(self.r[upper], self.n)
         p.flags.writeable = False
         return p
 
@@ -358,20 +358,24 @@ def _parse_row(record: list[str]) -> list[float] | None:
     return out
 
 
-def correlation_p_value(r: float, n: int) -> float:
-    """Two-sided p for a Pearson r at sample size n.
+def correlation_p_value(r, n: int):
+    """Two-sided p for a Pearson r at sample size n, per element of r.
 
     The test statistic is t = r * sqrt(n-2) / sqrt(1-r^2) on n-2 degrees
-    of freedom.  |r| = 1 maps to the p floor (smallest positive double).
+    of freedom, and all of r goes through one Student t tail call: a
+    float gives a float, an array an array of its shape.  |r| = 1 maps
+    to the p floor (smallest positive double).
     """
     if n < 3:
         raise InsufficientDataError(f"need n >= 3 for a correlation p-value, got {n}")
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {r}")
+    r = np.asarray(r, dtype=float)
+    outside = ~((-1.0 <= r) & (r <= 1.0))
+    if outside.any():
+        raise ValueError(f"correlation must lie in [-1, 1], got {r[outside].flat[0]}")
     denom = 1.0 - r * r
-    if denom <= 0.0:
-        return student_t_two_sided_p(math.inf, n - 2)
-    t = r * math.sqrt(n - 2) / math.sqrt(denom)
+    inside = denom > 0.0
+    t = np.full(r.shape, math.inf)
+    t[inside] = r[inside] * math.sqrt(n - 2) / np.sqrt(denom[inside])
     return student_t_two_sided_p(t, n - 2)
 
 

@@ -194,8 +194,9 @@ class FittedModel:
 
     @cached_property
     def p(self) -> np.ndarray:
-        dof = self.dof
-        return _read_only([student_t_two_sided_p(float(v), dof) if dof else math.nan for v in self.t])
+        if not self.dof:
+            return _read_only(np.full(self.t.shape, math.nan))
+        return _read_only(student_t_two_sided_p(self.t, self.dof))
 
 
 class Factorization:

@@ -5,8 +5,10 @@ rendered with 12 significant digits, NaN/Inf mapped to null.  The text
 format prints the same document as flat ``key = value`` lines (and the
 correlation section as a table); the same number rules feed it and the
 TSV plot files, so identical inputs always produce byte-identical
-output.  File writes go through a temp file and rename, never a partial
-file.
+output.  A 1-D float array (a row of a matrix, a column of numbers) is
+formatted as one row by :func:`format_row` and joined in one piece; the
+JSON report, the correlation table and the TSV rows share it.  File
+writes go through a temp file and rename, never a partial file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ def format_number(x: float) -> str:
     if math.isnan(value) or math.isinf(value):
         return "null"
     return format(value, ".12g")
+
+
+def format_row(values: Any) -> list[str]:
+    """format_number of each entry of a 1-D sequence of numbers.
+
+    A float ndarray is formatted from one ``tolist`` pass of Python
+    floats, giving the same strings as format_number entry by entry.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        floats = values.astype(float, copy=False).tolist()
+        return [format(v, ".12g") if math.isfinite(v) else "null" for v in floats]
+    return [format_number(value) for value in values]
 
 
 def _scalar(obj: Any) -> str | None:
@@ -61,6 +75,9 @@ def _emit(obj: Any, pieces: list[str], indent: int) -> None:
             _emit(value, pieces, indent + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
+        row = ",\n" + pad + "  "
+        pieces.append("[\n" + pad + "  " + row.join(format_row(obj)) + "\n" + pad + "]")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = list(obj)
         if not items:
@@ -103,11 +120,10 @@ def _correlation_table(section: dict) -> list[str]:
     never run together.
     """
     names = [str(name) for name in section["names"]]
-    r = [[format_number(value) for value in row] for row in section["r"]]
-    p = [
-        ["—" if i == j else format_number(value) for j, value in enumerate(row)]
-        for i, row in enumerate(section["p"])
-    ]
+    r = [format_row(row) for row in section["r"]]
+    p = [format_row(row) for row in section["p"]]
+    for i, cells in enumerate(p):
+        cells[i] = "—"
     width = 1 + max(len(cell) for cell in chain(names, *r, *p))
 
     def row(label: str, cells: list[str]) -> str:
@@ -169,7 +185,7 @@ def plot_tsv(comments: Iterable[str], header: Sequence[str], rows: Iterable[Sequ
     lines = [f"# {comment}" for comment in comments]
     lines.append("\t".join(header))
     for row in rows:
-        lines.append("\t".join(format_number(value) for value in row))
+        lines.append("\t".join(format_row(row)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,19 +1,27 @@
-"""Scalar distribution routines used by the inference code.
+"""Distribution routines used by the inference code, an array at a time.
 
 Two-sided Student-t tail probabilities go through the regularized
 incomplete beta function, evaluated with a modified-Lentz continued
-fraction.  Against 40-digit mpmath the relative error is below 3e-13 at
-dof 5, 30 and 998 for 1e-6 <= |t| <= 40.  log_beta's rounding grows with
-dof (3.7e-12 at dof 920, 3e-9 at 2e5, 2e-7 at 1e8).  Once t^2 < dof * 2^-53,
-dof/(dof + t^2) rounds to 1 but its complement t^2/(dof + t^2) does not,
-so p is taken from the complement and stays below 1.  The chi-square
-quantile is only needed for 2 degrees of freedom, where the CDF is
-1 - exp(-x/2) and the inverse is closed-form.
+fraction (Thompson & Barnett 1986).  :func:`student_t_two_sided_p` takes
+a float or an array of t with one dof and returns a float or an array
+of t's shape.  One loop runs the continued fraction over every element
+at once; an element leaves it at the iteration where its own
+|delta - 1| < _REL_TOL, and it takes the (a, b, x) or (b, a, 1 - x)
+representation by its own x, so each entry equals a one-element call
+bit for bit.  Against 40-digit mpmath the relative error is below 3e-13
+at dof 5, 30 and 998 for 1e-6 <= |t| <= 40.  log_beta's rounding grows
+with dof (3.7e-12 at dof 920, 3e-9 at 2e5, 2e-7 at 1e8).  Once
+t^2 < dof * 2^-53, dof/(dof + t^2) rounds to 1 but its complement
+t^2/(dof + t^2) does not, so p is taken from the complement and stays
+below 1.  The chi-square quantile is only needed for 2 degrees of
+freedom, where the CDF is 1 - exp(-x/2) and the inverse is closed-form.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _REL_TOL = 1e-13
 _MAX_ITER = 500
@@ -29,44 +37,47 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+def _away_from_zero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
+def _beta_continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta (modified Lentz), per
+    element of the equal-length 1-D arrays a, b and x."""
+    out = np.empty_like(x)
+    if not x.size:
+        return out
+    index = np.arange(x.size)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    c = np.ones_like(x)
+    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
+        h = h * (d * c)
         # odd step
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _REL_TOL:
-            return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < _REL_TOL
+        if done.any():
+            out[index[done]] = h[done]
+            live = ~done
+            if not live.any():
+                return out
+            index, a, b, x, qab, qap, qam, c, d, h = (
+                v[live] for v in (index, a, b, x, qab, qap, qam, c, d, h)
+            )
     raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
+        f"incomplete beta continued fraction did not converge (a={a[0]}, b={b[0]}, x={x[0]})"
     )
 
 
@@ -76,37 +87,55 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    return _incomplete_beta(a, b, x, 1.0 - x)
+    return float(_incomplete_beta(a, b, np.array([x], dtype=float), np.array([1.0 - x]))[0])
 
 
-def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
-    """I_x(a, b) given both x and y = 1 - x, so neither is formed by subtraction."""
-    if x == 0.0:
-        return 0.0
-    if y == 0.0:
-        return 1.0
-    # Use the representation that converges fastest.
-    if x < (a + 1.0) / (a + b + 2.0):
-        front = math.exp(a * math.log(x) + b * math.log(y) - log_beta(a, b))
-        return front * _beta_continued_fraction(a, b, x) / a
-    # Here x is near 1 and the subtraction below amplifies any error in
-    # front, so log x is taken from the complement.
-    front = math.exp(a * math.log1p(-y) + b * math.log(y) - log_beta(a, b))
-    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+def _libm(function, values: np.ndarray) -> np.ndarray:
+    """A ``math`` function applied to each element of a 1-D float array."""
+    return np.fromiter(map(function, values.tolist()), float, values.size)
 
 
-def student_t_two_sided_p(t: float, dof: float) -> float:
-    """P(|T_dof| >= |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2), clamped to (0, 1]."""
+def _incomplete_beta(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """I_x(a, b) per element of 1-D arrays x and y = 1 - x, given both so
+    that neither is formed by subtraction."""
+    out = np.where(x == 0.0, 0.0, 1.0)
+    inner = (x != 0.0) & (y != 0.0)
+    x, y = x[inner], y[inner]
+    # Each element takes the representation that converges fastest.
+    first = x < (a + 1.0) / (a + b + 2.0)
+    # Where x is near 1 the subtraction below amplifies any error in
+    # front, so log x is taken from the complement.  The logarithms and
+    # exp are libm's, element by element, as in a one-element call.
+    log_x = np.empty_like(x)
+    log_x[first] = _libm(math.log, x[first])
+    log_x[~first] = _libm(math.log1p, -y[~first])
+    front = _libm(math.exp, a * log_x + b * _libm(math.log, y) - log_beta(a, b))
+    shape_a = np.where(first, a, b)
+    fraction = front * _beta_continued_fraction(
+        shape_a, np.where(first, b, a), np.where(first, x, y)
+    ) / shape_a
+    out[inner] = np.where(first, fraction, 1.0 - fraction)
+    return out
+
+
+def student_t_two_sided_p(t, dof: float):
+    """P(|T_dof| >= |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2), clamped to (0, 1].
+
+    t is a float or an array; the result is a float or an array of t's
+    shape.  NaN gives NaN and +-inf the floor.
+    """
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    if math.isnan(t):
-        return math.nan
-    if math.isinf(t):
-        return _P_FLOOR
-    tt = t * t
-    # 1 - x from tt, not by subtraction (unused when tt = inf, as x = 0)
-    p = _incomplete_beta(dof / 2.0, 0.5, dof / (dof + tt), tt / (dof + tt))
-    return min(1.0, max(p, _P_FLOOR))
+    values = np.asarray(t, dtype=float)
+    flat = values.ravel()
+    p = np.where(np.isnan(flat), math.nan, _P_FLOOR)
+    finite = np.isfinite(flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = flat[finite] * flat[finite]
+        # 1 - x from tt, not by subtraction (unused when tt = inf, as x = 0)
+        x, y = dof / (dof + tt), tt / (dof + tt)
+    p[finite] = np.clip(_incomplete_beta(dof / 2.0, 0.5, x, y), _P_FLOOR, 1.0)
+    return float(p[0]) if values.ndim == 0 else p.reshape(values.shape)
 
 
 def chi_square_quantile_2dof(level: float) -> float:

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from condreg import dataset, stats
 from condreg import (
     Dataset,
     centered_moments,
@@ -172,6 +173,43 @@ class TestPearson:
     def test_p_strictly_decreasing_in_abs_r(self):
         values = [correlation_p_value(r, 19) for r in np.linspace(0.0, 0.99, 40)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_p_is_one_tail_call_over_the_upper_triangle(self, rng, monkeypatch):
+        """Perf guard: 40 columns, 780 pairs, one Student t tail call."""
+        d = Dataset({f"c{i}": rng.normal(size=50) for i in range(40)})
+        report = pearson_matrix(d)
+        calls = []
+
+        def counted(t, dof):
+            calls.append((np.shape(t), dof))
+            return stats.student_t_two_sided_p(t, dof)
+
+        monkeypatch.setattr(dataset, "student_t_two_sided_p", counted)
+        p = report.p
+        assert calls == [((780,), 48)]
+        monkeypatch.undo()
+        # every 13th pair against a one-element call, bit for bit
+        pairs = tuple(index[::13] for index in np.triu_indices(40, 1))
+        singles = [correlation_p_value(float(r), d.n) for r in report.r[pairs]]
+        assert (p[pairs].view(np.int64) == np.array(singles).view(np.int64)).all()
+        np.testing.assert_array_equal(p, p.T)
+        np.testing.assert_array_equal(np.diag(p), 1.0)
+
+    def test_p_value_of_an_array_of_r(self):
+        r = np.array([[0.0, 0.3, -0.999], [1.0, -1.0, 1e-12]])
+        p = correlation_p_value(r, 12)
+        assert p.shape == (2, 3)
+        assert p.tolist() == [[correlation_p_value(float(v), 12) for v in row] for row in r]
+        assert p[1, 0] == p[1, 1] == 5e-324
+        assert type(correlation_p_value(np.float64(0.3), 12)) is float
+        assert correlation_p_value(np.array([]), 12).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0000001, np.nan])
+    def test_p_value_rejects_r_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\], got"):
+            correlation_p_value(np.array([0.1, bad, 0.2]), 12)
+        with pytest.raises(ValueError, match=rf"got {bad}$"):
+            correlation_p_value(bad, 12)
 
     def test_zero_variance_column(self):
         d = Dataset({"a": [1.0, 1.0, 1.0], "b": [1.0, 2.0, 3.0]})

@@ -1,6 +1,8 @@
 """Atomic report writes (a failed write leaves the old file and no temp
-file) and the text rendering of the correlation table."""
+file), the text rendering of the correlation table, and the row
+formatter that prints a float array in one piece."""
 
+import math
 import os
 
 import numpy as np
@@ -8,7 +10,15 @@ import pytest
 
 from condreg import Dataset, pearson_matrix
 from condreg.cli import main
-from condreg.report import format_number, new_document, render_text, write_text_atomic
+from condreg.report import (
+    dumps_report,
+    format_number,
+    format_row,
+    new_document,
+    plot_tsv,
+    render_text,
+    write_text_atomic,
+)
 
 
 @pytest.fixture
@@ -67,3 +77,63 @@ def test_correlation_table_keeps_every_cell_apart():
         assert len(r_row) == len(p_row) == k + 1
         assert r_row == [name, *(format_number(v) for v in report.r[i])]
         assert p_row == ["p", *("—" if i == j else format_number(v) for j, v in enumerate(report.p[i]))]
+
+
+EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, -1e-320, 1.0 / 3.0, -2.0 / 3.0,
+         1e22, -123456789012345.0, 1e-5, 9.99999999999e-5, 1e300]
+ROW_ARRAYS = {
+    "edges": np.array(EDGES),
+    "float32": np.array([math.nan, math.inf, -0.0, 1e-40, 1.0 / 3.0, 3.4e38], dtype=np.float32),
+    "float16": np.array([0.1, -65504.0, 6e-8], dtype=np.float16),
+    "int": np.array([1, -2, 0, 10**15, -(2**62)]),
+    "2-D": np.array(EDGES[:12]).reshape(3, 4),
+    "2-D float32": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+    "empty": np.array([]),
+    "empty int": np.array([], dtype=int),
+    "empty 2-D": np.zeros((2, 0)),
+}
+
+
+def _generic(values):
+    """The array as nested lists of numpy scalars, which take the entry-by-entry path."""
+    return [_generic(row) for row in values] if values.ndim > 1 else list(values)
+
+
+@pytest.mark.parametrize("name", list(ROW_ARRAYS))
+def test_array_rows_print_as_the_entry_by_entry_path(name):
+    values = ROW_ARRAYS[name]
+    for doc in ({"v": values}, {"a": {"b": [values, values]}}):
+        generic = {"v": _generic(values)} if "v" in doc else {"a": {"b": [_generic(values)] * 2}}
+        assert dumps_report(doc) == dumps_report(generic)
+    if values.ndim == 1:
+        assert format_row(values) == [format_number(v) for v in values]
+
+
+def test_empty_arrays_print_brackets():
+    assert dumps_report({"v": np.array([])}) == '{\n  "v": []\n}\n'
+    assert dumps_report({"v": np.zeros((2, 0))}) == '{\n  "v": [\n    [],\n    []\n  ]\n}\n'
+
+
+def test_float_rows_print_twelve_digits_and_null():
+    doc = {"v": np.array([math.nan, -0.0, 1.0 / 3.0, -math.inf])}
+    assert dumps_report(doc) == '{\n  "v": [\n    null,\n    -0,\n    0.333333333333,\n    null\n  ]\n}\n'
+
+
+def test_correlation_table_rows_print_as_the_entry_by_entry_path():
+    r = np.array(EDGES[:9]).reshape(3, 3)
+    p = np.array(EDGES[6:15]).reshape(3, 3)
+    fast = {"names": ["a", "b", "c"], "n": 9, "r": r, "p": p}
+    generic = {**fast, "r": _generic(r), "p": _generic(p)}
+    text = render_text(new_document("corr", correlation=fast))
+    assert text == render_text(new_document("corr", correlation=generic))
+    rows = text.splitlines()[3:]
+    assert [row.split()[1 + i] for i, row in enumerate(rows[2::2])] == ["—"] * 3
+
+
+def test_tsv_rows_print_as_the_entry_by_entry_path():
+    sweep = np.column_stack([np.linspace(-1.0, 1.0, 5), [math.nan, 1e-320, -0.0, 1.0 / 7.0, math.inf]])
+    tuples = [tuple(row) for row in sweep]
+    text = plot_tsv(["sweep"], ["x", "y"], sweep)
+    assert text == plot_tsv(["sweep"], ["x", "y"], tuples)
+    assert text.splitlines()[2:] == ["-1\tnull", "-0.5\t9.99988867183e-321", "0\t-0",
+                                     "0.5\t0.142857142857", "1\tnull"]

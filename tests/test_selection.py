@@ -353,6 +353,9 @@ class TestAdvisories:
         monkeypatch.setattr(dataset, "student_t_two_sided_p", refuse)
         assert advisories(d, spec) == expected
         report = pearson_matrix(d, ["x1", "x2", "x3"])
+        # the patched name is the one p goes through, so the check above bites
+        with pytest.raises(AssertionError, match="p-value computed"):
+            report.p
         monkeypatch.undo()
         # on first access, p is what the eager per-pair loop computed
         eager = np.ones((3, 3))

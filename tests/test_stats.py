@@ -107,6 +107,75 @@ class TestStudentT:
                 assert ours == pytest.approx(2.0 * float(scipy.special.stdtr(dof, -t)), rel=2e-15, abs=0.0), t
 
 
+def _mpmath_p(t: float, dof: float) -> float:
+    with mpmath.workdps(40):
+        v, tt = mpmath.mpf(dof), mpmath.mpf(t) ** 2
+        return float(mpmath.betainc(v / 2, mpmath.mpf(0.5), 0, v / (v + tt), regularized=True))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestArrayTail:
+    """One call over an array of t: each entry as a one-element call gives it."""
+
+    def test_against_mpmath_with_both_representations(self):
+        dof = 30
+        t = np.concatenate([np.logspace(-4.0, math.log10(40.0), 60), -np.logspace(-2.0, 1.0, 20)])
+        x = dof / (dof + t * t)
+        first = x < (dof / 2 + 1.0) / (dof / 2 + 2.5)
+        assert first.any() and not first.all()
+        p = student_t_two_sided_p(t, dof)
+        np.testing.assert_allclose(p, [_mpmath_p(float(v), dof) for v in t], rtol=1e-12, atol=0.0)
+
+    def test_edge_values_in_one_array(self):
+        dof = 998
+        tiny = 1e-9  # t^2 < dof * 2^-53: the complement branch
+        assert dof / (dof + tiny * tiny) == 1.0
+        t = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, tiny, -tiny, 1e40, 1e200, 2.0])
+        p = student_t_two_sided_p(t, dof)
+        assert math.isnan(p[0])
+        assert list(p[1:3]) == [5e-324, 5e-324]
+        assert list(p[3:5]) == [1.0, 1.0]
+        assert p[5] == p[6] < 1.0
+        assert p[5] == pytest.approx(_mpmath_p(tiny, dof), rel=2e-15, abs=0.0)
+        assert list(p[7:9]) == [5e-324, 5e-324]  # underflows to the floor
+        assert 0.0 < p[9] < 1.0
+        for value, got in zip(t, p):
+            assert _bits(student_t_two_sided_p(float(value), dof)) == _bits(got)
+
+    def test_floor_reached_with_finite_t_squared(self):
+        # t^2 = 1e140 is finite, but p underflows below the smallest double
+        assert student_t_two_sided_p(np.array([1e70, -1e70]), 5).tolist() == [5e-324, 5e-324]
+
+    def test_shapes(self):
+        assert type(student_t_two_sided_p(2.0, 10)) is float
+        zero_d = student_t_two_sided_p(np.array(2.0), 10)
+        assert type(zero_d) is float and zero_d == student_t_two_sided_p(2.0, 10)
+        for shape in [(0,), (0, 3)]:
+            empty = student_t_two_sided_p(np.zeros(shape), 10)
+            assert isinstance(empty, np.ndarray) and empty.shape == shape
+        grid = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        p = student_t_two_sided_p(grid, 10)
+        assert p.shape == (3, 4)
+        assert (_bits(p) == _bits([[student_t_two_sided_p(float(v), 10) for v in row] for row in grid])).all()
+        assert student_t_two_sided_p([1.0, 2.0], 10).shape == (2,)
+
+    @pytest.mark.parametrize("dof", [1, 3, 10, 30.5, 998, 2e5])
+    def test_each_entry_equals_a_one_element_call(self, dof):
+        rng = np.random.default_rng(int(dof * 2) % 1000)
+        t = np.concatenate([rng.normal(scale=s, size=40) for s in (1e-8, 0.3, 2.0, 8.0, 1e4)])
+        p = student_t_two_sided_p(t, dof)
+        singles = [student_t_two_sided_p(float(v), dof) for v in t]
+        assert (_bits(p) == _bits(singles)).all()
+        assert (_bits(p[::-1]) == _bits(student_t_two_sided_p(t[::-1].copy(), dof))).all()
+
+    def test_rejects_bad_dof_for_an_array(self):
+        with pytest.raises(ValueError):
+            student_t_two_sided_p(np.ones(3), -1.0)
+
+
 class TestChiSquareQuantile:
     def test_95_percent(self):
         # independent oracle: numeric inversion of the CDF 1 - exp(-x/2)
