@@ -117,11 +117,9 @@ class ModelSpec:
         if not self.response:
             raise SchemaError("model needs a response name")
         object.__setattr__(self, "terms", tuple(self.terms))
-        seen = set()
-        for term in self.terms:
-            if term in seen:
-                raise DuplicateTermError(f"duplicate term {term.label!r}")
-            seen.add(term)
+        if len(set(self.terms)) < len(self.terms):
+            repeat = next(t for i, t in enumerate(self.terms) if t in self.terms[:i])
+            raise DuplicateTermError(f"duplicate term {repeat.label!r}")
 
     @property
     def predictors(self) -> tuple[str, ...]:

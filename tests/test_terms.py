@@ -59,6 +59,24 @@ class TestModelSpec:
         with pytest.raises(DuplicateTermError):
             ModelSpec("Y", (Term.cross("a", "a"), Term.power("a", 2)))
 
+    def test_duplicate_message_names_the_first_repeat(self):
+        terms = (Term.linear("b"), Term.power("a", 2), Term.linear("c"), Term.cross("a", "a"), Term.linear("b"))
+        with pytest.raises(DuplicateTermError, match=r"^duplicate term 'a\^2'$"):
+            ModelSpec("Y", terms)
+
+    def test_terms_are_hashed_once_each(self, monkeypatch):
+        hashes = []
+        term_hash = Term.__hash__
+
+        def counted(term):
+            hashes.append(term)
+            return term_hash(term)
+
+        monkeypatch.setattr(Term, "__hash__", counted)
+        terms = tuple(Term.linear(f"x{i}") for i in range(6))
+        ModelSpec("Y", terms)
+        assert hashes == list(terms)
+
     def test_predictors_in_first_appearance_order(self):
         spec = ModelSpec("Y", (Term.linear("b"), Term.cross("a", "b")))
         assert spec.predictors == ("b", "a")
