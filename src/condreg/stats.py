@@ -8,9 +8,12 @@ of t's shape.  One loop runs the continued fraction over every element
 at once; an element leaves it at the iteration where its own
 |delta - 1| < _REL_TOL, and it takes the (a, b, x) or (b, a, 1 - x)
 representation by its own x, so each entry equals a one-element call
-bit for bit.  Against 40-digit mpmath the relative error is below 3e-13
-at dof 5, 30 and 998 for 1e-6 <= |t| <= 40.  log_beta's rounding grows
-with dof (3.7e-12 at dof 920, 3e-9 at 2e5, 2e-7 at 1e8).  Once
+bit for bit.  log B(dof/2, 1/2) comes from a Stirling-series difference
+once dof >= 20, within 1e-15 of 50-digit mpmath up to dof 1e12.
+Against 40-digit mpmath the relative error of p is below 3e-13 at dof
+5, 30, 920 and 998 for 1e-6 <= |t| <= 40; it grows with dof to 3.2e-11
+at dof 2e5 and 1.4e-8 at 1e8.  What is left is the rounding of log x
+scaled by a = dof/2 in the prefactor exp(a log x + b log y - log B).  Once
 t^2 < dof * 2^-53, dof/(dof + t^2) rounds to 1 but its complement
 t^2/(dof + t^2) does not, so p is taken from the complement and stays
 below 1.  The chi-square quantile is only needed for 2 degrees of
@@ -32,9 +35,38 @@ _TINY = 1e-300
 _P_FLOOR = 5e-324
 
 
+# Stirling series of log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2),
+# B_2k / (2k (2k - 1)) for k = 1..7: its truncation error stays below
+# 1e-15 from z = _STIRLING_FROM on.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_STIRLING_FROM = 10.0
+
+
+def _stirling_remainder(z: float) -> float:
+    z2 = 1.0 / (z * z)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * z2 + c
+    return s / z
+
+
 def log_beta(a: float, b: float) -> float:
-    """log B(a, b) via log-gamma."""
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """log B(a, b).
+
+    When the larger argument is at least _STIRLING_FROM, log Gamma(large)
+    - log Gamma(small + large) is taken from a Stirling-series difference
+    (DiDonato & Morris 1992, TOMS 708 ``algdiv``) instead of subtracting
+    two log-gammas of size large * log(large), which loses their rounding.
+    """
+    small, large = min(a, b), max(a, b)
+    if large < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    ratio = (
+        (_stirling_remainder(large) - _stirling_remainder(small + large))
+        - small * (math.log(large) - 1.0)
+        - (small + large - 0.5) * math.log1p(small / large)
+    )
+    return math.lgamma(small) + ratio
 
 
 def _away_from_zero(v: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import scipy.stats
 
 from condreg.stats import (
     chi_square_quantile_2dof,
+    log_beta,
     regularized_incomplete_beta,
     student_t_two_sided_p,
 )
@@ -78,10 +79,9 @@ class TestStudentT:
         with pytest.raises(ValueError):
             student_t_two_sided_p(1.0, 0)
 
-    @pytest.mark.parametrize("dof", [5, 30, 998])
+    @pytest.mark.parametrize("dof", [5, 30, 920, 998])
     def test_against_mpmath(self, dof):
         # 40-digit oracle; small |t| at large dof is where 1 - x cancels.
-        # log_beta's rounding limits other dof more (3.7e-12 at dof 920).
         with mpmath.workdps(40):
             v = mpmath.mpf(dof)
             for t in np.logspace(-6.0, math.log10(40.0), 150):
@@ -89,6 +89,13 @@ class TestStudentT:
                 ref = mpmath.betainc(v / 2, mpmath.mpf(0.5), 0, v / (v + tt), regularized=True)
                 ours = student_t_two_sided_p(float(t), dof)
                 assert ours == pytest.approx(float(ref), rel=1e-12), t
+
+    @pytest.mark.parametrize("dof, rel", [(2e5, 1e-10), (1e8, 5e-8)])
+    def test_large_dof_against_mpmath(self, dof, rel):
+        # what is left at large dof is log x's rounding times dof/2
+        t = np.concatenate([np.logspace(-3.0, 1.0, 40), np.linspace(1.5, 2.0, 21)])
+        np.testing.assert_allclose(student_t_two_sided_p(t, dof), [_mpmath_p(float(v), dof) for v in t],
+                                   rtol=rel, atol=0.0)
 
     @pytest.mark.parametrize("dof", [5, 30, 998, 2e5])
     def test_tiny_t_takes_p_from_the_complement(self, dof):
@@ -115,6 +122,26 @@ def _mpmath_p(t: float, dof: float) -> float:
 
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestLogBeta:
+    @pytest.mark.parametrize("dof", [1, 8, 11, 19.5])
+    def test_small_arguments_keep_the_log_gamma_sum(self, dof):
+        a = dof / 2
+        assert log_beta(a, 0.5) == math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+
+    @pytest.mark.parametrize("dof", [20, 21, 30, 920, 998, 2e5, 1e8, 1e12])
+    def test_half_against_mpmath(self, dof):
+        with mpmath.workdps(50):
+            ref = mpmath.log(mpmath.beta(mpmath.mpf(dof) / 2, mpmath.mpf(0.5)))
+            assert abs(mpmath.mpf(log_beta(dof / 2, 0.5)) - ref) < 1e-15
+            assert log_beta(0.5, dof / 2) == log_beta(dof / 2, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 40.0), (12.5, 15.0), (0.2, 1e6), (40.0, 40.0)])
+    def test_other_shapes_against_mpmath(self, a, b):
+        with mpmath.workdps(50):
+            ref = mpmath.log(mpmath.beta(mpmath.mpf(a), mpmath.mpf(b)))
+            assert float(ref) == pytest.approx(log_beta(a, b), rel=1e-14, abs=1e-15)
 
 
 class TestArrayTail:
