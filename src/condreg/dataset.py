@@ -136,8 +136,7 @@ class CorrelationReport:
     def p(self) -> np.ndarray:
         p = np.ones((len(self.names),) * 2)
         upper = np.triu_indices(len(self.names), 1)
-        if upper[0].size:
-            p[upper] = p[upper[::-1]] = correlation_p_value(self.r[upper], self.n)
+        p[upper] = p[upper[::-1]] = correlation_p_value(self.r[upper], self.n)
         p.flags.writeable = False
         return p
 

@@ -78,6 +78,8 @@ class TestStudentT:
     def test_rejects_bad_dof(self):
         with pytest.raises(ValueError):
             student_t_two_sided_p(1.0, 0)
+        with pytest.raises(ValueError):
+            student_t_two_sided_p(np.ones(3), -1.0)
 
     @pytest.mark.parametrize("dof", [5, 30, 920, 998])
     def test_against_mpmath(self, dof):
@@ -167,14 +169,11 @@ class TestArrayTail:
         assert list(p[3:5]) == [1.0, 1.0]
         assert p[5] == p[6] < 1.0
         assert p[5] == pytest.approx(_mpmath_p(tiny, dof), rel=2e-15, abs=0.0)
-        assert list(p[7:9]) == [5e-324, 5e-324]  # underflows to the floor
+        # p underflows to the floor with t^2 finite (1e80) and with t^2 = inf
+        assert list(p[7:9]) == [5e-324, 5e-324]
         assert 0.0 < p[9] < 1.0
         for value, got in zip(t, p):
             assert _bits(student_t_two_sided_p(float(value), dof)) == _bits(got)
-
-    def test_floor_reached_with_finite_t_squared(self):
-        # t^2 = 1e140 is finite, but p underflows below the smallest double
-        assert student_t_two_sided_p(np.array([1e70, -1e70]), 5).tolist() == [5e-324, 5e-324]
 
     def test_shapes(self):
         assert type(student_t_two_sided_p(2.0, 10)) is float
@@ -197,10 +196,6 @@ class TestArrayTail:
         singles = [student_t_two_sided_p(float(v), dof) for v in t]
         assert (_bits(p) == _bits(singles)).all()
         assert (_bits(p[::-1]) == _bits(student_t_two_sided_p(t[::-1].copy(), dof))).all()
-
-    def test_rejects_bad_dof_for_an_array(self):
-        with pytest.raises(ValueError):
-            student_t_two_sided_p(np.ones(3), -1.0)
 
 
 class TestChiSquareQuantile:
