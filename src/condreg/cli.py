@@ -44,6 +44,7 @@ from .errors import (
 from .formula import parse_formula, parse_terms, print_formula
 from .ols import FittedModel, fit
 from .report import (
+    ColumnTable,
     dumps_report,
     format_number,
     model_section,
@@ -360,14 +361,7 @@ def cmd_subset(args) -> int:
     result = selection.best_subset(data, args.response, pool, args.size)
     doc = new_document(
         "subset",
-        ranked=[
-            {
-                "formula": print_formula(entry.spec),
-                "r2": entry.r2,
-                "r2_adj": entry.r2_adj,
-            }
-            for entry in result.ranked
-        ],
+        ranked=ColumnTable({"formula": result.formulas, "r2": result.r2, "r2_adj": result.r2_adj}),
         skipped=[
             {"terms": list(labels), "reason": reason}
             for labels, reason in result.skipped

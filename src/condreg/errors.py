@@ -70,6 +70,12 @@ class DuplicateTermError(ModelError):
     code = "duplicate-term"
 
 
+class ResponseTermError(ModelError):
+    """A model term uses the model's own response."""
+
+    code = "response-term"
+
+
 class UnderdeterminedModelError(ModelError):
     code = "underdetermined"
 

@@ -7,8 +7,12 @@ correlation section as a table); the same number rules feed it and the
 TSV plot files, so identical inputs always produce byte-identical
 output.  A 1-D float array (a row of a matrix, a column of numbers) is
 formatted as one row by :func:`format_row` and joined in one piece; the
-JSON report, the correlation table and the TSV rows share it.  File
-writes go through a temp file and rename, never a partial file.
+JSON report, the correlation table, the TSV rows and the float columns
+of a :class:`ColumnTable` share it.  A column table is a list of records
+given as columns; both formats print it exactly as the list of dicts it
+stands for, each column's cells formatted in one pass and each JSON
+record filled into one template.  File writes go through a temp file and
+rename, never a partial file.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import os
 import tempfile
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +62,52 @@ def _scalar(obj: Any) -> str | None:
     return None
 
 
+class ColumnTable:
+    """A list of records given as columns: ``{key: one value per record}``.
+
+    Every column must have the same length.  Values are numbers, bools,
+    None or strings; a float ndarray column is formatted by
+    :func:`format_row`.
+    """
+
+    def __init__(self, columns: Mapping[str, Sequence[Any]]):
+        self.columns = dict(columns)
+        lengths = {len(column) for column in self.columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        self.n_rows = lengths.pop() if lengths else 0
+
+    def cells(self, text: bool) -> list[list[str]]:
+        """Each column's values as printed: strings as JSON, or as-is in text."""
+        return [
+            format_row(column)
+            if isinstance(column, np.ndarray) and column.dtype.kind == "f"
+            else [_cell(value, text) for value in column]
+            for column in self.columns.values()
+        ]
+
+
+def _cell(value: Any, text: bool) -> str:
+    if isinstance(value, str):
+        return value if text else json.dumps(value)
+    scalar = _scalar(value)
+    if scalar is None:
+        raise TypeError(f"cannot serialize {type(value).__name__} in a table")
+    return scalar
+
+
+def _table_json(table: ColumnTable, indent: int) -> str:
+    """The table as _emit prints the list of dicts it stands for."""
+    if not table.n_rows:
+        return "[]"
+    pad = "  " * (indent + 1)
+    # one %-template per record; a key's own % signs are escaped
+    keys = [f"{pad}  {json.dumps(str(key))}: ".replace("%", "%%") for key in table.columns]
+    record = pad + "{\n" + ",\n".join(key + "%s" for key in keys) + "\n" + pad + "}"
+    rows = [record % cells for cells in zip(*table.cells(False))]
+    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
+
+
 def _emit(obj: Any, pieces: list[str], indent: int) -> None:
     pad = "  " * indent
     scalar = _scalar(obj)
@@ -75,6 +125,8 @@ def _emit(obj: Any, pieces: list[str], indent: int) -> None:
             _emit(value, pieces, indent + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
+    elif isinstance(obj, ColumnTable):
+        pieces.append(_table_json(obj, indent))
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
         row = ",\n" + pad + "  "
         pieces.append("[\n" + pad + "  " + row.join(format_row(obj)) + "\n" + pad + "]")
@@ -102,7 +154,11 @@ def dumps_report(document: dict) -> str:
 
 
 def _flatten(prefix: str, obj: Any, lines: list[str]) -> None:
-    if isinstance(obj, dict):
+    if isinstance(obj, ColumnTable):
+        keys = [f".{key} = " for key in obj.columns]
+        for i, cells in enumerate(zip(*obj.cells(True))):
+            lines.extend(f"{prefix}[{i}]{key}{cell}" for key, cell in zip(keys, cells))
+    elif isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), value, lines)
     elif isinstance(obj, (list, tuple, np.ndarray)):

@@ -9,9 +9,13 @@ a block at a time: one batched QR factors the slices of up to
 corner entry of its factor, and the rank test and every other check are
 those of :func:`~condreg.ols.fit`, applied to the whole block.
 Rank-deficient or otherwise ill-posed candidates are skipped with a
-note rather than aborting the search.  The ranked
-:class:`~condreg.ols.FittedModel` solve their coefficients and
-inference only when first read.  Stepwise takes every round's p-values
+note rather than aborting the search.  The result is kept as arrays: the
+ranked candidates as rows of positions in the sorted pool and their R^2,
+from which adjusted R^2 and the formulas are computed a column at a
+time.  No model object is built per candidate: a ranked
+:class:`~condreg.ols.FittedModel` is built from the factorization when
+first read, and solves its coefficients and inference only when those
+are read.  Stepwise takes every round's p-values
 from slices of its start model's factorization.  Advisory checks cover
 the term-count rule (k < n/10), strong pairwise predictor correlations,
 and hierarchy violations.
@@ -21,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -30,23 +35,78 @@ from .dataset import Dataset, pearson_matrix
 from .errors import ModelError, SearchError, UnknownColumnError
 from .ols import Factorization, FittedModel
 from .relations import DESTABILIZATION_THRESHOLD
-from .terms import ModelSpec, Term, check_hierarchy
+from .terms import ModelSpec, Term, check_hierarchy, check_response_unused
 
 MAX_CANDIDATE_FITS = 1_000_000
 # Candidates factored by one numpy.linalg.qr call; bounds the stack's memory.
 _BLOCK_CANDIDATES = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Candidate models ranked by R^2 (ties: canonical term order)."""
+    """Candidate models ranked by R^2 (ties: canonical term order).
 
-    ranked: list[FittedModel]
+    ``candidates`` holds the ranked candidates as a C x k array of
+    positions in ``core.pool`` (the sorted term pool), and ``r2`` their
+    R^2.  ``skipped`` lists each refused candidate's term labels and the
+    reason.
+    """
+
+    core: Factorization
+    intercept: bool
+    candidates: np.ndarray
+    r2: np.ndarray
     skipped: list[tuple[tuple[str, ...], str]]
+
+    @cached_property
+    def r2_adj(self) -> np.ndarray:
+        """Adjusted R^2, in FittedModel.r2_adj's order of operations.
+
+        Every ranked candidate has dof >= 1: the search allows no exact fit.
+        """
+        n = self.core.n
+        dof = n - self.candidates.shape[1] - self.intercept
+        r2_adj = 1.0 - (1.0 - self.r2) * (n - 1) / dof
+        r2_adj.flags.writeable = False
+        return r2_adj
+
+    @cached_property
+    def formulas(self) -> list[str]:
+        """print_formula of each ranked candidate, from labels made once."""
+        labels = [term.label for term in self.core.pool]
+        head = f"{self.core.response} ~ " + ("" if self.intercept else "0 + ")
+        return [head + " + ".join([labels[j] for j in row]) for row in self.candidates.tolist()]
+
+    @cached_property
+    def ranked(self) -> Sequence[FittedModel]:
+        """The ranked candidates' fitted models, each built when first read."""
+        return _RankedModels(self)
 
     @property
     def best(self) -> FittedModel:
         return self.ranked[0]
+
+
+class _RankedModels(Sequence):
+    """A SearchResult's ranked models, each built on first read and kept."""
+
+    def __init__(self, result: SearchResult):
+        self._result = result
+        self._models: dict[int, FittedModel] = {}
+
+    def __len__(self) -> int:
+        return len(self._result.r2)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if i not in self._models:
+            result, core = self._result, self._result.core
+            terms = tuple(core.pool[j] for j in result.candidates[i].tolist())
+            spec = ModelSpec(core.response, terms, result.intercept)
+            self._models[i] = core.model(spec, result.r2[i])
+        return self._models[i]
 
 
 def advisories(
@@ -97,11 +157,14 @@ def best_subset(
 
     Candidates are ranked by R^2 descending.  Rank-deficient or
     otherwise ill-posed combinations are recorded in ``skipped``.  The
-    search refuses outright above 10^6 candidate fits.
+    search refuses outright above 10^6 candidate fits, and, before
+    anything is factored, a pool term that uses the response.
     """
     unique_pool = sorted(set(pool), key=lambda t: t.sort_key)
     if not unique_pool:
         raise SearchError("term pool is empty")
+    # no candidate ModelSpec is built, so its check is made on the pool
+    check_response_unused(response, unique_pool)
     if not 1 <= subset_size <= len(unique_pool):
         raise SearchError(
             f"subset size {subset_size} out of range for a pool of {len(unique_pool)}"
@@ -117,25 +180,30 @@ def best_subset(
     except UnknownColumnError as exc:
         # no response column: every candidate would fail on it alike
         raise SearchError("every candidate combination was ill-posed") from exc
+    labels = [term.label for term in unique_pool]
     combinations = itertools.combinations(range(len(unique_pool)), subset_size)
-    models: list[FittedModel] = []
+    kept: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
     skipped: list[tuple[tuple[str, ...], str]] = []
     for _ in range(0, n_candidates, _BLOCK_CANDIDATES):
         block = np.array(list(itertools.islice(combinations, _BLOCK_CANDIDATES)), dtype=np.intp)
-        scores, errors = core.score(intercept, block)
-        for i, (combo, r2) in enumerate(zip(block.tolist(), scores.tolist())):
-            terms = tuple(unique_pool[j] for j in combo)
-            if i in errors:
-                skipped.append((tuple(t.label for t in terms), str(errors[i])))
-            else:
-                models.append(core.model(ModelSpec(response, terms, intercept), r2))
-    if not models:
+        r2, errors = core.score(intercept, block)
+        refused = sorted(errors)
+        for i in refused:
+            skipped.append((tuple(labels[j] for j in block[i].tolist()), str(errors[i])))
+        keep = np.ones(len(block), dtype=bool)
+        keep[refused] = False
+        kept.append(block[keep])
+        scores.append(r2[keep])
+    r2 = np.concatenate(scores)
+    if not r2.size:
         raise SearchError("every candidate combination was ill-posed")
     # Candidates come in combination order of the sorted pool, so a stable
     # sort by R^2 breaks ties by term order.
-    r2 = np.fromiter((m.r2 for m in models), dtype=float, count=len(models))
-    ranked = [models[i] for i in np.argsort(-r2, kind="stable").tolist()]
-    return SearchResult(ranked=ranked, skipped=skipped)
+    order = np.argsort(-r2, kind="stable")
+    candidates, r2 = np.concatenate(kept)[order], r2[order]
+    candidates.flags.writeable = r2.flags.writeable = False
+    return SearchResult(core, intercept, candidates, r2, skipped)
 
 
 @dataclass(frozen=True)

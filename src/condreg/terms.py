@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DuplicateTermError, SchemaError, UnknownPredictorError
+from .errors import DuplicateTermError, ResponseTermError, SchemaError, UnknownPredictorError
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,13 @@ class Term:
         return f"Term({self.label})"
 
 
+def check_response_unused(response: str, terms: Iterable[Term]) -> None:
+    """Raise ResponseTermError naming the first term that uses the response."""
+    for term in terms:
+        if response in term.predictors:
+            raise ResponseTermError(f"term {term.label!r} uses the response {response!r}")
+
+
 def canonical_order(terms: Iterable[Term]) -> list[Term]:
     return sorted(terms, key=lambda t: t.sort_key)
 
@@ -106,7 +113,7 @@ class ModelSpec:
     """Response, intercept flag, and an ordered term list.
 
     Term order is significant: fitted coefficients attach positionally
-    (intercept first when present).
+    (intercept first when present).  No term may use the response.
     """
 
     response: str
@@ -120,6 +127,7 @@ class ModelSpec:
         if len(set(self.terms)) < len(self.terms):
             repeat = next(t for i, t in enumerate(self.terms) if t in self.terms[:i])
             raise DuplicateTermError(f"duplicate term {repeat.label!r}")
+        check_response_unused(self.response, self.terms)
 
     @property
     def predictors(self) -> tuple[str, ...]:

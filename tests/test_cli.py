@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from condreg import load_csv, pearson_matrix
+from condreg import FittedModel, ModelSpec, cli, full_quadratic_terms, load_csv, pearson_matrix, report
 from condreg.cli import main
 
 RESPONSE = "Y"
@@ -143,6 +143,35 @@ def test_subset_ranks_and_skips(tmp_path, signal):
         {"terms": ["zz", "a:b"], "reason": unknown},
         {"terms": ["zz", "b^2"], "reason": unknown},
     ]
+
+
+def test_subset_builds_no_object_per_candidate(tmp_path, monkeypatch):
+    """Best subset of 3 from a 27-term pool: 2,925 candidates, one
+    ModelSpec and one FittedModel (the best model, for its advisories),
+    and a ranked table that costs as many _emit calls as an empty one."""
+    rng = np.random.default_rng(27)
+    names = [f"x{i}" for i in range(1, 7)]
+    columns = {name: rng.normal(size=60) for name in names}
+    path = _write_csv(tmp_path / "pool.csv", {RESPONSE: columns["x1"] + rng.normal(size=60), **columns})
+    pool = ",".join(term.label for term in full_quadratic_terms(names))
+    built, documents, emitted = [], [], []
+    spec_check, model_init, dumps, emit = ModelSpec.__post_init__, FittedModel.__init__, cli.dumps_report, report._emit
+    monkeypatch.setattr(ModelSpec, "__post_init__", lambda self: built.append(type(self)) or spec_check(self))
+    monkeypatch.setattr(FittedModel, "__init__", lambda self, *a, **k: built.append(type(self)) or model_init(self, *a, **k))
+    monkeypatch.setattr(cli, "dumps_report", lambda doc: documents.append(doc) or dumps(doc))
+    argv = ["subset", f"--data={path}", "--response=Y", f"--pool={pool}", "--size=3"]
+    assert main([*argv, f"--out={tmp_path / 'report.json'}"]) == 0
+    assert built == [ModelSpec, FittedModel]
+    (doc,) = documents
+    assert doc["ranked"].n_rows + len(doc["skipped"]) == 2925
+    monkeypatch.setattr(report, "_emit", lambda *args: emitted.append(1) or emit(*args))
+    counts = []
+    empty = report.ColumnTable({key: [] for key in doc["ranked"].columns})
+    for ranked in (doc["ranked"], empty):
+        emitted.clear()
+        dumps({**doc, "ranked": ranked})
+        counts.append(len(emitted))
+    assert counts[0] == counts[1]
 
 
 def test_stepwise_removal_sequence(tmp_path, signal):
@@ -466,6 +495,14 @@ HOSTILE = [
     (["corr", f"--data={SURVEY}", "--cols=x1,zz"], 1, "error[unknown-column]: "),
     (["conditional", "--formula=Y ~ x + x^2", "--coef=nan,1,inf", "--target=x", "--sweep=0:1:3"], 2,
      "error[assignment]: coefficients must be finite numbers"),
+    (["fit", f"--data={SURVEY}", "--formula=Y ~ x1 + Y"], 2,
+     "error[response-term]: term 'Y' uses the response 'Y'"),
+    (["fit", f"--data={SURVEY}", "--formula=Y ~ x1 + Y^2"], 2,
+     "error[response-term]: term 'Y^2' uses the response 'Y'"),
+    (["stepwise", f"--data={SURVEY}", "--formula=Y ~ x1 + x2 + x1:Y"], 2,
+     "error[response-term]: term 'Y:x1' uses the response 'Y'"),
+    (["subset", f"--data={SURVEY}", "--response=Y", "--pool=Y,x1", "--size=1"], 2,
+     "error[response-term]: term 'Y' uses the response 'Y'"),
 ]
 
 

@@ -44,6 +44,7 @@ CASES = {
     "stepwise": ["stepwise", "--data={survey}", "--formula=Y ~ quad(x1,x2) + x3"],
     "subset": ["subset", "--data={survey}", "--response=Y", "--pool=x1,x2,x3,x1:x2,x1^2",
                "--size=2"],
+    "subset-skipped": ["subset", "--data={survey}", "--response=Y", "--pool=x1,x2,zz", "--size=2"],
     "ellipse": ["ellipse", "--data={coded}", "--x=Pb", "--y=Cd", "--points=8",
                 "--plot-out={tsv}"],
     "ellipse-survey": ["ellipse", "--data={survey}", "--x=x1", "--y=x2", "--level=0.9",
@@ -93,3 +94,13 @@ def test_report_matches_golden(tmp_path, case, fmt):
     assert _without_noise(report) == _without_noise(stored)
     stored_tsv = GOLDEN / f"{case}.tsv"
     assert tsv == (stored_tsv.read_bytes() if stored_tsv.exists() else None)
+
+
+def test_every_case_has_its_files_and_no_file_is_orphaned():
+    """Each case has a stored .json and .txt; every other stored file is
+    an input CSV or the TSV a case writes."""
+    reports = {f"{case}{suffix}" for case in CASES for suffix in SUFFIX.values()}
+    stored = {path.name for path in GOLDEN.iterdir()}
+    assert reports <= stored
+    others = {name for name in stored - reports if not name.endswith(".csv")}
+    assert {name for name in others if not (name.endswith(".tsv") and name[:-4] in CASES)} == set()

@@ -1,16 +1,20 @@
 """Atomic report writes (a failed write leaves the old file and no temp
-file), the text rendering of the correlation table, and the row
-formatter that prints a float array in one piece."""
+file), the text rendering of the correlation table, the row formatter
+that prints a float array in one piece, and the column table that prints
+a list of records a row at a time."""
 
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from condreg import Dataset, pearson_matrix
 from condreg.cli import main
 from condreg.report import (
+    ColumnTable,
     dumps_report,
     format_number,
     format_row,
@@ -137,3 +141,51 @@ def test_tsv_rows_print_as_the_entry_by_entry_path():
     assert text == plot_tsv(["sweep"], ["x", "y"], tuples)
     assert text.splitlines()[2:] == ["-1\tnull", "-0.5\t9.99988867183e-321", "0\t-0",
                                      "0.5\t0.142857142857", "1\tnull"]
+
+
+# Every kind of value a table cell may hold, edge cases drawn often.
+CELLS = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(),
+    st.integers(-(10**20), 10**20),
+    st.none(),
+    st.booleans(),
+    st.text(st.sampled_from(['"', "\\", "\n", "%", "{", "}", "é", "—", "\x00", "a", "😀"]), max_size=6),
+)
+
+
+@st.composite
+def tables(draw):
+    """Columns of one length: float arrays (the format_row path), int
+    arrays, or lists of any cells."""
+    keys = draw(st.lists(st.text(st.sampled_from(["k", '"', "%", "s", "{", "é", "\\"]), max_size=3),
+                         min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 5))
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from(["float", "int", "any"]))
+        if kind == "float":
+            values = draw(st.lists(st.one_of(st.sampled_from(EDGES), st.floats()), min_size=rows, max_size=rows))
+            columns[key] = np.array(values, dtype=float)
+        elif kind == "int":
+            columns[key] = np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=rows, max_size=rows)))
+        else:
+            columns[key] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+    return columns
+
+
+@given(tables())
+def test_column_table_prints_as_its_list_of_dicts(columns):
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    table = ColumnTable(columns)
+    for fast, generic in [
+        ({"t": table}, {"t": records}),
+        ({"a": {"b": [1, table]}, "c": "x"}, {"a": {"b": [1, records]}, "c": "x"}),
+    ]:
+        assert dumps_report(fast) == dumps_report(generic)
+        assert render_text(fast) == render_text(generic)
+
+
+def test_column_table_columns_share_one_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        ColumnTable({"a": [1, 2], "b": np.array([1.0])})

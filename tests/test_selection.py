@@ -13,8 +13,8 @@ from condreg import (
     full_quadratic,
     pearson_matrix,
 )
-from condreg import dataset
-from condreg.errors import SearchError
+from condreg import dataset, parse_terms, print_formula, selection
+from condreg.errors import ResponseTermError, SearchError
 from condreg.ols import Factorization
 from condreg.selection import MAX_CANDIDATE_FITS
 from conftest import random_dataset
@@ -145,6 +145,30 @@ class TestBestSubset:
             best_subset(d, "Y", [], 1)
         with pytest.raises(SearchError):
             best_subset(d, "Y", [Term.linear("u")], 2)
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_arrays_match_the_ranked_models_bit_for_bit(self, intercept):
+        rng = np.random.default_rng(17)
+        d = random_dataset(rng, 30, 4)
+        pool = [Term.linear("x1"), Term.cross("x1", "x2"), Term.linear("x3"), Term.power("x4", 2),
+                Term.linear("x2"), Term.linear("zz")]
+        result = best_subset(d, "Y", pool, 3, intercept=intercept)
+        models = list(result.ranked)
+        assert result.r2.tolist() == [m.r2 for m in models]
+        assert result.r2_adj.tolist() == [m.r2_adj for m in models]
+        assert result.formulas == [print_formula(m.spec) for m in models]
+        assert result.candidates.shape == (len(models), 3)
+        assert result.best is result.ranked[0] is result.ranked[-len(models)]
+        assert result.ranked[1:3] == models[1:3]
+
+    @pytest.mark.parametrize("pool", [["u", "Y"], ["u", "u:Y"], ["Y^2", "v"]])
+    def test_pool_term_using_the_response_is_refused_before_factoring(self, monkeypatch, pool):
+        def no_factoring(*args):
+            raise AssertionError("factored a pool that uses the response")
+
+        monkeypatch.setattr(selection, "Factorization", no_factoring)
+        with pytest.raises(ResponseTermError, match="uses the response 'Y'"):
+            best_subset(_signal_dataset(), "Y", parse_terms(",".join(pool)), 1)
 
 
 class TestBackwardStepwise:

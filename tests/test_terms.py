@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from condreg import (
     full_quadratic,
     full_quadratic_terms,
 )
-from condreg.errors import DuplicateTermError, SchemaError, UnknownPredictorError
+from condreg.errors import DuplicateTermError, ResponseTermError, SchemaError, UnknownPredictorError
 
 
 class TestTermAlgebra:
@@ -63,6 +65,11 @@ class TestModelSpec:
         terms = (Term.linear("b"), Term.power("a", 2), Term.linear("c"), Term.cross("a", "a"), Term.linear("b"))
         with pytest.raises(DuplicateTermError, match=r"^duplicate term 'a\^2'$"):
             ModelSpec("Y", terms)
+
+    @pytest.mark.parametrize("term", [Term.linear("Y"), Term.power("Y", 2), Term.cross("x", "Y")])
+    def test_term_using_the_response_is_refused(self, term):
+        with pytest.raises(ResponseTermError, match=rf"^term '{re.escape(term.label)}' uses the response 'Y'$"):
+            ModelSpec("Y", (Term.linear("x"), term))
 
     def test_terms_are_hashed_once_each(self, monkeypatch):
         hashes = []
