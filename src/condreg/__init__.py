@@ -5,8 +5,8 @@ one-factor conditional response functions and unit-change effects,
 relates simple-regression slopes to multivariate coefficients (including
 the residualized-predictor equivalence and the correlation-adjusted
 effect sum that collapses back to the simple slope), searches model
-spaces, codes designed-experiment doses, and classifies predictor-domain
-geometry and combined factor action.
+spaces, and classifies predictor-domain geometry and combined factor
+action.
 """
 
 from .conditional import (
@@ -34,16 +34,13 @@ from .geometry import (
     ConfidenceEllipse,
     boundary,
     classify_action,
-    classify_point,
     ellipse,
 )
-from .ols import FittedModel, NestedComparison, compare, fit, predict
+from .ols import FittedModel, fit, predict
 from .relations import (
-    AbbottCarrollResult,
     BridgeReport,
     Finding,
     Residualization,
-    abbott_carroll,
     bridge,
     detect_paradox,
     residualize,
@@ -58,7 +55,6 @@ from .selection import (
     best_subset,
 )
 from .terms import (
-    CodedScale,
     ModelSpec,
     Term,
     canonical_order,
@@ -70,10 +66,8 @@ from .terms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbbottCarrollResult",
     "ActionClass",
     "BridgeReport",
-    "CodedScale",
     "ColumnQuartiles",
     "ConditionalResponse",
     "CondregError",
@@ -83,14 +77,12 @@ __all__ = [
     "Finding",
     "FittedModel",
     "ModelSpec",
-    "NestedComparison",
     "Residualization",
     "SearchResult",
     "StepwiseResult",
     "StepwiseStep",
     "TCoefficients",
     "Term",
-    "abbott_carroll",
     "advisories",
     "backward_stepwise",
     "best_subset",
@@ -100,8 +92,6 @@ __all__ = [
     "centered_moments",
     "check_hierarchy",
     "classify_action",
-    "classify_point",
-    "compare",
     "correlation_p_value",
     "derive",
     "detect_paradox",

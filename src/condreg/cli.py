@@ -329,7 +329,6 @@ def cmd_stepwise(args) -> int:
     protected = parse_terms(args.protect) if args.protect else []
     result = selection.backward_stepwise(
         data,
-        start.response,
         start,
         alpha=args.alpha,
         protected=protected,

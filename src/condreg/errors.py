@@ -98,10 +98,6 @@ class SaturatedModelError(ModelError):
     code = "saturated"
 
 
-class NestingError(ModelError):
-    code = "nesting"
-
-
 class AssignmentError(ModelError):
     """Fixed-value assignment is incomplete, superfluous, or unresolvable."""
 

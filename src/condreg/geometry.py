@@ -88,11 +88,6 @@ def ellipse(d: Dataset, x: str, y: str, level: float) -> ConfidenceEllipse:
     )
 
 
-def classify_point(e: ConfidenceEllipse, point) -> Literal["inside", "outside"]:
-    """Interpolation ("inside") vs extrapolation ("outside") for a point."""
-    return "inside" if e.mahalanobis_sq(point) <= e.threshold else "outside"
-
-
 def boundary(e: ConfidenceEllipse, points: int = 360) -> np.ndarray:
     """(points x 2) polyline of the ellipse boundary; ``points`` must be >= 1."""
     if points < 1:

@@ -56,7 +56,6 @@ from .errors import (
     CollinearityError,
     CondregError,
     ModelError,
-    NestingError,
     SaturatedModelError,
     UnderdeterminedModelError,
     UnknownPredictorError,
@@ -401,46 +400,3 @@ def predict(m: FittedModel, point: Mapping[str, float]) -> float:
         value += float(m.coef[offset + i]) * term.column(x)
     return value
 
-
-@dataclass(frozen=True)
-class NestedComparison:
-    """Fit change from a smaller model m1 to a larger model m2."""
-
-    delta_r2: float
-    delta_rss: float
-    delta_dof: int
-    r2_small: float
-    r2_large: float
-
-
-def compare(m1: FittedModel, m2: FittedModel) -> NestedComparison:
-    """Nested-model report: requires m1's spec to nest inside m2's.
-
-    Both models must be fits of the same response on the same data.
-    """
-    if m1.spec.response != m2.spec.response:
-        raise NestingError(
-            f"different responses: {m1.spec.response!r} vs {m2.spec.response!r}"
-        )
-    if m1.n != m2.n:
-        raise NestingError(f"different sample sizes: {m1.n} vs {m2.n}")
-    if (
-        m1.data_fingerprint is not None
-        and m2.data_fingerprint is not None
-        and m1.data_fingerprint != m2.data_fingerprint
-    ):
-        raise NestingError("models were fitted on different data")
-    if m1.spec.intercept and not m2.spec.intercept:
-        raise NestingError("smaller model has an intercept the larger lacks")
-    small = set(m1.spec.terms)
-    large = set(m2.spec.terms)
-    if not small <= large:
-        extra = sorted(t.label for t in small - large)
-        raise NestingError(f"models are not nested; extra terms in m1: {extra}")
-    return NestedComparison(
-        delta_r2=m2.r2 - m1.r2,
-        delta_rss=m1.rss - m2.rss,
-        delta_dof=m1.dof - m2.dof,
-        r2_small=m1.r2,
-        r2_large=m2.r2,
-    )

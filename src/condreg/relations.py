@@ -1,23 +1,22 @@
 """Bridges between one-predictor and multi-predictor coefficients.
 
-Covers the slope algebra connecting simple and multiple regression, the
-residualized-predictor equivalence (regressing Y on a predictor stripped
-of its linear relationships with the others reproduces that predictor's
-multivariate coefficient), the correlation-adjusted effect sum that
-collapses back to the simple slope for predictor-linear models, and the
-detection of paradoxical coefficient signs.
+Covers the slope algebra connecting simple and multiple regression, as
+one bridge report per target predictor; the residualized-predictor
+equivalence (regressing Y on a predictor stripped of its linear
+relationships with the others reproduces that predictor's multivariate
+coefficient); and the detection of paradoxical coefficient signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset, centered_moments
 from .errors import CollinearityError, UnknownPredictorError
-from .ols import FittedModel, fit
+from .ols import fit
 from .terms import ModelSpec, Term
 
 DESTABILIZATION_THRESHOLD = 0.7
@@ -65,12 +64,6 @@ class BridgeReport:
     reconstruction_discrepancy: float | None = None
 
 
-class AbbottCarrollResult(NamedTuple):
-    ac_sum: float
-    a_target: float
-    discrepancy: float
-
-
 def _linear_spec(response: str, predictors: Sequence[str]) -> ModelSpec:
     return ModelSpec(
         response=response, terms=tuple(Term.linear(name) for name in predictors)
@@ -96,20 +89,6 @@ def _slopes(d: Dataset, response: str, predictors: Sequence[str], target: str):
     return slr, c, r
 
 
-def _adjusted_sum(
-    model: FittedModel,
-    slopes: dict[tuple[str, str], float],
-    predictors: Sequence[str],
-    target: str,
-) -> float:
-    """b_target + sum_{j != target} b_j * c[(j, target)] over linear-term b."""
-    return model.coefficient(Term.linear(target)) + sum(
-        model.coefficient(Term.linear(name)) * slopes[(name, target)]
-        for name in predictors
-        if name != target
-    )
-
-
 def bridge(
     d: Dataset,
     response: str,
@@ -122,9 +101,10 @@ def bridge(
     Takes the simple slopes of the response on each predictor and the
     pairwise slopes and correlations involving the target from one set
     of centred moments, and fits the predictor-linear multiple
-    regression on all of them.  For exactly two predictors the MLR
-    coefficients are additionally reconstructed from the slope algebra
-    and the residual discrepancy is recorded.
+    regression on all of them.  With ``expected_sign`` the report flags
+    a multivariate coefficient of the other sign.  For exactly two
+    predictors the MLR coefficients are additionally reconstructed from
+    the slope algebra and the residual discrepancy is recorded.
     """
     predictors = list(predictors)
     if target not in predictors:
@@ -134,7 +114,9 @@ def bridge(
     mlr = {
         name: mlr_fit.coefficient(Term.linear(name)) for name in predictors
     }
-    ac_sum = _adjusted_sum(mlr_fit, c, predictors, target)
+    ac_sum = mlr[target] + sum(
+        mlr[name] * c[(name, target)] for name in predictors if name != target
+    )
 
     a, b = slr[target], mlr[target]
     sign_flip = a * b < 0.0
@@ -198,41 +180,6 @@ def residualize(d: Dataset, target: str, others: Sequence[str]) -> Residualizati
     return Residualization(target=target, column=column, slopes=slopes)
 
 
-def abbott_carroll(
-    d: Dataset,
-    response: str,
-    predictors: Sequence[str],
-    target: str,
-    spec: ModelSpec | None = None,
-) -> AbbottCarrollResult:
-    """Correlation-adjusted unit effect of the target and its collapse.
-
-    ac_sum = b_target + sum_{j != target} b_j * c_{j,target}, where b are
-    the linear-term coefficients of the multivariate fit and c_{j,target}
-    the pairwise slope of x_j on the target.  For predictor-linear
-    models this equals the target's simple slope exactly; passing a
-    ``spec`` with higher-order terms shows the identity breaking (only
-    linear-term coefficients enter the sum).
-    """
-    predictors = list(predictors)
-    if target not in predictors:
-        raise UnknownPredictorError(f"target {target!r} not among predictors {predictors}")
-    if spec is None:
-        spec = _linear_spec(response, predictors)
-    model = fit(d, spec)
-    for name in predictors:
-        if Term.linear(name) not in spec.terms:
-            raise UnknownPredictorError(
-                f"spec lacks a linear term for predictor {name!r}"
-            )
-    slr, c, _ = _slopes(d, response, predictors, target)
-    ac_sum = _adjusted_sum(model, c, predictors, target)
-    a_target = slr[target]
-    return AbbottCarrollResult(
-        ac_sum=ac_sum, a_target=a_target, discrepancy=abs(ac_sum - a_target)
-    )
-
-
 @dataclass(frozen=True)
 class Finding:
     kind: str
@@ -241,14 +188,14 @@ class Finding:
 
 def detect_paradox(
     report: BridgeReport,
-    expected_sign: int | None = None,
     correlation_threshold: float = DESTABILIZATION_THRESHOLD,
 ) -> list[Finding]:
     """Flag paradox-prone patterns in a bridge report.
 
     Findings: an SLR/MLR sign flip for the target; a multivariate sign
-    contradicting a declared expectation; and co-predictor correlations
-    strong enough (default |r| > 0.7) that the model may destabilize.
+    contradicting the ``expected_sign`` given to :func:`bridge`; and
+    co-predictor correlations strong enough (default |r| > 0.7) that the
+    model may destabilize.
     """
     findings: list[Finding] = []
     if report.sign_flip:
@@ -261,11 +208,7 @@ def detect_paradox(
                 ),
             )
         )
-    if expected_sign is None:
-        violated = report.expectation_violation
-    else:
-        violated = report.b * expected_sign < 0.0
-    if violated:
+    if report.expectation_violation:
         findings.append(
             Finding(
                 kind="expectation-violation",

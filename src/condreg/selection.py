@@ -35,7 +35,7 @@ from .dataset import Dataset, pearson_matrix
 from .errors import ModelError, SearchError, UnknownColumnError
 from .ols import Factorization, FittedModel
 from .relations import DESTABILIZATION_THRESHOLD
-from .terms import ModelSpec, Term, check_hierarchy, check_response_unused
+from .terms import ModelSpec, Term, canonical_order, check_hierarchy, check_response_unused
 
 MAX_CANDIDATE_FITS = 1_000_000
 # Candidates factored by one numpy.linalg.qr call; bounds the stack's memory.
@@ -160,7 +160,7 @@ def best_subset(
     search refuses outright above 10^6 candidate fits, and, before
     anything is factored, a pool term that uses the response.
     """
-    unique_pool = sorted(set(pool), key=lambda t: t.sort_key)
+    unique_pool = canonical_order(set(pool))
     if not unique_pool:
         raise SearchError("term pool is empty")
     # no candidate ModelSpec is built, so its check is made on the pool
@@ -226,7 +226,6 @@ class StepwiseResult:
 
 def backward_stepwise(
     d: Dataset,
-    response: str,
     start: ModelSpec,
     alpha: float = 0.05,
     protected: Sequence[Term] = (),
@@ -246,12 +245,8 @@ def backward_stepwise(
     """
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
-    if start.response != response:
-        raise ModelError(
-            f"start model responds to {start.response!r}, expected {response!r}"
-        )
     protected_set = set(protected)
-    core = Factorization(d, response, start.terms)
+    core = Factorization(d, start.response, start.terms)
     start_fit = core.fit(start)
     current = start_fit
     steps: list[StepwiseStep] = []

@@ -1,4 +1,4 @@
-"""Term algebra, model specifications, and coded-dose scales.
+"""Term algebra and model specifications.
 
 A :class:`Term` is a product of predictor powers (x1, x1*x2, x1^2,
 x1^2*x2, ...).  Repeated predictors merge into powers, so x1*x1 and
@@ -13,13 +13,12 @@ where they are used, a row block at a time, in :mod:`condreg.ols`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import DuplicateTermError, ResponseTermError, SchemaError, UnknownPredictorError
+from .errors import DuplicateTermError, ResponseTermError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -187,47 +186,3 @@ def check_hierarchy(spec: ModelSpec) -> list[str]:
                     violations.add(name)
     return sorted(violations)
 
-
-@dataclass(frozen=True)
-class CodedScale:
-    """Affine raw-dose -> [-1, +1] coding for designed experiments.
-
-    The raw minimum codes to -1 and the raw maximum to +1; the map is
-    invertible on each predictor's range.
-    """
-
-    ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, (lo, hi) in self.ranges.items():
-            if not lo < hi:
-                raise SchemaError(
-                    f"coded range for {name!r} needs raw_min < raw_max, got ({lo}, {hi})"
-                )
-
-    def _range(self, predictor: str) -> tuple[float, float]:
-        try:
-            return self.ranges[predictor]
-        except KeyError:
-            raise UnknownPredictorError(
-                f"predictor {predictor!r} has no coded range"
-            ) from None
-
-    def code(self, predictor: str, raw: float) -> float:
-        lo, hi = self._range(predictor)
-        return 2.0 * (raw - lo) / (hi - lo) - 1.0
-
-    def decode(self, predictor: str, coded: float) -> float:
-        lo, hi = self._range(predictor)
-        return lo + (coded + 1.0) * (hi - lo) / 2.0
-
-    def code_dataset(self, d: Dataset) -> Dataset:
-        """Apply the coding to every scaled column; others pass through."""
-        columns = []
-        for name in d.names:
-            col = d.column(name)
-            if name in self.ranges:
-                lo, hi = self.ranges[name]
-                col = 2.0 * (col - lo) / (hi - lo) - 1.0
-            columns.append((name, col))
-        return Dataset(columns)

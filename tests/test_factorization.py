@@ -262,7 +262,7 @@ def test_search_memory_does_not_grow_with_candidates():
 @given(stepwise_cases())
 def test_stepwise_steps_match_fresh_fits(case):
     d, start, alpha, hierarchy = case
-    result = backward_stepwise(d, "Y", start, alpha=alpha, enforce_hierarchy=hierarchy)
+    result = backward_stepwise(d, start, alpha=alpha, enforce_hierarchy=hierarchy)
     _assert_same_fit(result.start, fit(d, start))
     spec = start
     for step in result.steps:

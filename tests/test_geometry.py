@@ -9,7 +9,6 @@ from condreg import (
     Term,
     boundary,
     classify_action,
-    classify_point,
     ellipse,
     fit,
 )
@@ -85,11 +84,14 @@ class TestEllipse:
 
 
 class TestClassifyPoint:
+    """A point is inside the ellipse (interpolation) iff
+    ``e.mahalanobis_sq(point) <= e.threshold``."""
+
     def test_center_inside_for_every_level(self, rng):
         d = Dataset({"x": rng.normal(size=30), "y": rng.normal(size=30)})
         for level in (0.5, 0.75, 0.95, 0.999):
             e = ellipse(d, "x", "y", level)
-            assert classify_point(e, e.center) == "inside"
+            assert e.mahalanobis_sq(e.center) <= e.threshold
 
     def test_point_just_past_threshold_along_principal_axis(self, rng):
         x = rng.normal(size=80)
@@ -100,8 +102,8 @@ class TestClassifyPoint:
         eigvals, eigvecs = np.linalg.eigh(e.shape)
         direction = eigvecs[:, -1]
         reach = np.sqrt(e.threshold * eigvals[-1])
-        assert classify_point(e, e.center + 0.999 * reach * direction) == "inside"
-        assert classify_point(e, e.center + 1.001 * reach * direction) == "outside"
+        assert e.mahalanobis_sq(e.center + 0.999 * reach * direction) <= e.threshold
+        assert e.mahalanobis_sq(e.center + 1.001 * reach * direction) > e.threshold
 
     def test_unobserved_combination_is_extrapolation(self, rng):
         # strong positive correlation: low-x1 with high-x2 never occurs
@@ -111,7 +113,7 @@ class TestClassifyPoint:
         d = Dataset({"x1": x1, "x2": x2})
         e = ellipse(d, "x1", "x2", 0.95)
         low_x1, high_x2 = x1.min(), x2.max()
-        assert classify_point(e, (low_x1, high_x2)) == "outside"
+        assert e.mahalanobis_sq((low_x1, high_x2)) > e.threshold
 
     def test_coverage_fraction_matches_level(self):
         rng = np.random.default_rng(424242)
@@ -141,7 +143,8 @@ class TestClassifyPoint:
         et = ellipse(dt, "x", "y", 0.9)
         probes = np.column_stack([x, y])[::7] * 1.7 + 0.3
         for point in probes:
-            assert classify_point(e, point) == classify_point(et, A @ point + shift)
+            inside = e.mahalanobis_sq(point) <= e.threshold
+            assert inside == (et.mahalanobis_sq(A @ point + shift) <= et.threshold)
 
 
 class TestClassifyAction:
@@ -210,4 +213,31 @@ class TestClassifyAction:
         assert (
             classify_action(base, "f1", "f2").label
             == classify_action(scaled, "f1", "f2").label
+        )
+
+    def test_raw_doses_with_levels_match_coded_doses(self):
+        # a replicated 2x2 design read on raw doses through ``levels``
+        # gives the reading of the same data coded to -1/+1
+        rng = np.random.default_rng(20200219)
+        ranges = {"f1": (0.0, 0.05), "f2": (0.0, 2.0)}
+        means = {(0, 0): 737.0, (1, 0): 640.0, (0, 1): 658.0, (1, 1): 737.0}
+        cells = [cell for cell in means for _ in range(3)]
+        raw = {
+            name: np.array([ranges[name][cell[k]] for cell in cells])
+            for k, name in enumerate(("f1", "f2"))
+        }
+        y = np.array([means[cell] for cell in cells]) + rng.normal(scale=5.0, size=len(cells))
+        coded = {
+            name: 2.0 * (raw[name] - lo) / (hi - lo) - 1.0 for name, (lo, hi) in ranges.items()
+        }
+        on_raw = classify_action(
+            fit(Dataset({"Y": y, **raw}), CROSS_SPEC), "f1", "f2", levels=ranges
+        )
+        on_coded = classify_action(fit(Dataset({"Y": y, **coded}), CROSS_SPEC), "f1", "f2")
+        assert on_raw.label == on_coded.label
+        for field in ("effect_1", "effect_2", "joint_effect", "cross_p"):
+            assert getattr(on_raw, field) == pytest.approx(getattr(on_coded, field), rel=1e-9)
+        half_ranges = [(hi - lo) / 2.0 for lo, hi in ranges.values()]
+        assert on_raw.cross_coef * half_ranges[0] * half_ranges[1] == pytest.approx(
+            on_coded.cross_coef, rel=1e-9
         )

@@ -175,7 +175,7 @@ class TestBackwardStepwise:
     def test_all_significant_is_a_noop(self):
         d = _signal_dataset()
         start = ModelSpec("Y", (Term.linear("u"), Term.linear("v")))
-        result = backward_stepwise(d, "Y", start, alpha=0.05)
+        result = backward_stepwise(d, start, alpha=0.05)
         assert result.steps == []
         assert result.final.spec == start
 
@@ -188,7 +188,7 @@ class TestBackwardStepwise:
             y = 2.0 * x1 + 1.5 * x1 * x2 + 0.5 * rng.normal(size=80)
             d = Dataset({"Y": y, "x1": x1, "x2": x2})
             start = full_quadratic(["x1", "x2"], response="Y")
-            result = backward_stepwise(d, "Y", start, alpha=0.05)
+            result = backward_stepwise(d, start, alpha=0.05)
             survivors = {t.label for t in result.final.spec.terms}
             if {"x1", "x1:x2"} <= survivors:
                 hits += 1
@@ -198,7 +198,7 @@ class TestBackwardStepwise:
         rng = np.random.default_rng(77)
         d = random_dataset(rng, 60, 3, noise=5.0)
         start = full_quadratic(["x1", "x2", "x3"], response="Y")
-        result = backward_stepwise(d, "Y", start, alpha=0.05, enforce_hierarchy=False)
+        result = backward_stepwise(d, start, alpha=0.05, enforce_hierarchy=False)
         counts = [len(start.terms)] + [len(s.spec_after.terms) for s in result.steps]
         assert all(a - 1 == b for a, b in zip(counts, counts[1:]))
         for step in result.steps:
@@ -219,7 +219,7 @@ class TestBackwardStepwise:
                 Term.cross("x1", "x2"),
             ),
         )
-        result = backward_stepwise(d, "Y", start, alpha=0.5, enforce_hierarchy=False)
+        result = backward_stepwise(d, start, alpha=0.5, enforce_hierarchy=False)
         spec = start
         for step in result.steps:
             stage = fit(d, spec)
@@ -243,7 +243,7 @@ class TestBackwardStepwise:
         noise = rng.normal(size=n)
         noise -= full @ np.linalg.lstsq(full, noise, rcond=None)[0]
         d = Dataset({**x, "Y": 1.0 + x1 - x2 * x3 + noise})
-        result = backward_stepwise(d, "Y", start, alpha=0.05, enforce_hierarchy=False)
+        result = backward_stepwise(d, start, alpha=0.05, enforce_hierarchy=False)
         assert {t.label for t in result.final.spec.terms} == {"x1", "x2:x3"}
         # |t| this small is rounding noise: read it from the search's own
         # factorization, as a fresh fit's R would give other noise
@@ -269,19 +269,17 @@ class TestBackwardStepwise:
         start = ModelSpec(
             "Y", (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2"))
         )
-        kept = backward_stepwise(d, "Y", start, alpha=0.05, enforce_hierarchy=True)
+        kept = backward_stepwise(d, start, alpha=0.05, enforce_hierarchy=True)
         labels = {t.label for t in kept.final.spec.terms}
         assert {"x1", "x2", "x1:x2"} <= labels
-        loose = backward_stepwise(d, "Y", start, alpha=0.05, enforce_hierarchy=False)
+        loose = backward_stepwise(d, start, alpha=0.05, enforce_hierarchy=False)
         assert {t.label for t in loose.final.spec.terms} == {"x1:x2"}
 
     def test_protected_terms_survive(self):
         rng = np.random.default_rng(30)
         d = random_dataset(rng, 50, 2, noise=50.0)
         start = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2")))
-        result = backward_stepwise(
-            d, "Y", start, alpha=0.05, protected=[Term.linear("x2")]
-        )
+        result = backward_stepwise(d, start, alpha=0.05, protected=[Term.linear("x2")])
         assert Term.linear("x2") in result.final.spec.terms
 
     def test_alpha_extremes(self):
@@ -296,10 +294,10 @@ class TestBackwardStepwise:
         )
         start = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2")))
         # near-zero alpha treats everything as removable
-        stripped = backward_stepwise(d, "Y", start, alpha=1e-9)
+        stripped = backward_stepwise(d, start, alpha=1e-9)
         assert stripped.final.spec.terms == ()
         # alpha near 1 removes only wholly uninformative terms
-        kept = backward_stepwise(d, "Y", start, alpha=0.999999)
+        kept = backward_stepwise(d, start, alpha=0.999999)
         assert len(kept.final.spec.terms) == 2
 
     def test_keeps_the_last_term_without_an_intercept(self):
@@ -307,7 +305,7 @@ class TestBackwardStepwise:
         d = Dataset({name: rng.normal(size=40) for name in ("Y", "x1", "x2", "x3")})
         terms = tuple(Term.linear(name) for name in ("x1", "x2", "x3"))
         start = ModelSpec("Y", terms, intercept=False)
-        result = backward_stepwise(d, "Y", start, alpha=1e-9)
+        result = backward_stepwise(d, start, alpha=1e-9)
         assert len(result.final.spec.terms) == 1
         assert not result.final.spec.intercept
         # the removals before the last term are the usual least-significant ones

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from condreg import (
-    CodedScale,
-    Dataset,
     ModelSpec,
     Term,
     check_hierarchy,
     full_quadratic,
     full_quadratic_terms,
 )
-from condreg.errors import DuplicateTermError, ResponseTermError, SchemaError, UnknownPredictorError
+from condreg.errors import DuplicateTermError, ResponseTermError, SchemaError
 
 
 class TestTermAlgebra:
@@ -132,40 +130,3 @@ class TestHierarchy:
         spec = ModelSpec("Y", (Term.power("x1", 2),))
         assert check_hierarchy(spec) == ["x1"]
 
-
-class TestCodedScale:
-    def test_minimum_codes_to_minus_one(self):
-        scale = CodedScale({"dose": (0.0, 0.05)})
-        assert scale.code("dose", 0.0) == -1.0
-        assert scale.code("dose", 0.05) == 1.0
-
-    def test_midpoint_codes_to_zero(self):
-        scale = CodedScale({"dose": (2.0, 6.0)})
-        assert scale.code("dose", 4.0) == 0.0
-
-    def test_round_trip(self):
-        scale = CodedScale({"dose": (0.0, 0.05)})
-        v = 0.037
-        assert scale.decode("dose", scale.code("dose", v)) == pytest.approx(v, rel=1e-12)
-        c = 0.42
-        assert scale.code("dose", scale.decode("dose", c)) == pytest.approx(c, rel=1e-12)
-
-    def test_round_trip_across_range(self):
-        scale = CodedScale({"z": (-3.0, 11.0)})
-        for v in np.linspace(-3.0, 11.0, 17):
-            assert scale.decode("z", scale.code("z", v)) == pytest.approx(v, rel=1e-12, abs=1e-12)
-
-    def test_unknown_predictor(self):
-        scale = CodedScale({"a": (0.0, 1.0)})
-        with pytest.raises(UnknownPredictorError):
-            scale.code("b", 0.5)
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(SchemaError):
-            CodedScale({"a": (1.0, 1.0)})
-
-    def test_code_dataset(self):
-        d = Dataset({"dose": [0.0, 0.025, 0.05], "other": [1.0, 2.0, 3.0]})
-        coded = CodedScale({"dose": (0.0, 0.05)}).code_dataset(d)
-        np.testing.assert_allclose(coded.column("dose"), [-1.0, 0.0, 1.0])
-        np.testing.assert_allclose(coded.column("other"), [1.0, 2.0, 3.0])
