@@ -61,15 +61,10 @@ class TestBridge:
         assert not report.sign_flip
 
     def test_abbott_carroll_collapse(self, rng):
-        # the adjusted sum equals the simple slope for predictor-linear
-        # fits: with one predictor the sum over co-predictors is empty
-        d = random_dataset(rng, 15, 1)
-        report = bridge(d, "Y", ["x1"], "x1")
-        assert report.ac_sum == pytest.approx(report.a, rel=1e-12)
-        for _ in range(40):
+        # the adjusted sum equals the simple slope for predictor-linear fits
+        for _ in range(20):
             k = int(rng.integers(2, 6))
-            n = int(rng.integers(10, 51))
-            d = random_dataset(rng, n, k)
+            d = random_dataset(rng, 30, k)
             report = bridge(d, "Y", [f"x{i + 1}" for i in range(k)], "x1")
             assert report.ac_sum == pytest.approx(report.a, rel=1e-9)
 
@@ -128,6 +123,23 @@ class TestResidualize:
             residualize(d, "x1", [])
         with pytest.raises(UnknownPredictorError):
             residualize(d, "x1", ["x1", "x2"])
+
+
+class TestAbbottCarroll:
+    def test_single_predictor(self, rng):
+        # with one predictor the sum over co-predictors is empty
+        d = random_dataset(rng, 15, 1)
+        report = bridge(d, "Y", ["x1"], "x1")
+        assert report.ac_sum == pytest.approx(report.a, rel=1e-12)
+        assert abs(report.ac_sum - report.a) == pytest.approx(0.0, abs=1e-9)
+
+    def test_identity_for_linear_models(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(2, 6))
+            n = int(rng.integers(10, 51))
+            d = random_dataset(rng, n, k)
+            report = bridge(d, "Y", [f"x{i + 1}" for i in range(k)], "x1")
+            assert abs(report.ac_sum - report.a) < 1e-9 * max(1.0, abs(report.a))
 
 
 class TestDetectParadox:
