@@ -12,11 +12,12 @@ Defaults can come from a JSON config file (--config or $CONDREG_CONFIG);
 flags override the file, the file overrides built-ins.  Recognized keys:
 delimiter, alpha, level, correlation_threshold, antagonism_tolerance (the
 default of --control-tolerance).  correlation_threshold is the |r| above
-which every command's correlation warnings (fit, stepwise, subset) and
-bridge's high-correlation findings are raised.  Every value in the file
-is checked when it is loaded, whether or not the command reads it: an
-unknown key, or a numeric setting whose value is not a number, is a
-config error.  Each setting is resolved once, before the command runs.
+which every command's correlation warnings (fit, stepwise, subset),
+conditional's cautions and bridge's high-correlation findings are
+raised.  Every value in the file is checked when it is loaded, whether
+or not the command reads it: an unknown key, or a numeric setting whose
+value is not a number, is a config error.  Each setting is resolved
+once, before the command runs.
 """
 
 from __future__ import annotations
@@ -124,23 +125,18 @@ def _parse_fixes(pairs: Sequence[str]) -> dict[str, float | str]:
     return fixes
 
 
-def _parse_coef(text: str, expected: int) -> np.ndarray:
+def _parse_coef(text: str) -> list[float]:
     try:
-        values = [float(piece) for piece in text.split(",")]
+        return [float(piece) for piece in text.split(",")]
     except ValueError as exc:
         raise AssignmentError(f"--coef must be comma-separated numbers: {exc}") from exc
-    if len(values) != expected:
-        raise AssignmentError(
-            f"--coef supplied {len(values)} values but the model has {expected} parameters"
-        )
-    return np.array(values)
 
 
 def _obtain_model(args: argparse.Namespace) -> tuple[FittedModel, Dataset | None]:
     """Fit from data, or wrap published coefficients when --coef is given."""
     spec = parse_formula(args.formula)
     if args.coef:
-        model = FittedModel.from_coefficients(spec, _parse_coef(args.coef, spec.n_parameters))
+        model = FittedModel.from_coefficients(spec, _parse_coef(args.coef))
         data = None
         if args.data:
             data, _ = _load_data(args)
@@ -153,15 +149,6 @@ def _fixed_values(args, data: Dataset | None) -> dict[str, float]:
     fixes = _parse_fixes(args.fix or [])
     summary = quartiles(data) if data is not None else None
     return cond.resolve_assignment(fixes, summary)
-
-
-def _correlations(data: Dataset | None, names: Sequence[str]):
-    if data is None or len(names) < 2:
-        return None
-    try:
-        return pearson_matrix(data, [n for n in names if n in data])
-    except DataError:
-        return None
 
 
 def _finish(args: argparse.Namespace, doc: dict) -> int:
@@ -202,7 +189,11 @@ def cmd_fit(args) -> int:
 def cmd_conditional(args) -> int:
     model, data = _obtain_model(args)
     fixed = _fixed_values(args, data)
-    correlations = _correlations(data, model.spec.predictors)
+    correlations = []
+    if data is not None:
+        correlations = selection.strong_correlations(
+            data, model.spec.predictors, args.correlation_threshold
+        )
     section = cond.derive(model, args.target, fixed, correlations=correlations)
     body: dict[str, Any] = {
         **asdict(section),
@@ -210,7 +201,7 @@ def cmd_conditional(args) -> int:
         "cautions": [{"predictor": name, "r": r} for name, r in section.cautions],
     }
     if section.degree <= 2:
-        body.update(asdict(cond.t_coefficients(model, args.target, fixed)))
+        body.update(asdict(cond.t_coefficients(section)))
     doc = new_document("conditional", formula=print_formula(model.spec), conditional=body)
     if args.sweep:
         grid = _parse_sweep(args.sweep)

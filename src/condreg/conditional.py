@@ -9,13 +9,11 @@ package is built to report on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .dataset import PRESET_STATS, ColumnQuartiles
 from .errors import AssignmentError, ScopeError, UnknownColumnError
 from .ols import FittedModel
-
-CAUTION_CORRELATION = 0.7
 
 
 @dataclass(frozen=True)
@@ -102,14 +100,14 @@ def derive(
     m: FittedModel,
     target: str,
     fixed: Mapping[str, float],
-    correlations=None,
+    correlations: Iterable[tuple[str, str, float]] = (),
 ) -> ConditionalResponse:
     """Section the model along ``target`` at a fixed co-predictor point.
 
     Substitutes the fixed values into every term and collects by powers
-    of the target.  When a CorrelationReport covering the target and a
-    fixed predictor is supplied, pairs with |r| >= ``CAUTION_CORRELATION``
-    are attached as cautions (no gating).
+    of the target.  Of the strong (a, b, r) pairs in ``correlations``, as
+    from :func:`condreg.selection.strong_correlations`, each pair of the
+    target and a fixed predictor is attached as a caution (no gating).
     """
     _check_assignment(m, target, fixed)
     degree = m.spec.degree_in(target)
@@ -124,19 +122,12 @@ def derive(
                 partial *= fixed[name] ** power
         poly[k] += partial
 
-    cautions: list[tuple[str, float]] = []
-    if correlations is not None and target in correlations.names:
-        ti = correlations.names.index(target)
-        for name in sorted(fixed):
-            if name in correlations.names:
-                r = float(correlations.r[ti, correlations.names.index(name)])
-                if abs(r) >= CAUTION_CORRELATION:
-                    cautions.append((name, r))
+    partner = {b if a == target else a: r for a, b, r in correlations if target in (a, b)}
     return ConditionalResponse(
         target=target,
         fixed=dict(fixed),
         poly=tuple(poly),
-        cautions=tuple(cautions),
+        cautions=tuple((name, partner[name]) for name in sorted(fixed) if name in partner),
     )
 
 
@@ -153,19 +144,15 @@ def unit_effect(
     return section(at + 1.0) - section(at)
 
 
-def t_coefficients(
-    m: FittedModel, target: str, fixed: Mapping[str, float]
-) -> TCoefficients:
+def t_coefficients(section: ConditionalResponse) -> TCoefficients:
     """Named (T0, T_linear, T_quad) decomposition for report tables.
 
-    Only defined when the model is at most quadratic in the target;
-    higher degrees should use :func:`derive` directly.
+    Only defined when the section is at most quadratic in its target;
+    higher degrees should read the section's ``poly`` directly.
     """
-    degree = m.spec.degree_in(target)
-    if degree > 2:
+    if section.degree > 2:
         raise ScopeError(
-            f"model is degree {degree} in {target!r}; use derive() for the full polynomial"
+            f"model is degree {section.degree} in {section.target!r}; use the section's poly"
         )
-    section = derive(m, target, fixed)
     poly = section.poly + (0.0,) * (3 - len(section.poly))
     return TCoefficients(t0=poly[0], t_linear=poly[1], t_quad=poly[2])

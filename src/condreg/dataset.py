@@ -19,7 +19,6 @@ divisor throughout, matching the inference formulas downstream.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import re
@@ -82,7 +81,6 @@ class Dataset:
             arrays[name] = arr
         self._columns = arrays
         self._n = int(n)  # type: ignore[arg-type]
-        self._fingerprint: str | None = None
 
     @property
     def n(self) -> int:
@@ -100,17 +98,6 @@ class Dataset:
 
     def __contains__(self, name: str) -> bool:
         return name in self._columns
-
-    @property
-    def fingerprint(self) -> str:
-        """SHA-1 over n and every column's name and bytes, computed once."""
-        if self._fingerprint is None:
-            digest = hashlib.sha1(str(self._n).encode())
-            for name, arr in self._columns.items():
-                digest.update(f"{len(name)}:{name}".encode())
-                digest.update(arr.tobytes())
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
 
     def __repr__(self) -> str:
         return f"Dataset(n={self._n}, columns={self.names})"

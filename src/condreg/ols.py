@@ -81,19 +81,17 @@ def _read_only(values, exponent=0) -> np.ndarray:
 class FittedModel:
     """One least-squares fit, or published coefficients without data.
 
-    A fit keeps its spec, R^2, n and data fingerprint and the
-    :class:`Factorization` it was solved from.  ``coef``,
-    ``cov``, ``rss``, ``se``, ``t`` and ``p`` are computed on first read
-    from that factorization.  ``coef`` is ordered as the design matrix:
-    intercept first when present, then the spec's terms.  At dof = 0
-    (an exact fit, or published coefficients, which have ``n = 0``)
-    ``cov``, ``se``, ``t`` and ``p`` are NaN.
+    A fit keeps its spec, R^2, n and the :class:`Factorization` it was
+    solved from.  ``coef``, ``cov``, ``rss``, ``se``, ``t`` and ``p``
+    are computed on first read from that factorization.  ``coef`` is
+    ordered as the design matrix: intercept first when present, then the
+    spec's terms.  At dof = 0 (an exact fit, or published coefficients,
+    which have ``n = 0``) ``cov``, ``se``, ``t`` and ``p`` are NaN.
     """
 
     spec: ModelSpec
     r2: float
     n: int
-    data_fingerprint: str | None
     # the Factorization the model was solved from, or published coefficients
     _source: Factorization | np.ndarray = field(repr=False, compare=False)
 
@@ -145,7 +143,7 @@ class FittedModel:
             )
         if not np.isfinite(coef).all():
             raise AssignmentError(f"coefficients must be finite numbers, got {coef.tolist()}")
-        return cls(spec, r2=math.nan, n=0, data_fingerprint=None, _source=coef)
+        return cls(spec, r2=math.nan, n=0, _source=coef)
 
     @cached_property
     def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -240,7 +238,6 @@ class Factorization:
         y = np.ldexp(y, -self._exponents[-1])
         self.response = response
         self.n = d.n
-        self.fingerprint = d.fingerprint
         self.tss_centered = float(((y - y.mean()) ** 2).sum())
         self.tss_uncentered = float((y**2).sum())
         # Per pool position: the term's first predictor absent from the
@@ -343,7 +340,7 @@ class Factorization:
 
     def model(self, spec: ModelSpec, r2: float) -> FittedModel:
         """The fitted model of a sub-model scored at ``r2``."""
-        return FittedModel(spec, float(r2), self.n, self.fingerprint, _source=self)
+        return FittedModel(spec, float(r2), self.n, _source=self)
 
     def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
         """A sub-model's fit; see :func:`fit`."""

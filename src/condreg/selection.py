@@ -17,8 +17,9 @@ time.  No model object is built per candidate: a ranked
 first read, and solves its coefficients and inference only when those
 are read.  Stepwise takes every round's p-values
 from slices of its start model's factorization.  Advisory checks cover
-the term-count rule (k < n/10), strong pairwise predictor correlations,
-and hierarchy violations.
+the term-count rule (k < n/10), strong pairwise predictor correlations
+(:func:`strong_correlations`, which also gives conditional responses
+their cautions), and hierarchy violations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset, pearson_matrix
-from .errors import ModelError, SearchError, UnknownColumnError
+from .errors import (
+    DegenerateColumnError,
+    InsufficientDataError,
+    ModelError,
+    SearchError,
+    UnknownColumnError,
+)
 from .ols import Factorization, FittedModel
 from .relations import DESTABILIZATION_THRESHOLD
 from .terms import ModelSpec, Term, canonical_order, check_hierarchy, check_response_unused
@@ -109,6 +116,30 @@ class _RankedModels(Sequence):
         return self._models[i]
 
 
+def strong_correlations(
+    d: Dataset, names: Sequence[str], threshold: float
+) -> list[tuple[str, str, float]]:
+    """Pairs (a, b, r) of the named columns with |r| > ``threshold``.
+
+    Pairs come in the order of ``names``; names absent from ``d`` are
+    skipped.  Where r is undefined (n < 3, or a column with zero
+    variance) there are none.
+    """
+    present = [name for name in names if name in d]
+    if len(present) < 2:
+        return []
+    try:
+        r = pearson_matrix(d, present).r
+    except (InsufficientDataError, DegenerateColumnError):
+        return []
+    return [
+        (present[i], present[j], float(r[i, j]))
+        for i in range(len(present))
+        for j in range(i + 1, len(present))
+        if abs(r[i, j]) > threshold
+    ]
+
+
 def advisories(
     d: Dataset,
     spec: ModelSpec,
@@ -126,17 +157,8 @@ def advisories(
         out.append(
             f"k-rule: {k} terms with n={d.n} violates k < n/10 (= {d.n / 10.0:g})"
         )
-    names = [name for name in spec.predictors if name in d]
-    if len(names) >= 2:
-        corr = pearson_matrix(d, names)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                r = float(corr.r[i, j])
-                if abs(r) > correlation_threshold:
-                    out.append(
-                        f"correlation: |r({names[i]}, {names[j]})| = {abs(r):.3f}"
-                        f" exceeds {correlation_threshold:g}"
-                    )
+    for a, b, r in strong_correlations(d, spec.predictors, correlation_threshold):
+        out.append(f"correlation: |r({a}, {b})| = {abs(r):.3f} exceeds {correlation_threshold:g}")
     violations = check_hierarchy(spec)
     if violations:
         out.append(

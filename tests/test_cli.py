@@ -408,6 +408,29 @@ def test_every_correlation_warning_reads_the_configured_threshold(tmp_path, monk
     ]
 
 
+@pytest.mark.parametrize("threshold, cautions", [(0.9, []), (0.5, [("x2", 0.838)])])
+def test_conditional_cautions_read_the_configured_threshold(tmp_path, monkeypatch, threshold, cautions):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"correlation_threshold": threshold}), encoding="utf-8")
+    report = _run_twice(tmp_path, [f"--config={config}", "conditional", f"--data={SURVEY}",
+                                   "--formula=Y ~ quad(x1,x2)", "--target=x1", "--fix=x2=q25"])
+    assert [(c["predictor"], round(c["r"], 3)) for c in report["conditional"]["cautions"]] == cautions
+
+
+def test_fit_where_r_is_undefined_has_no_correlation_warning(tmp_path, monkeypatch, signal):
+    # a constant column, and n = 2 < 3: r is undefined, so the fit is
+    # reported without a correlation warning rather than refused
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    path, _ = signal
+    two_rows = _write_lines(tmp_path / "two.csv", ["Y,x1,x2", "1,2,5", "3,1,7"])
+    for argv, n in ((["fit", f"--data={path}", "--formula=Y ~ 0 + a + k"], 60),
+                    (["fit", f"--data={two_rows}", "--formula=Y ~ 0 + x1 + x2", "--allow-saturated"], 2)):
+        report = _run_twice(tmp_path, argv)
+        assert report["model"]["stats"]["n"] == n
+        assert not [w for w in report["warnings"] if w.startswith("correlation:")]
+
+
 @pytest.mark.parametrize("level", LEVELS)
 def test_delimiter_precedence(tmp_path, monkeypatch, level):
     # Only the delimiter the file is written with parses it: under any other
@@ -503,6 +526,8 @@ HOSTILE = [
      "error[response-term]: term 'Y:x1' uses the response 'Y'"),
     (["subset", f"--data={SURVEY}", "--response=Y", "--pool=Y,x1", "--size=1"], 2,
      "error[response-term]: term 'Y' uses the response 'Y'"),
+    (["conditional", "--formula=SDH ~ Pb + Cd + Pb:Cd", "--coef=1,2", "--target=Pb", "--fix=Cd=0"], 2,
+     "error[assignment]: expected 4 coefficients for this model, got 2"),
 ]
 
 

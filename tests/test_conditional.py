@@ -8,7 +8,6 @@ from condreg import (
     Term,
     derive,
     fit,
-    pearson_matrix,
     predict,
     quartiles,
     resolve_assignment,
@@ -16,6 +15,7 @@ from condreg import (
     unit_effect,
 )
 from condreg.errors import AssignmentError, ScopeError
+from condreg.selection import strong_correlations
 from conftest import random_dataset
 
 # published two-predictor cross-term model: morbidity ~ CO, SO2
@@ -114,12 +114,19 @@ class TestDerive:
                 "Y", (Term.linear("x1"), Term.linear("x2"), Term.cross("x1", "x2"))
             ),
         )
-        corr = pearson_matrix(d, ["x1", "x2"])
-        section = derive(m, "x1", {"x2": 0.0}, correlations=corr)
+        pairs = strong_correlations(d, ["x1", "x2"], 0.7)
+        section = derive(m, "x1", {"x2": 0.0}, correlations=pairs)
         assert len(section.cautions) == 1
         name, r = section.cautions[0]
         assert name == "x2"
         assert abs(r) > 0.7
+
+    def test_cautions_are_the_pairs_with_the_target_in_fixed_order(self):
+        spec = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2"), Term.linear("x3")))
+        m = FittedModel.from_coefficients(spec, [0.0, 1.0, 2.0, 3.0])
+        pairs = [("x1", "x3", 0.9), ("x3", "x2", -0.8), ("x2", "x1", 0.75)]
+        section = derive(m, "x2", {"x3": 1.0, "x1": 2.0}, correlations=pairs)
+        assert section.cautions == (("x1", 0.75), ("x3", -0.8))
 
 
 class TestUnitEffect:
@@ -168,13 +175,13 @@ class TestUnitEffect:
 
 class TestTCoefficients:
     def test_quartile_fixes(self):
-        tc = t_coefficients(TB_MODEL, "x1", {"x2": 54.0, "x3": 18.5, "x4": 4.42})
+        tc = t_coefficients(derive(TB_MODEL, "x1", {"x2": 54.0, "x3": 18.5, "x4": 4.42}))
         assert tc.t_linear == pytest.approx(-1.921, abs=0.06)
         assert tc.t0 == pytest.approx(236.5758, abs=1e-9)
         assert tc.t_quad == 0.0
 
     def test_second_target(self):
-        tc = t_coefficients(TB_MODEL, "x2", {"x1": 69.3, "x3": 18.5, "x4": 4.42})
+        tc = t_coefficients(derive(TB_MODEL, "x2", {"x1": 69.3, "x3": 18.5, "x4": 4.42}))
         assert tc.t_linear == pytest.approx(0.0817, abs=0.0005)
 
     def test_all_zero_fix_recovers_bare_coefficient(self, rng):
@@ -183,21 +190,21 @@ class TestTCoefficients:
             "Y", (Term.linear("x1"), Term.linear("x2"), Term.linear("x3"))
         )
         m = fit(d, spec)
-        tc = t_coefficients(m, "x2", {"x1": 0.0, "x3": 0.0})
+        tc = t_coefficients(derive(m, "x2", {"x1": 0.0, "x3": 0.0}))
         assert tc.t_linear == pytest.approx(m.coefficient(Term.linear("x2")), rel=1e-12)
 
     def test_cubic_target_redirects_to_derive(self):
         spec = ModelSpec("Y", (Term.linear("a"), Term.power("a", 3)))
         m = FittedModel.from_coefficients(spec, [0.0, 1.0, 1.0])
         with pytest.raises(ScopeError):
-            t_coefficients(m, "a", {})
+            t_coefficients(derive(m, "a", {}))
 
     def test_linear_in_fixed_values(self):
         # T_linear responds affinely to each fixed value: second
         # difference over a grid vanishes
         values = []
         for x2 in (40.0, 60.0, 80.0):
-            tc = t_coefficients(TB_MODEL, "x1", {"x2": x2, "x3": 18.5, "x4": 4.42})
+            tc = t_coefficients(derive(TB_MODEL, "x1", {"x2": x2, "x3": 18.5, "x4": 4.42}))
             values.append(tc.t_linear)
         assert values[2] - 2 * values[1] + values[0] == pytest.approx(0.0, abs=1e-12)
 

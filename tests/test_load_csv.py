@@ -21,7 +21,7 @@ def _outcome(parse, raw, delimiter, header):
     except Exception as exc:  # the oracle's exceptions are part of its result
         return ("raised", type(exc), str(exc), getattr(exc, "line", None))
     columns = [d.column(name).tobytes() for name in d.names]
-    return ("loaded", d.names, dropped, columns, d.fingerprint)
+    return ("loaded", d.names, dropped, columns)
 
 
 def _assert_same(raw, delimiter=",", header=True):

@@ -16,7 +16,7 @@ from condreg import (
 from condreg import dataset, parse_terms, print_formula, selection
 from condreg.errors import ResponseTermError, SearchError
 from condreg.ols import Factorization
-from condreg.selection import MAX_CANDIDATE_FITS
+from condreg.selection import MAX_CANDIDATE_FITS, strong_correlations
 from conftest import random_dataset
 
 
@@ -317,6 +317,42 @@ class TestBackwardStepwise:
             spec = step.spec_after
         assert len(result.steps) == 2
         assert result.final.spec == spec
+
+
+class TestStrongCorrelations:
+    @staticmethod
+    def _correlated(n=30, seed=13):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n)
+        return {"a": a, "b": a + 0.3 * rng.normal(size=n), "c": a + 0.4 * rng.normal(size=n)}
+
+    def test_pairs_come_in_the_order_of_names(self):
+        d = Dataset(self._correlated())
+        r = pearson_matrix(d, ["c", "a", "b"]).r
+        assert strong_correlations(d, ["c", "a", "b"], 0.5) == [
+            ("c", "a", r[0, 1]), ("c", "b", r[0, 2]), ("a", "b", r[1, 2])
+        ]
+
+    def test_a_pair_at_the_threshold_is_not_strong(self):
+        d = Dataset(self._correlated())
+        r = float(pearson_matrix(d, ["a", "b"]).r[0, 1])
+        assert strong_correlations(d, ["a", "b"], abs(r)) == []
+        assert strong_correlations(d, ["a", "b"], np.nextafter(abs(r), 0.0)) == [("a", "b", r)]
+
+    def test_fewer_than_three_rows_give_none(self):
+        columns = {name: values[:2] for name, values in self._correlated().items()}
+        assert strong_correlations(Dataset(columns), ["a", "b", "c"], 0.0) == []
+
+    def test_a_zero_variance_column_gives_none(self):
+        columns = self._correlated()
+        columns["k"] = np.full(30, 2.5)
+        assert strong_correlations(Dataset(columns), ["a", "b", "k"], 0.0) == []
+
+    def test_names_absent_from_the_data_are_skipped(self):
+        d = Dataset(self._correlated())
+        r = float(pearson_matrix(d, ["a", "b"]).r[0, 1])
+        assert strong_correlations(d, ["zz", "a", "yy", "b"], 0.5) == [("a", "b", r)]
+        assert strong_correlations(d, ["zz", "a"], 0.0) == []
 
 
 class TestAdvisories:
