@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -223,6 +224,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         lo, hi, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
     except ValueError as exc:
         raise FormulaError(f"bad --sweep value: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise FormulaError(f"--sweep bounds must be finite numbers, got {lo}:{hi}")
     if steps < 1:
         raise FormulaError("--sweep needs at least one step")
     return np.linspace(lo, hi, steps)

@@ -8,6 +8,7 @@ package is built to report on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -58,7 +59,7 @@ def resolve_assignment(
 ) -> dict[str, float]:
     """Turn preset names (min/q25/mean/q75/max) into numbers.
 
-    Numeric values pass through; presets require a column summary (as
+    Finite numbers pass through; presets require a column summary (as
     from ``dataset.quartiles``) that covers the named predictors.
     """
     resolved: dict[str, float] = {}
@@ -77,6 +78,8 @@ def resolve_assignment(
             resolved[name] = getattr(summary[name], value)
         else:
             resolved[name] = float(value)
+            if not math.isfinite(resolved[name]):
+                raise AssignmentError(f"fixed value for {name!r} must be a finite number, got {value}")
     return resolved
 
 
@@ -138,8 +141,11 @@ def unit_effect(
 
     Exactly the finite difference of the conditional polynomial; for a
     model with no higher-order terms in the target this is the target's
-    coefficient, independent of ``at`` and of the fixed values.
+    coefficient, independent of ``at`` and of the fixed values.  Raises
+    AssignmentError for an ``at`` that is not finite.
     """
+    if not math.isfinite(at):
+        raise AssignmentError(f"effect point must be a finite number, got {at}")
     section = derive(m, target, fixed)
     return section(at + 1.0) - section(at)
 

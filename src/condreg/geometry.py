@@ -23,6 +23,7 @@ from .errors import (
     AssignmentError,
     DegenerateEllipseError,
     InsufficientDataError,
+    ModelError,
     ScopeError,
 )
 from .ols import FittedModel, predict
@@ -134,8 +135,14 @@ def classify_action(
     in the model must be pinned via ``fixed``.
 
     When the isolated effects disagree in sign, the larger-magnitude
-    effect supplies the reference direction.
+    effect supplies the reference direction.  Raises ModelError unless
+    ``alpha`` lies in (0, 1) and ``control_tolerance`` is >= 0, and
+    AssignmentError for a level that is not finite.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+    if not control_tolerance >= 0.0:
+        raise ModelError(f"control tolerance must be >= 0, got {control_tolerance}")
     spec = m.spec
     cross = Term.cross(f1, f2)
     for needed in (Term.linear(f1), Term.linear(f2), cross):
@@ -152,6 +159,9 @@ def classify_action(
         )
 
     levels = dict(levels or {})
+    for name, pair in levels.items():
+        if not all(math.isfinite(value) for value in pair):
+            raise AssignmentError(f"levels of {name!r} must be finite numbers, got {list(pair)}")
     lo1, hi1 = levels.get(f1, (-1.0, 1.0))
     lo2, hi2 = levels.get(f2, (-1.0, 1.0))
     corners = {

@@ -1,4 +1,4 @@
-"""Least-squares fitting; inference is computed when first read.
+"""Least-squares fitting from one factorization of the data.
 
 Every fit goes through one :class:`Factorization`: the R factor of
 [intercept | pool term columns | response] is built by numpy's
@@ -28,10 +28,11 @@ The checks that need no QR (a predictor absent from the data, an
 overflowed term column, too few observations, an all-zero design) read
 flags kept once per pool term, and the rank test reads the stacked
 diagonals, so every rule is applied by the same code whatever the
-stack's size.  :meth:`Factorization.fit` solves a stack of one; model
-search solves its candidates a block at a time.  A :class:`FittedModel`
-solves its slice again for coefficients and inference only when they
-are first read.
+stack's size.  Model search scores its candidates a block at a time.
+:meth:`Factorization.fit` solves a stack of one, once, and from that
+factor computes the coefficients, their covariance, standard errors
+and t over the scaled R; a :class:`FittedModel` is the record of that
+solve, with every value taken back to the data's scale.
 
 R^2 uses the centered total sum of squares when an intercept is present
 and the uncentered one otherwise.  A response whose centered sum of
@@ -81,19 +82,22 @@ def _read_only(values, exponent=0) -> np.ndarray:
 class FittedModel:
     """One least-squares fit, or published coefficients without data.
 
-    A fit keeps its spec, R^2, n and the :class:`Factorization` it was
-    solved from.  ``coef``, ``cov``, ``rss``, ``se``, ``t`` and ``p``
-    are computed on first read from that factorization.  ``coef`` is
-    ordered as the design matrix: intercept first when present, then the
-    spec's terms.  At dof = 0 (an exact fit, or published coefficients,
-    which have ``n = 0``) ``cov``, ``se``, ``t`` and ``p`` are NaN.
+    A fit is solved once, by :meth:`Factorization.fit`, which fills in
+    every field.  ``coef`` is ordered as the design matrix: intercept
+    first when present, then the spec's terms.  At dof = 0 (an exact
+    fit, or published coefficients, which have ``n = 0``) ``cov``,
+    ``se``, ``t`` and ``p`` are NaN; published coefficients also have a
+    NaN ``rss``.  ``p`` is computed on first read.
     """
 
     spec: ModelSpec
     r2: float
     n: int
-    # the Factorization the model was solved from, or published coefficients
-    _source: Factorization | np.ndarray = field(repr=False, compare=False)
+    coef: np.ndarray = field(repr=False, compare=False)
+    cov: np.ndarray = field(repr=False, compare=False)
+    se: np.ndarray = field(repr=False, compare=False)
+    t: np.ndarray = field(repr=False, compare=False)
+    rss: float = field(repr=False, compare=False)
 
     @property
     def dof(self) -> int:
@@ -143,51 +147,9 @@ class FittedModel:
             )
         if not np.isfinite(coef).all():
             raise AssignmentError(f"coefficients must be finite numbers, got {coef.tolist()}")
-        return cls(spec, r2=math.nan, n=0, _source=coef)
-
-    @cached_property
-    def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """coef and cov over the scaled R, the exponents that take each
-        coefficient back to the data's scale, and the RSS at that scale."""
-        p = self.spec.n_parameters
-        if isinstance(self._source, np.ndarray):
-            return self._source, np.full((p, p), np.nan), np.zeros(p, dtype=int), math.nan
-        core = self._source
-        candidates = core._candidates(self.spec)
-        r, rss, _ = core._solve(self.spec.intercept, candidates, allow_saturated=True)
-        r, rss = r[0], float(rss[0])
-        cov = np.full((p, p), np.nan)
-        if self.dof > 0:
-            r_inv = np.linalg.inv(r[:p, :p])
-            cov = (rss / self.dof) * (r_inv @ r_inv.T)  # (X'X)^{-1} = (R'R)^{-1}
-        exponents = core._exponents[core._columns(self.spec.intercept, candidates)[0]]
-        shift = exponents[-1] - exponents[:-1]
-        return np.linalg.solve(r[:p, :p], r[:p, p]), cov, shift, float(_read_only(rss, 2 * exponents[-1]))
-
-    @cached_property
-    def coef(self) -> np.ndarray:
-        coef, _, shift, _ = self._scaled
-        return _read_only(coef, shift)
-
-    @cached_property
-    def cov(self) -> np.ndarray:
-        _, cov, shift, _ = self._scaled
-        return _read_only(cov, shift[:, None] + shift)
-
-    @cached_property
-    def rss(self) -> float:
-        return self._scaled[3]
-
-    @cached_property
-    def se(self) -> np.ndarray:
-        _, cov, shift, _ = self._scaled
-        return _read_only(np.sqrt(np.diag(cov)), shift)
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        coef, cov, _, _ = self._scaled
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _read_only(coef / np.sqrt(np.diag(cov)))
+        nan = _read_only(np.full(p, math.nan))
+        cov = _read_only(np.full((p, p), math.nan))
+        return cls(spec, math.nan, 0, coef=_read_only(coef), cov=cov, se=nan, t=nan, rss=math.nan)
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -248,10 +210,6 @@ class Factorization:
         column = {term: j for j, term in enumerate(terms, start=1)}
         self._column = np.array([column.get(t, 0) for t in self.pool], dtype=np.intp)
         self._position = {term: i for i, term in enumerate(self.pool)}
-
-    def _candidates(self, spec: ModelSpec) -> np.ndarray:
-        """A stack of one: the spec's terms as positions in the pool."""
-        return np.array([[self._position[t] for t in spec.terms]], dtype=np.intp)
 
     def _columns(self, intercept: bool, candidates: np.ndarray) -> np.ndarray:
         """Each candidate's columns of R: [0] + S + [y]."""
@@ -325,6 +283,10 @@ class Factorization:
         by an exact fit and not at all otherwise.
         """
         _, rss, errors = self._solve(intercept, candidates, allow_saturated)
+        return self._r2(intercept, rss), errors
+
+    def _r2(self, intercept: bool, rss: np.ndarray) -> np.ndarray:
+        """R^2 of each residual sum of squares over the scaled R; see :meth:`score`."""
         if intercept:
             tss = self.tss_centered
             # a constant response's centered TSS is its mean's rounding
@@ -334,24 +296,37 @@ class Factorization:
             tss = self.tss_uncentered
             varies = tss > 0.0
         if not varies:
-            return np.where(rss <= 1e-12, 1.0, 0.0), errors
+            return np.where(rss <= 1e-12, 1.0, 0.0)
         r2 = 1.0 - rss / tss
-        return (np.clip(r2, 0.0, 1.0) if intercept else r2), errors
-
-    def model(self, spec: ModelSpec, r2: float) -> FittedModel:
-        """The fitted model of a sub-model scored at ``r2``."""
-        return FittedModel(spec, float(r2), self.n, _source=self)
+        return np.clip(r2, 0.0, 1.0) if intercept else r2
 
     def fit(self, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
-        """A sub-model's fit; see :func:`fit`."""
+        """A sub-model's fit, solved once from its slice of R; see :func:`fit`."""
         if spec.response != self.response:
             raise ModelError(
                 f"model responds to {spec.response!r}, factorization to {self.response!r}"
             )
-        r2, errors = self.score(spec.intercept, self._candidates(spec), allow_saturated)
+        candidates = np.array([[self._position[t] for t in spec.terms]], dtype=np.intp)
+        r, rss, errors = self._solve(spec.intercept, candidates, allow_saturated)
         if errors:
             raise errors[0]
-        return self.model(spec, r2[0])
+        r2 = float(self._r2(spec.intercept, rss)[0])
+        p, r, rss = spec.n_parameters, r[0], float(rss[0])
+        coef = np.linalg.solve(r[:p, :p], r[:p, p])
+        cov = np.full((p, p), np.nan)
+        if self.n > p:
+            r_inv = np.linalg.inv(r[:p, :p])
+            cov = (rss / (self.n - p)) * (r_inv @ r_inv.T)  # (X'X)^{-1} = (R'R)^{-1}
+        se = np.sqrt(np.diag(cov))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = coef / se  # before scaling back, so that it is scale-free
+        # back to the data's scale by the powers of two R's columns were divided by
+        exponents = self._exponents[self._columns(spec.intercept, candidates)[0]]
+        shift = exponents[-1] - exponents[:-1]
+        return FittedModel(
+            spec, r2, self.n, coef=_read_only(coef, shift), cov=_read_only(cov, shift[:, None] + shift),
+            se=_read_only(se, shift), t=_read_only(t), rss=float(_read_only(rss, 2 * exponents[-1])),
+        )
 
 
 def _first(mask: np.ndarray):

@@ -13,9 +13,8 @@ note rather than aborting the search.  The result is kept as arrays: the
 ranked candidates as rows of positions in the sorted pool and their R^2,
 from which adjusted R^2 and the formulas are computed a column at a
 time.  No model object is built per candidate: a ranked
-:class:`~condreg.ols.FittedModel` is built from the factorization when
-first read, and solves its coefficients and inference only when those
-are read.  Stepwise takes every round's p-values
+:class:`~condreg.ols.FittedModel` is fitted from the factorization, in
+one solve, when it is first read.  Stepwise takes every round's p-values
 from slices of its start model's factorization.  Advisory checks cover
 the term-count rule (k < n/10), strong pairwise predictor correlations
 (:func:`strong_correlations`, which also gives conditional responses
@@ -111,8 +110,7 @@ class _RankedModels(Sequence):
         if i not in self._models:
             result, core = self._result, self._result.core
             terms = tuple(core.pool[j] for j in result.candidates[i].tolist())
-            spec = ModelSpec(core.response, terms, result.intercept)
-            self._models[i] = core.model(spec, result.r2[i])
+            self._models[i] = core.fit(ModelSpec(core.response, terms, result.intercept))
         return self._models[i]
 
 

@@ -490,6 +490,8 @@ def hostile_files(tmp_path):
 SATURATED_CODED = ["--formula=SDH ~ Pb + Cd + Pb:Cd", "--allow-saturated",
                    f"--data={os.path.join(GOLDEN, 'coded.csv')}"]
 
+ACTION_SURVEY = [f"--data={SURVEY}", "--formula=Y ~ x1 + x2 + x1:x2", "--f1=x1", "--f2=x2"]
+
 # argv ({dir} names the fixture directory) -> exit status and error line
 HOSTILE = [
     (["summary", f"--data={SURVEY}", "--delimiter=;;"], 2,
@@ -528,6 +530,26 @@ HOSTILE = [
      "error[response-term]: term 'Y' uses the response 'Y'"),
     (["conditional", "--formula=SDH ~ Pb + Cd + Pb:Cd", "--coef=1,2", "--target=Pb", "--fix=Cd=0"], 2,
      "error[assignment]: expected 4 coefficients for this model, got 2"),
+    (["action", *ACTION_SURVEY, "--alpha=2"], 2, "error[model]: alpha must lie in (0, 1), got 2.0"),
+    (["action", *ACTION_SURVEY, "--alpha=nan"], 2, "error[model]: alpha must lie in (0, 1), got nan"),
+    (["action", *ACTION_SURVEY, "--control-tolerance=nan"], 2,
+     "error[model]: control tolerance must be >= 0, got nan"),
+    (["action", *ACTION_SURVEY, "--control-tolerance=-1"], 2,
+     "error[model]: control tolerance must be >= 0, got -1.0"),
+    (["action", *ACTION_SURVEY, "--levels=x1=nan:1"], 2,
+     "error[assignment]: levels of 'x1' must be finite numbers, got [nan, 1.0]"),
+    (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--fix=Pb=inf"], 2,
+     "error[assignment]: fixed value for 'Pb' must be a finite number, got inf"),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=inf"], 2,
+     "error[assignment]: fixed value for 'Cd' must be a finite number, got inf"),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=nan"], 2,
+     "error[assignment]: fixed value for 'Cd' must be a finite number, got nan"),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=nan:1:2"], 2,
+     "error[formula]: --sweep bounds must be finite numbers, got nan:1.0"),
+    (["effect", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--at=nan"], 2,
+     "error[assignment]: effect point must be a finite number, got nan"),
+    (["effect", *SATURATED_CODED, "--target=Pb", "--at=0", "--fix=Cd=-inf"], 2,
+     "error[assignment]: fixed value for 'Cd' must be a finite number, got -inf"),
 ]
 
 
@@ -544,3 +566,18 @@ def test_hostile_argv_gives_one_classified_error(hostile_files, monkeypatch, cap
     assert lines[0].startswith(error)
     assert "Traceback" not in captured.err and captured.out == ""
     assert not os.path.exists(f"{out}.json")
+
+
+@pytest.mark.parametrize("alpha", [7, 0])
+def test_configured_alpha_outside_unit_interval_is_refused_by_action(tmp_path, monkeypatch, capsys, alpha):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": alpha}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main([f"--config={config}", "action", *ACTION_SURVEY, f"--out={out}"]) == 2
+    error = f"error[model]: alpha must lie in (0, 1), got {float(alpha)}"
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert not out.exists()
+    # the pair the refused alpha would have relabelled
+    assert main(["action", *ACTION_SURVEY, f"--out={out}"]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["action"]["label"] == "additive"

@@ -154,6 +154,11 @@ class TestUnitEffect:
         m = FittedModel.from_coefficients(spec, [1.0, 2.0, 3.0])
         assert unit_effect(m, "a", {}, at=1.0) == pytest.approx(11.0, rel=1e-12)
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_point_is_refused(self, at):
+        with pytest.raises(AssignmentError, match="effect point must be a finite number"):
+            unit_effect(CO_SO2, "CO", {"SO2": 2.63}, at)
+
     def test_matches_finite_difference_of_section(self, rng):
         d = random_dataset(rng, 25, 2)
         spec = ModelSpec(
@@ -213,6 +218,11 @@ class TestPresets:
     def test_numeric_pass_through(self):
         resolved = resolve_assignment({"a": 1.5})
         assert resolved == {"a": 1.5}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_refused(self, value):
+        with pytest.raises(AssignmentError, match="fixed value for 'a' must be a finite number"):
+            resolve_assignment({"b": 1.0, "a": value})
 
     def test_quartile_presets(self):
         d = Dataset({"a": [1.0, 2.0, 3.0, 4.0, 5.0], "b": [10.0, 10.0, 40.0, 40.0, 10.0]})

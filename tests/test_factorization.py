@@ -22,6 +22,7 @@ from condreg import (
     full_quadratic_terms,
 )
 from condreg.errors import CondregError, SearchError
+from condreg.formula import print_formula
 from condreg.ols import _BLOCK_ROWS, Factorization
 from condreg.selection import _BLOCK_CANDIDATES
 
@@ -227,11 +228,32 @@ def test_search_factors_candidates_in_blocks(monkeypatch):
     assert len(result.ranked) + len(result.skipped) == candidates
     # one call folds the rows into R, then one per block of candidates
     assert len(calls) <= -(-candidates // _BLOCK_CANDIDATES) + 1
-    # across block boundaries the ranking is that of one fit at a time
+    # across block boundaries the stacked scores are those of one fit at a time
     core = Factorization(d, "Y", sorted(pool, key=lambda t: t.sort_key))
     fitted = [core.fit(ModelSpec("Y", combo)) for combo in itertools.combinations(core.pool, 3)]
     fitted.sort(key=lambda m: -m.r2)
-    assert [(m.spec, m.r2) for m in result.ranked] == [(m.spec, m.r2) for m in fitted]
+    assert result.r2.tolist() == [m.r2 for m in fitted]
+    assert result.formulas == [print_formula(m.spec) for m in fitted]
+    assert all(result.ranked[i].r2 == result.r2[i] for i in range(len(result.r2)))
+
+
+def test_fit_solves_its_slice_once(monkeypatch):
+    """After the fold, a fit and every read of its values make one QR."""
+    d = _dataset(40, 0)
+    spec = ModelSpec("Y", tuple(full_quadratic_terms(NAMES)))
+    core = Factorization(d, "Y", spec.terms)
+    qr = np.linalg.qr
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    m = core.fit(spec)
+    for name in ("coef", "cov", "se", "t", "p", "rss"):
+        getattr(m, name)
+    assert calls == [(1, len(spec.terms) + 2, len(spec.terms) + 2)]
 
 
 def _transient_peak(d, pool, size):

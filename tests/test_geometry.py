@@ -16,6 +16,7 @@ from condreg.errors import (
     AssignmentError,
     DegenerateEllipseError,
     InsufficientDataError,
+    ModelError,
     ScopeError,
 )
 
@@ -198,6 +199,23 @@ class TestClassifyAction:
             classify_action(m, "f1", "f2")
         result = classify_action(m, "f1", "f2", fixed={"z": 0.0})
         assert result.label == "greater-than-additive"
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan")])
+    def test_alpha_outside_unit_interval_is_refused(self, alpha):
+        with pytest.raises(ModelError, match=r"alpha must lie in \(0, 1\)"):
+            classify_action(published([0.0, 1.0, 1.0, 0.4]), "f1", "f2", alpha=alpha)
+
+    @pytest.mark.parametrize("tolerance", [-0.01, float("nan")])
+    def test_negative_or_nan_control_tolerance_is_refused(self, tolerance):
+        with pytest.raises(ModelError, match="control tolerance must be >= 0"):
+            classify_action(
+                published([693.0, -4.70, 4.49, 43.92]), "f1", "f2", control_tolerance=tolerance
+            )
+
+    @pytest.mark.parametrize("pair", [(float("nan"), 1.0), (-1.0, float("inf"))])
+    def test_non_finite_levels_are_refused(self, pair):
+        with pytest.raises(AssignmentError, match="levels of 'f2' must be finite numbers"):
+            classify_action(published([0.0, 1.0, 1.0, 0.4]), "f1", "f2", levels={"f2": pair})
 
     def test_custom_levels(self):
         model = published([693.0, -4.70, 4.49, 43.92])
