@@ -20,9 +20,7 @@ batched QR, and for each of them
 * rank test: the first column, in the spec's order, whose diagonal
   entry of R_S is below 1e-10 times the largest column norm of the
   scaled X_S is named as dependent; a design whose columns are all zero
-  is "zero";
-* inference: standard errors from sigma^2 * (X'X)^{-1} with
-  sigma^2 = RSS/dof, two-sided Student t p-values.
+  is "zero".
 
 The checks that need no QR (a predictor absent from the data, an
 overflowed term column, too few observations, an all-zero design) read
@@ -30,9 +28,11 @@ flags kept once per pool term, and the rank test reads the stacked
 diagonals, so every rule is applied by the same code whatever the
 stack's size.  Model search scores its candidates a block at a time.
 :meth:`Factorization.fit` solves a stack of one, once, and from that
-factor computes the coefficients, their covariance, standard errors
-and t over the scaled R; a :class:`FittedModel` is the record of that
-solve, with every value taken back to the data's scale.
+factor computes the coefficients, their covariance sigma^2 (X'X)^{-1}
+with sigma^2 = RSS/dof, standard errors and t over the scaled R.  A
+:class:`FittedModel` is the record of that solve, with every value
+taken back to the data's scale; its two-sided Student t p-values are
+computed on first read.
 
 R^2 uses the centered total sum of squares when an intercept is present
 and the uncentered one otherwise.  A response whose centered sum of
