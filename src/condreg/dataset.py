@@ -3,13 +3,16 @@
 A :class:`Dataset` is an immutable table of named float columns of equal
 length.  Loading is complete-case: any CSV row with a missing,
 non-numeric or non-finite cell is dropped (and counted), never imputed.
-Plain byte input (no quote character, no lone carriage return, no byte
-after the header but digits, signs, dots, e/E, delimiters and
-whitespace) is parsed in one vectorized ``numpy.loadtxt`` pass; anything
-that pass refuses, such as an empty cell or ``1.2.3``, falls back to the
-row-by-row ``csv`` parser, which also handles every other input, so such
-a file is parsed twice.  The result, or the error and its line number,
-is the same either way.
+A byte source is read in blocks of whole lines, about ``_BLOCK_BYTES``
+each, so the file's bytes are never held whole.  A block of plain bytes
+(digits, signs, dots, e/E, delimiters and whitespace only) is parsed by
+``numpy.loadtxt``; a block that the pre-check or the pass refuses, such as one
+with ``NA``, an empty cell or ``1.2.3``, goes alone through the
+row-by-row ``csv`` parser.  Each block's rows are appended to per-column
+buffers that become the Dataset's columns.  A quote byte, or any error a
+block's row parse raises, sends the whole source through the row parser
+from its start instead, so the result, or the error and its line
+number, is that parser's either way.
 
 Quartiles use linear interpolation between order statistics (the
 "type 7" convention, numpy's default).  Sample variances use the n-1
@@ -82,6 +85,20 @@ class Dataset:
         self._columns = arrays
         self._n = int(n)  # type: ignore[arg-type]
 
+    @classmethod
+    def _adopt(cls, names: Sequence[str], columns: Sequence[np.ndarray]) -> Dataset:
+        """A Dataset over the given arrays, taken over without a copy.
+
+        The caller vouches for what ``__init__`` checks: unique non-empty
+        names and finite one-dimensional float arrays of one length n >= 1.
+        """
+        self = cls.__new__(cls)
+        for column in columns:
+            column.flags.writeable = False
+        self._columns = dict(zip(names, columns))
+        self._n = len(columns[0])
+        return self
+
     @property
     def n(self) -> int:
         return self._n
@@ -150,17 +167,19 @@ def load_csv(
 ) -> tuple[Dataset, int]:
     """Parse an RFC-4180-style CSV stream into a Dataset.
 
-    Byte input with no quote character, with LF or CRLF line ends, is
-    parsed in one vectorized pass by ``numpy.loadtxt``.  Data rows with
-    a byte other than digits, signs, dots, e/E, the delimiter and
-    whitespace (NA, nan, any non-ASCII) skip that pass before it starts;
-    they, anything the pass refuses (an empty cell, a ragged row, a
-    malformed number, a lone carriage return, no data rows), and every
-    text stream or input with quotes, go through the row-by-row parser
-    instead.  No scan looks for empty cells first, so an input the pass
-    refuses part-way is parsed twice.  Both give the same names,
-    bit-identical columns and the same dropped count; every error and its
-    line number come from the row parser.
+    Byte input is read in blocks of whole lines; an open binary file
+    that can seek is read where it is, and any other byte source is first
+    read whole.  The header (or, without one, the first record) is read
+    with the row parser's rules.  A block of data rows whose bytes are all
+    digits, signs, dots, e/E, the delimiter and whitespace is parsed by
+    ``numpy.loadtxt``; a block with any other byte (NA, nan, any
+    non-ASCII), or one the pass refuses (an empty cell, a ragged row, a
+    malformed number, a lone carriage return), goes alone through the
+    row-by-row parser.  A quote byte, an error from a block's row parse,
+    a text stream or no usable row sends the whole input through the row
+    parser instead.  Either way gives the same names, bit-identical
+    columns and the same dropped count; every error and its line number
+    come from the row parser.
 
     Parameters
     ----------
@@ -193,80 +212,114 @@ def load_csv(
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     if isinstance(source, bytes):
-        raw: bytes | str = source
+        stream = io.BytesIO(source)
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable():
+        stream = source
     elif hasattr(source, "read"):
         raw = source.read()
+        if not isinstance(raw, bytes):
+            return _load_rows(raw, delimiter, header)
+        stream = io.BytesIO(raw)
     else:
         raise TypeError("source must be bytes or a readable stream")
-    if isinstance(raw, bytes) and b'"' not in raw:
-        loaded = _load_plain(raw, delimiter, header)
-        if loaded is not None:
-            return loaded
-    return _load_rows(raw, delimiter, header)
+    start = stream.tell()
+    loaded = _load_blocks(stream, delimiter, header)
+    if loaded is None:
+        stream.seek(start)
+        loaded = _load_rows(stream.read(), delimiter, header)
+    return loaded
 
 
+# Bytes read per block of lines, before the last line is completed.
+_BLOCK_BYTES = 1 << 18
 _NON_SPACE = re.compile(rb"\S")
 # Bytes a body of plain numbers may hold besides the delimiter.
 _NUMBER_BYTES = b"0123456789+-.eE \t\r\n"
 
 
-def _load_plain(raw: bytes, delimiter: str, header: bool) -> tuple[Dataset, int] | None:
-    """The vectorized pass; None wherever the row parser must decide.
+def _read_block(stream: IO[bytes]) -> bytes:
+    """About ``_BLOCK_BYTES`` of whole lines; empty at the end of the stream."""
+    block = stream.read(_BLOCK_BYTES)
+    if block and not block.endswith(b"\n"):
+        block += stream.readline()
+    return block
 
-    The header (or, without one, the first record) is read line by line
-    with the row parser's own rules; ``numpy.loadtxt`` parses the rest.
-    Declining, rather than raising, keeps every error the row parser's:
-    it decodes the whole stream before it looks at any row.
+
+def _load_blocks(stream: IO[bytes], delimiter: str, header: bool) -> tuple[Dataset, int] | None:
+    """The block pass; None wherever the row parser must read the whole stream.
+
+    The header is read line by line with the row parser's own rules.
+    Each later block's finite rows are appended to one float buffer per
+    column, grown in place, trimmed at the end and taken over by the
+    Dataset.  Declining, rather than raising, keeps every error the row
+    parser's: it decodes the whole stream before it looks at any row.
     """
-    skip = 0
-    start = 0
+    if not delimiter.isascii():
+        return None
     names: list[str] | None = None
     try:
         while names is None:
-            if start >= len(raw):
+            line = stream.readline()
+            if not line or b'"' in line:
                 return None
-            end = raw.find(b"\n", start)
-            if end < 0:
-                end = len(raw)
-            line = raw[start:end].decode("utf-8")
-            record = next(csv.reader([line], delimiter=delimiter), [])
-            if _is_blank(record):
-                skip += 1
-            else:
+            record = next(csv.reader([line.removesuffix(b"\n").decode("utf-8")], delimiter=delimiter), [])
+            if not _is_blank(record):
                 names = _column_names(record, header)
-                if not header:
-                    break
-                skip += 1
-            start = end + 1
-        if _NON_SPACE.search(raw, start) is None:
-            return None  # header only: loadtxt would warn about empty input
-        # A byte no plain number, delimiter or space has (NA, nan, text,
-        # non-ASCII) is a cell loadtxt refuses: leave it to the row parser.
-        # The header's own bytes are subtracted, so clean input allocates nothing.
-        keep = _NUMBER_BYTES + delimiter.encode("utf-8")
-        if not delimiter.isascii():
-            return None
-        if len(raw.translate(None, keep)) > len(raw[:start].translate(None, keep)):
-            return None
-        data = np.loadtxt(
-            io.BytesIO(raw),
-            delimiter=delimiter,
-            comments=None,
-            ndmin=2,
-            skiprows=skip,
-            encoding="utf-8",
-        )
-    except (ValueError, TypeError, csv.Error, SchemaError):
+    except (ValueError, csv.Error, SchemaError):
         return None
-    if data.shape[1] != len(names):
-        return None  # every row is short or long: the row parser names the line
-    finite = np.isfinite(data).all(axis=1)
-    kept = int(finite.sum())
-    if kept == 0:
+    block = (b"" if header else line) + _read_block(stream)
+    columns = [np.empty(0) for _ in names]
+    n = dropped = 0
+    while block:
+        parsed = _parse_block(block, delimiter, names)
+        del block  # before the columns grow
+        if parsed is None:
+            return None
+        data, lost = parsed
+        dropped += lost
+        m = len(data)
+        if n + m > columns[0].size:  # grow by an eighth: few reallocations, little slack
+            for column in columns:
+                column.resize(max(n + m, column.size * 9 // 8), refcheck=False)
+        for j, column in enumerate(columns):
+            column[n : n + m] = data[:, j]
+        n += m
+        del data, parsed  # before the next block is read
+        block = _read_block(stream)
+    if n == 0:
         return None  # every row dropped: the row parser's error counts them
-    if kept < data.shape[0]:
-        data = data[finite]
-    return Dataset((name, data[:, j]) for j, name in enumerate(names)), len(finite) - kept
+    for column in columns:
+        column.resize(n, refcheck=False)
+    return Dataset._adopt(names, columns), dropped
+
+
+def _parse_block(block: bytes, delimiter: str, names: list[str]) -> tuple[np.ndarray, int] | None:
+    """A block's finite rows as an m x k array, and its dropped count.
+
+    ``numpy.loadtxt`` parses a block of plain bytes with a non-space in
+    it (all-blank input would make it warn); the row parser takes any
+    other block and any block the pass refuses.  None for a quote byte
+    or an error from the row parser, whose answer for the whole stream
+    is then the result.
+    """
+    if not block.translate(None, _NUMBER_BYTES + delimiter.encode("ascii")) and _NON_SPACE.search(block):
+        try:
+            data = np.loadtxt(
+                io.BytesIO(block), delimiter=delimiter, comments=None, ndmin=2, encoding="utf-8"
+            )
+        except (ValueError, TypeError):
+            data = None
+        if data is not None and data.shape[1] == len(names):
+            finite = np.isfinite(data).all(axis=1)
+            kept = int(finite.sum())
+            return (data if kept == len(data) else data[finite]), len(data) - kept
+    if b'"' in block:
+        return None
+    try:
+        _, rows, dropped = _parse_records(io.StringIO(block.decode("utf-8")), delimiter, names, True)
+    except (UnicodeDecodeError, CsvParseError):
+        return None
+    return np.array(rows, dtype=float).reshape(len(rows), len(names)), dropped
 
 
 def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset, int]:
@@ -277,8 +330,27 @@ def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset,
         except UnicodeDecodeError as exc:
             line = raw.count(b"\n", 0, exc.start) + 1
             raise CsvParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8", line=line) from exc
-    reader = csv.reader(io.StringIO(raw), delimiter=delimiter)
-    names: list[str] | None = None
+    names, rows, dropped = _parse_records(io.StringIO(raw), delimiter, None, header)
+    if names is None:
+        raise EmptyDataError("stream contains no rows")
+    if not rows:
+        raise EmptyDataError(
+            f"no usable rows ({dropped} dropped for missing/non-numeric cells)"
+        )
+    data = np.array(rows, dtype=float)
+    return Dataset((name, data[:, j]) for j, name in enumerate(names)), dropped
+
+
+def _parse_records(
+    lines: Iterable[str], delimiter: str, names: list[str] | None, header: bool
+) -> tuple[list[str] | None, list[list[float]], int]:
+    """Names, finite rows and dropped count of CSV lines.
+
+    Without ``names`` the first non-blank record gives them (see
+    ``_column_names``).  A row of the wrong width or malformed quoting
+    raises CsvParseError with its line, counted from the first of ``lines``.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
     rows: list[list[float]] = []
     dropped = 0
     try:
@@ -301,15 +373,7 @@ def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset,
                 rows.append(parsed)
     except csv.Error as exc:
         raise CsvParseError(str(exc), line=reader.line_num) from exc
-
-    if names is None:
-        raise EmptyDataError("stream contains no rows")
-    if not rows:
-        raise EmptyDataError(
-            f"no usable rows ({dropped} dropped for missing/non-numeric cells)"
-        )
-    data = np.array(rows, dtype=float)
-    return Dataset((name, data[:, j]) for j, name in enumerate(names)), dropped
+    return names, rows, dropped
 
 
 def _is_blank(record: list[str]) -> bool:
@@ -375,19 +439,22 @@ def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.n
     by a power of two at its largest magnitude before it is centred and
     multiplied.  That division is exact, so the results equal the unscaled
     arithmetic bit for bit wherever that arithmetic stays finite, and no
-    square overflows for any finite column.
+    square overflows for any finite column.  The stack of columns is the
+    one n-sized array: the squares for the norms overwrite it once the
+    product is formed.
 
     Raises DegenerateColumnError naming the first zero-variance column.
     """
     centered = np.column_stack([d.column(name) for name in names])
-    exponents = np.frexp(np.abs(centered).max(axis=0))[1]
+    exponents = np.frexp(np.maximum(centered.max(axis=0), -centered.min(axis=0)))[1]
     np.ldexp(centered, -exponents, out=centered)
     centered -= centered.mean(axis=0)
-    scaled_norms = np.sqrt((centered**2).sum(axis=0))
+    gram = centered.T @ centered
+    scaled_norms = np.sqrt(np.square(centered, out=centered).sum(axis=0))
     for name, norm in zip(names, scaled_norms):
         if norm == 0.0:
             raise DegenerateColumnError(f"column {name!r} has zero variance")
-    r = (centered.T @ centered) / np.outer(scaled_norms, scaled_norms)
+    r = gram / np.outer(scaled_norms, scaled_norms)
     r = np.clip(r, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
     return r, np.ldexp(scaled_norms, exponents)

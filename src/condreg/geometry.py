@@ -137,7 +137,8 @@ def classify_action(
     When the isolated effects disagree in sign, the larger-magnitude
     effect supplies the reference direction.  Raises ModelError unless
     ``alpha`` lies in (0, 1) and ``control_tolerance`` is >= 0, and
-    AssignmentError for a level that is not finite.
+    AssignmentError for levels of a name that is neither factor, a level
+    that is not finite, or a low level equal to its high level.
     """
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
@@ -159,9 +160,14 @@ def classify_action(
         )
 
     levels = dict(levels or {})
+    extra = sorted(set(levels) - {f1, f2})
+    if extra:
+        raise AssignmentError(f"level assignment has superfluous entries: {extra}")
     for name, pair in levels.items():
         if not all(math.isfinite(value) for value in pair):
             raise AssignmentError(f"levels of {name!r} must be finite numbers, got {list(pair)}")
+        if pair[0] == pair[1]:
+            raise AssignmentError(f"levels of {name!r} must differ, got {list(pair)}")
     lo1, hi1 = levels.get(f1, (-1.0, 1.0))
     lo2, hi2 = levels.get(f2, (-1.0, 1.0))
     corners = {

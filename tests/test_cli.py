@@ -538,6 +538,10 @@ HOSTILE = [
      "error[model]: control tolerance must be >= 0, got -1.0"),
     (["action", *ACTION_SURVEY, "--levels=x1=nan:1"], 2,
      "error[assignment]: levels of 'x1' must be finite numbers, got [nan, 1.0]"),
+    (["action", *ACTION_SURVEY, "--levels=x9=0:1"], 2,
+     "error[assignment]: level assignment has superfluous entries: ['x9']"),
+    (["action", "--formula=SDH ~ Pb + Cd + Pb:Cd", "--coef=693,-4.7,4.49,43.92", "--f1=Pb", "--f2=Cd",
+      "--levels=Pb=1:1"], 2, "error[assignment]: levels of 'Pb' must differ, got [1.0, 1.0]"),
     (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--fix=Pb=inf"], 2,
      "error[assignment]: fixed value for 'Pb' must be a finite number, got inf"),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=inf"], 2,

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condreg import dataset, stats
 from condreg import (
@@ -238,6 +240,31 @@ class TestCenteredMoments:
             r_k, norms_k = centered_moments(scaled, ["a", "b"])
             assert np.array_equal(r_k, r)
             assert np.array_equal(norms_k, [np.ldexp(norms[0], k), norms[1]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3000),
+        exponents=st.lists(st.integers(-300, 300), min_size=1, max_size=6),
+    )
+    def test_bit_identical_to_the_elementwise_expressions(self, seed, n, exponents):
+        """The largest magnitude as max(max, -min) and the squared norms as
+        squares in place give the bits of abs(c).max() and (c**2).sum()."""
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(exponents, dtype=float)
+        data = (rng.standard_normal((n, len(exponents))) + rng.uniform(-3.0, 3.0, len(exponents))) * scales
+        names = [f"c{j}" for j in range(len(exponents))]
+        d = Dataset({name: data[:, j] for j, name in enumerate(names)})
+        centered = data.copy()
+        exps = np.frexp(np.abs(centered).max(axis=0))[1]
+        np.ldexp(centered, -exps, out=centered)
+        centered -= centered.mean(axis=0)
+        scaled_norms = np.sqrt((centered**2).sum(axis=0))
+        expected = np.clip((centered.T @ centered) / np.outer(scaled_norms, scaled_norms), -1.0, 1.0)
+        np.fill_diagonal(expected, 1.0)
+        r, norms = centered_moments(d, names)
+        assert r.tobytes() == expected.tobytes()
+        assert norms.tobytes() == np.ldexp(scaled_norms, exps).tobytes()
 
     def test_zero_variance_names_the_column(self):
         d = Dataset({"a": [1.0, 2.0, 4.0], "k": [3.0, 3.0, 3.0]})

@@ -217,6 +217,14 @@ class TestClassifyAction:
         with pytest.raises(AssignmentError, match="levels of 'f2' must be finite numbers"):
             classify_action(published([0.0, 1.0, 1.0, 0.4]), "f1", "f2", levels={"f2": pair})
 
+    def test_levels_of_a_name_that_is_no_factor_are_refused(self):
+        with pytest.raises(AssignmentError, match=r"level assignment has superfluous entries: \['x9'\]"):
+            classify_action(published([0.0, 1.0, 1.0, 0.4]), "f1", "f2", levels={"x9": (0.0, 1.0)})
+
+    def test_equal_low_and_high_levels_are_refused(self):
+        with pytest.raises(AssignmentError, match=r"levels of 'f1' must differ, got \[1.0, 1.0\]"):
+            classify_action(published([693.0, -4.70, 4.49, 43.92]), "f1", "f2", levels={"f1": (1.0, 1.0)})
+
     def test_custom_levels(self):
         model = published([693.0, -4.70, 4.49, 43.92])
         # shrinking the evaluation range toward zero keeps the pattern

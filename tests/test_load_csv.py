@@ -1,7 +1,8 @@
-"""load_csv's vectorized pass against the row-by-row parser as the oracle:
+"""load_csv's block pass against the row-by-row parser as the oracle:
 the same names, bit-identical columns, the same dropped count, or the same
-exception class, message and line, for every input."""
+exception class, message and line, for every input and at every block size."""
 
+import io
 import tracemalloc
 import warnings
 
@@ -73,48 +74,102 @@ def test_matches_row_parser(case):
     _assert_same(*case)
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        b"a,b\n1,2\n\n   \n3,4\n",
-        b"\n\na,b\n1,2\n",
-        b"a,b\nnan,1\n-Infinity,2\n1e400,3\n4,5\n",
-        b"a\n1_0\n0x10\n2\n",
-        b"a,b\n1,NA\n2,\n3,4\n",
-        b"a,b\n1,2\n3\n",
-        b"a,b\n1,2,3\n4,5,6\n",
-        b"a,b\n1,2\n#3,4\n",
-        b"\xef\xbb\xbfa,b\n1,2\n",
-        b"a,b\n1\xc2\xa0,2\n\xef\xbc\x91,3\n",
-        b"a,b\n1\x00,2\n3,4\n",
-        b"a,b\n\x0b1,2\n3,4\x0c\n",
-        b"a,b\n1,2\n\xff\n",
-        b"a,b\r1,2\r3,4\r",
-        b"a,b\n1,2\r3,4\n",
-        b"a,b\r\r\n1,2\r\r\n3,4\r\r\n",
-        b"a,b\r\n1,\r\n3,4\r\n",
-        b"a,b\r\n1,2\r\n\r\n3,4",
-        b'a,b\n"1",2\n3,4\n',
-        b'"a\nb"\n1\n2\n',
-        b"a,a\n1,2\n",
-        b"a,\n1,2\n",
-        b"a,b\nnan,nan\n",
-        b"1,2\n3,4\n",
-        b"a,b\n1,2\n3,\n",
-        b"a,b\n1,2\n,4\n",
-        b"a,b\n1,,2\n",
-        b"a,b\n1, 2\n3,  \n",
-        b"a;b\n1 ;\t2\n \t; 4\n",
-        b"a\tb\n1 \t2\n3\t \n",
-        b"1,2\n3,4\n5,",
-        b",2\n3,4\n",
-        pytest.param(b"a,b\n" + b"1.5,-2e3\n" * 5000 + b"3,\n", id="empty-cell-in-last-of-5001-rows"),
-    ],
-)
+@settings(max_examples=300)
+@given(csv_inputs())
+def test_matches_row_parser_one_line_per_block(case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_BLOCK_BYTES", 1)
+        _assert_same(*case)
+
+
+EDGE_INPUTS = [
+    b"a,b\n1,2\n\n   \n3,4\n",
+    b"\n\na,b\n1,2\n",
+    b"a,b\nnan,1\n-Infinity,2\n1e400,3\n4,5\n",
+    b"a\n1_0\n0x10\n2\n",
+    b"a,b\n1,NA\n2,\n3,4\n",
+    b"a,b\n1,2\n3\n",
+    b"a,b\n1,2,3\n4,5,6\n",
+    b"a,b\n1,2\n#3,4\n",
+    b"\xef\xbb\xbfa,b\n1,2\n",
+    b"a,b\n1\xc2\xa0,2\n\xef\xbc\x91,3\n",
+    b"a,b\n1\x00,2\n3,4\n",
+    b"a,b\n\x0b1,2\n3,4\x0c\n",
+    b"a,b\n1,2\n\xff\n",
+    b"a,b\r1,2\r3,4\r",
+    b"a,b\n1,2\r3,4\n",
+    b"a,b\r\r\n1,2\r\r\n3,4\r\r\n",
+    b"a,b\r\n1,\r\n3,4\r\n",
+    b"a,b\r\n1,2\r\n\r\n3,4",
+    b'a,b\n"1",2\n3,4\n',
+    b'"a\nb"\n1\n2\n',
+    b'a,b\n1,2\n3,"4\n5",6\n7,8\n',
+    b'a,b\n1,2\n3,"4\n',
+    b'"a\n1\n2\n',
+    b"a,a\n1,2\n",
+    b"a,\n1,2\n",
+    b"a,b\nnan,nan\n",
+    b"1,2\n3,4\n",
+    b"a,b\n1,2\n3,\n",
+    b"a,b\n1,2\n,4\n",
+    b"a,b\n1,,2\n",
+    b"a,b\n1, 2\n3,  \n",
+    b"a;b\n1 ;\t2\n \t; 4\n",
+    b"a\tb\n1 \t2\n3\t \n",
+    b"1,2\n3,4\n5,",
+    b",2\n3,4\n",
+    pytest.param(b"a,b\n" + b"1.5,-2e3\n" * 5000 + b"3,\n", id="empty-cell-in-last-of-5001-rows"),
+]
+
+
+@pytest.mark.parametrize("raw", EDGE_INPUTS)
 def test_edge_inputs_match_row_parser(raw):
     for delimiter in ",;\t":
         _assert_same(raw, delimiter)
         _assert_same(raw, delimiter, header=False)
+
+
+@pytest.mark.parametrize("raw", EDGE_INPUTS)
+def test_edge_inputs_match_row_parser_one_line_per_block(monkeypatch, raw):
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1)
+    for delimiter in ",;\t":
+        _assert_same(raw, delimiter)
+        _assert_same(raw, delimiter, header=False)
+
+
+def _data_blocks(raw):
+    """The blocks load_csv cuts from the lines after a one-line header."""
+    stream = io.BytesIO(raw)
+    stream.readline()
+    return list(iter(lambda: dataset._read_block(stream), b""))
+
+
+def test_dropped_then_ragged_row_in_a_late_block_is_the_row_parsers_error():
+    raw = b"a,b\n" + b"1.5,-2e3\n" * 50_000 + b"3,\n4\n"
+    blocks = _data_blocks(raw)
+    assert len(blocks) > 1 and blocks[-1].endswith(b"3,\n4\n")
+    _assert_same(raw)
+    with pytest.raises(CsvParseError, match="expected 2 fields, found 1") as caught:
+        load_csv(raw)
+    assert caught.value.line == 50_003
+
+
+def test_late_bad_cell_reparses_only_its_block(monkeypatch):
+    raw = b"a,b\n" + b"1.5,-2e3\n" * 50_000 + b"3,\n"
+    expected = _outcome(_load_rows, raw, ",", True)
+    last = _data_blocks(raw)[-1]
+    seen = []
+    parse_records = dataset._parse_records
+
+    def counting(lines, *args):
+        lines = list(lines)
+        seen.append(len(lines))
+        return parse_records(lines, *args)
+
+    monkeypatch.setattr(dataset, "_parse_records", counting)
+    assert _outcome(load_csv, raw, ",", True) == expected
+    assert seen == [last.count(b"\n")]
+    assert seen[0] < 50_000 / 2
 
 
 @pytest.mark.parametrize(
@@ -184,6 +239,23 @@ def test_delimiter_must_be_one_character_before_reading(delimiter):
 
     with pytest.raises(ValueError, match="delimiter must be one character"):
         load_csv(Unread(), delimiter=delimiter)
+
+
+def test_open_file_peaks_below_one_and_a_half_times_its_columns(tmp_path):
+    """An open file is read a block at a time into the columns: neither its
+    bytes nor an n-sized array besides the columns are held."""
+    rows = np.random.default_rng(1).uniform(-1.0, 1.0, (20_000, 6))
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b,c,d,e,f\n" + "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in rows))
+    with open(path, "rb") as handle:
+        tracemalloc.start()
+        try:
+            d, dropped = load_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (d.n, dropped) == (20_000, 0)
+    assert peak < 1.5 * rows.nbytes
 
 
 def test_plain_input_peaks_below_three_times_its_size():
