@@ -7,108 +7,73 @@ the residualized-predictor equivalence and the correlation-adjusted
 effect sum that collapses back to the simple slope), searches model
 spaces, and classifies predictor-domain geometry and combined factor
 action.
+
+Every public name is imported from its module on first access, so
+``import condreg`` loads none of the package's modules (and not numpy);
+``from condreg import fit`` loads only what ``fit`` needs.
 """
 
-from .conditional import (
-    ConditionalResponse,
-    TCoefficients,
-    derive,
-    resolve_assignment,
-    t_coefficients,
-    unit_effect,
-)
-from .dataset import (
-    ColumnQuartiles,
-    CorrelationReport,
-    Dataset,
-    centered_moments,
-    correlation_p_value,
-    load_csv,
-    pearson_matrix,
-    quartiles,
-)
-from .errors import CondregError
-from .formula import parse_formula, parse_terms, print_formula
-from .geometry import (
-    ActionClass,
-    ConfidenceEllipse,
-    boundary,
-    classify_action,
-    ellipse,
-)
-from .ols import FittedModel, fit, predict
-from .relations import (
-    BridgeReport,
-    Finding,
-    Residualization,
-    bridge,
-    detect_paradox,
-    residualize,
-    two_predictor_bridge,
-)
-from .selection import (
-    SearchResult,
-    StepwiseResult,
-    StepwiseStep,
-    advisories,
-    backward_stepwise,
-    best_subset,
-)
-from .terms import (
-    ModelSpec,
-    Term,
-    canonical_order,
-    check_hierarchy,
-    full_quadratic,
-    full_quadratic_terms,
-)
+# Each public name and the module of this package it is defined in.
+_SOURCES = {
+    "ActionClass": "geometry",
+    "BridgeReport": "relations",
+    "ColumnQuartiles": "dataset",
+    "ConditionalResponse": "conditional",
+    "CondregError": "errors",
+    "ConfidenceEllipse": "geometry",
+    "CorrelationReport": "dataset",
+    "Dataset": "dataset",
+    "Finding": "relations",
+    "FittedModel": "ols",
+    "ModelSpec": "terms",
+    "Residualization": "relations",
+    "SearchResult": "selection",
+    "StepwiseResult": "selection",
+    "StepwiseStep": "selection",
+    "TCoefficients": "conditional",
+    "Term": "terms",
+    "advisories": "selection",
+    "backward_stepwise": "selection",
+    "best_subset": "selection",
+    "boundary": "geometry",
+    "bridge": "relations",
+    "canonical_order": "terms",
+    "centered_moments": "dataset",
+    "check_hierarchy": "terms",
+    "classify_action": "geometry",
+    "correlation_p_value": "dataset",
+    "derive": "conditional",
+    "detect_paradox": "relations",
+    "ellipse": "geometry",
+    "fit": "ols",
+    "full_quadratic_terms": "terms",
+    "load_csv": "dataset",
+    "parse_formula": "formula",
+    "parse_terms": "formula",
+    "pearson_matrix": "dataset",
+    "predict": "ols",
+    "print_formula": "formula",
+    "quartiles": "dataset",
+    "residualize": "relations",
+    "resolve_assignment": "conditional",
+    "t_coefficients": "conditional",
+    "two_predictor_bridge": "relations",
+    "unit_effect": "conditional",
+}
 
 __version__ = "0.1.0"
+__all__ = list(_SOURCES)
 
-__all__ = [
-    "ActionClass",
-    "BridgeReport",
-    "ColumnQuartiles",
-    "ConditionalResponse",
-    "CondregError",
-    "ConfidenceEllipse",
-    "CorrelationReport",
-    "Dataset",
-    "Finding",
-    "FittedModel",
-    "ModelSpec",
-    "Residualization",
-    "SearchResult",
-    "StepwiseResult",
-    "StepwiseStep",
-    "TCoefficients",
-    "Term",
-    "advisories",
-    "backward_stepwise",
-    "best_subset",
-    "boundary",
-    "bridge",
-    "canonical_order",
-    "centered_moments",
-    "check_hierarchy",
-    "classify_action",
-    "correlation_p_value",
-    "derive",
-    "detect_paradox",
-    "ellipse",
-    "fit",
-    "full_quadratic",
-    "full_quadratic_terms",
-    "load_csv",
-    "parse_formula",
-    "parse_terms",
-    "pearson_matrix",
-    "predict",
-    "print_formula",
-    "quartiles",
-    "residualize",
-    "resolve_assignment",
-    "t_coefficients",
-    "two_predictor_bridge",
-    "unit_effect",
-]
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module: `python -X importtime` lists
+    # only the modules the former imports.
+    value = getattr(__import__(f"{__name__}.{_SOURCES[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,6 +18,11 @@ raised.  Every value in the file is checked when it is loaded, whether
 or not the command reads it: an unknown key, or a numeric setting whose
 value is not a number, is a config error.  Each setting is resolved
 once, before the command runs.
+
+Modules load on first use.  Importing this module and ``--help`` load
+neither numpy nor any analysis module; each command imports the analysis
+modules it calls when it runs (``corr`` none of conditional, geometry,
+relations or selection).
 """
 
 from __future__ import annotations
@@ -27,14 +32,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
-from . import conditional as cond
-from . import geometry, relations, selection
-from .dataset import Dataset, load_csv, pearson_matrix, quartiles
+from .defaults import CONTROL_TOLERANCE, DESTABILIZATION_THRESHOLD, MAX_PLOT_POINTS
 from .errors import (
     AssignmentError,
     ConfigError,
@@ -43,26 +43,46 @@ from .errors import (
     EmptyDataError,
     FormulaError,
 )
-from .formula import parse_formula, parse_terms, print_formula
-from .ols import FittedModel, fit
-from .report import (
-    ColumnTable,
-    dumps_report,
-    format_number,
-    model_section,
-    new_document,
-    plot_tsv,
-    render_text,
-    write_text_atomic,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dataset import Dataset
+    from .ols import FittedModel
+
+# Names the commands call as globals of this module, and the module each
+# comes from.  bench/tracing.py and the tests patch them here.  A name is
+# imported on first use: by __getattr__, or by main (_bind), which sets it
+# only where it is not set already, so a patch made before the call is the
+# function that runs.  Every other name a command needs it imports itself.
+_LAZY = {
+    "load_csv": "dataset",
+    "pearson_matrix": "dataset",
+    "quartiles": "dataset",
+    "parse_formula": "formula",
+    "fit": "ols",
+    "dumps_report": "report",
+    "model_section": "report",
+    "new_document": "report",
+    "plot_tsv": "report",
+    "write_text_atomic": "report",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, as in condreg/__init__.py, so `python -X importtime` lists the module.
+    return getattr(__import__(f"{__package__}.{_LAZY[name]}", fromlist=[name]), name)
+
 
 CONFIG_ENV = "CONDREG_CONFIG"
 DEFAULTS = {
     "delimiter": ",",
     "alpha": 0.05,
     "level": 0.95,
-    "correlation_threshold": relations.DESTABILIZATION_THRESHOLD,
-    "antagonism_tolerance": geometry.CONTROL_TOLERANCE,
+    "correlation_threshold": DESTABILIZATION_THRESHOLD,
+    "antagonism_tolerance": CONTROL_TOLERANCE,
 }
 # Settings whose flag has another name than the config key.
 FLAG_NAMES = {"antagonism_tolerance": "control_tolerance"}
@@ -135,6 +155,8 @@ def _parse_coef(text: str) -> list[float]:
 
 def _obtain_model(args: argparse.Namespace) -> tuple[FittedModel, Dataset | None]:
     """Fit from data, or wrap published coefficients when --coef is given."""
+    from .ols import FittedModel
+
     spec = parse_formula(args.formula)
     if args.coef:
         model = FittedModel.from_coefficients(spec, _parse_coef(args.coef))
@@ -147,12 +169,16 @@ def _obtain_model(args: argparse.Namespace) -> tuple[FittedModel, Dataset | None
 
 
 def _fixed_values(args, data: Dataset | None) -> dict[str, float]:
+    from . import conditional as cond
+
     fixes = _parse_fixes(args.fix or [])
     summary = quartiles(data) if data is not None else None
     return cond.resolve_assignment(fixes, summary)
 
 
 def _finish(args: argparse.Namespace, doc: dict) -> int:
+    from .report import render_text
+
     text = render_text(doc) if args.format == "text" else dumps_report(doc)
     if args.out:
         write_text_atomic(args.out, text)
@@ -174,6 +200,9 @@ def _write_plot(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_fit(args) -> int:
+    from . import selection
+    from .formula import print_formula
+
     spec = parse_formula(args.formula)
     data, dropped = _load_data(args)
     model = fit(data, spec, allow_saturated=args.allow_saturated)
@@ -188,10 +217,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_conditional(args) -> int:
+    from dataclasses import asdict
+
+    from . import conditional as cond
+    from .formula import print_formula
+    from .report import format_number
+
     model, data = _obtain_model(args)
     fixed = _fixed_values(args, data)
     correlations = []
     if data is not None:
+        from . import selection
+
         correlations = selection.strong_correlations(
             data, model.spec.predictors, args.correlation_threshold
         )
@@ -217,6 +254,8 @@ def cmd_conditional(args) -> int:
 
 
 def _parse_sweep(text: str) -> np.ndarray:
+    import numpy as np
+
     pieces = text.split(":")
     if len(pieces) != 3:
         raise FormulaError("--sweep expects min:max:steps")
@@ -228,10 +267,15 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise FormulaError(f"--sweep bounds must be finite numbers, got {lo}:{hi}")
     if steps < 1:
         raise FormulaError("--sweep needs at least one step")
+    if steps > MAX_PLOT_POINTS:
+        raise FormulaError(f"--sweep takes at most {MAX_PLOT_POINTS} steps, got {steps}")
     return np.linspace(lo, hi, steps)
 
 
 def cmd_effect(args) -> int:
+    from . import conditional as cond
+    from .formula import print_formula
+
     model, data = _obtain_model(args)
     fixed = _fixed_values(args, data)
     change = cond.unit_effect(model, args.target, fixed, args.at)
@@ -249,6 +293,10 @@ def cmd_effect(args) -> int:
 
 
 def cmd_bridge(args) -> int:
+    from dataclasses import asdict
+
+    from . import relations
+
     given = {"a1": args.a1, "a2": args.a2, "c12": args.c12, "c21": args.c21, "r": args.r}
     if any(value is not None for value in given.values()):
         if any(value is None for value in given.values()):
@@ -292,6 +340,8 @@ def _split_names(text: str) -> list[str]:
 
 
 def cmd_residualize(args) -> int:
+    from . import relations
+
     data, _ = _load_data(args)
     others = (
         _split_names(args.others)
@@ -318,6 +368,9 @@ def cmd_residualize(args) -> int:
 
 
 def cmd_stepwise(args) -> int:
+    from . import selection
+    from .formula import parse_terms, print_formula
+
     data, _ = _load_data(args)
     start = parse_formula(args.formula)
     protected = parse_terms(args.protect) if args.protect else []
@@ -349,6 +402,10 @@ def cmd_stepwise(args) -> int:
 
 
 def cmd_subset(args) -> int:
+    from . import selection
+    from .formula import parse_terms
+    from .report import ColumnTable
+
     data, _ = _load_data(args)
     pool = parse_terms(args.pool)
     result = selection.best_subset(data, args.response, pool, args.size)
@@ -365,6 +422,11 @@ def cmd_subset(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
+    from dataclasses import asdict
+
+    from . import geometry
+    from .report import format_number
+
     data, _ = _load_data(args)
     shape = geometry.ellipse(data, args.x, args.y, args.level)
     points = geometry.boundary(shape, args.points)
@@ -379,6 +441,11 @@ def cmd_ellipse(args) -> int:
 
 
 def cmd_action(args) -> int:
+    from dataclasses import asdict
+
+    from . import geometry
+    from .formula import print_formula
+
     model, data = _obtain_model(args)
     result = geometry.classify_action(
         model,
@@ -430,6 +497,8 @@ def cmd_corr(args) -> int:
 
 
 def cmd_summary(args) -> int:
+    from dataclasses import asdict
+
     data, dropped = _load_data(args)
     columns = {name: asdict(q) for name, q in quartiles(data).items()}
     doc = new_document("summary", n=data.n, dropped_rows=dropped, columns=columns)
@@ -556,6 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _bind(args)
         _resolve_settings(args, _load_config(args.config))
         return args.func(args)
     except DataError as exc:
@@ -570,6 +640,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error[value]: {_one_line(exc)}", file=sys.stderr)
         return 2
+
+
+def _bind(args: argparse.Namespace) -> None:
+    """Set each name of _LAZY the command calls as a global, unless set already.
+
+    Every command reads data and writes a report; only the commands that
+    take --formula parse and fit a model.
+    """
+    bound = globals()
+    for name, module in _LAZY.items():
+        if name not in bound and ("formula" in args or module not in ("formula", "ols")):
+            bound[name] = __getattr__(name)
 
 
 def _one_line(exc: BaseException) -> str:

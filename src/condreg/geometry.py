@@ -19,6 +19,7 @@ from typing import Literal, Mapping
 import numpy as np
 
 from .dataset import Dataset
+from .defaults import CONTROL_TOLERANCE, MAX_PLOT_POINTS
 from .errors import (
     AssignmentError,
     DegenerateEllipseError,
@@ -33,10 +34,6 @@ from .terms import Term
 ActionLabel = Literal[
     "additive", "less-than-additive", "greater-than-additive", "antagonism"
 ]
-
-# Joint response within this fraction of the corner-prediction range of
-# the control level counts as "restored to control".
-CONTROL_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -90,9 +87,12 @@ def ellipse(d: Dataset, x: str, y: str, level: float) -> ConfidenceEllipse:
 
 
 def boundary(e: ConfidenceEllipse, points: int = 360) -> np.ndarray:
-    """(points x 2) polyline of the ellipse boundary; ``points`` must be >= 1."""
+    """(points x 2) polyline of the ellipse boundary; ``points`` must lie in
+    [1, ``MAX_PLOT_POINTS``]."""
     if points < 1:
         raise DegenerateEllipseError(f"a boundary needs at least 1 point, got {points}")
+    if points > MAX_PLOT_POINTS:
+        raise DegenerateEllipseError(f"a boundary takes at most {MAX_PLOT_POINTS} points, got {points}")
     theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     circle = np.stack([np.cos(theta), np.sin(theta)])
     chol = np.linalg.cholesky(e.shape)

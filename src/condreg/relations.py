@@ -15,11 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, centered_moments
+from .defaults import DESTABILIZATION_THRESHOLD
 from .errors import CollinearityError, UnknownPredictorError
 from .ols import fit
 from .terms import ModelSpec, Term
-
-DESTABILIZATION_THRESHOLD = 0.7
 
 
 def two_predictor_bridge(

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset, pearson_matrix
+from .defaults import DESTABILIZATION_THRESHOLD
 from .errors import (
     DegenerateColumnError,
     InsufficientDataError,
@@ -40,7 +41,6 @@ from .errors import (
     UnknownColumnError,
 )
 from .ols import Factorization, FittedModel
-from .relations import DESTABILIZATION_THRESHOLD
 from .terms import ModelSpec, Term, canonical_order, check_hierarchy, check_response_unused
 
 MAX_CANDIDATE_FITS = 1_000_000

@@ -113,15 +113,6 @@ def _beta_continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.
     )
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return float(_incomplete_beta(a, b, np.array([x], dtype=float), np.array([1.0 - x]))[0])
-
-
 def _libm(function, values: np.ndarray) -> np.ndarray:
     """A ``math`` function applied to each element of a 1-D float array."""
     return np.fromiter(map(function, values.tolist()), float, values.size)

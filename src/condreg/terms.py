@@ -161,14 +161,6 @@ def full_quadratic_terms(predictors: Sequence[str]) -> list[Term]:
     return canonical_order(terms)
 
 
-def full_quadratic(predictors: Sequence[str], response: str = "Y") -> ModelSpec:
-    """Complete quadratic model: intercept, linears, crosses, squares.
-
-    Produces k(k+3)/2 terms for k predictors.
-    """
-    return ModelSpec(response=response, terms=tuple(full_quadratic_terms(predictors)))
-
-
 def check_hierarchy(spec: ModelSpec) -> list[str]:
     """Predictors appearing only inside degree->=2 terms, sorted by name.
 

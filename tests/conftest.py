@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +13,18 @@ from condreg import Dataset
 # deterministic and its run time bounded.
 settings.register_profile("condreg", derandomize=True, max_examples=60, deadline=None, database=None)
 settings.load_profile("condreg")
+
+
+def modules_after(code):
+    """condreg's submodules loaded, and whether numpy is, after ``code`` runs in a fresh interpreter."""
+    probe = (
+        f"{code}\n"
+        "import json, sys\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('condreg.')), 'numpy' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ import scipy.stats
 
 from condreg import FittedModel, ModelSpec, cli, full_quadratic_terms, load_csv, pearson_matrix, report
 from condreg.cli import main
+from condreg.defaults import MAX_PLOT_POINTS
+from conftest import modules_after
 
 RESPONSE = "Y"
 
@@ -506,9 +508,17 @@ HOSTILE = [
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--level=1.5"], 2,
      "error[value]: level must lie in (0, 1), got 1.5"),
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--points=0"], 2, "error[degenerate-ellipse]: "),
+    (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", f"--points={MAX_PLOT_POINTS + 1}"], 2,
+     f"error[degenerate-ellipse]: a boundary takes at most {MAX_PLOT_POINTS} points, got {MAX_PLOT_POINTS + 1}"),
+    (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--points=1000000000000000"], 2,
+     f"error[degenerate-ellipse]: a boundary takes at most {MAX_PLOT_POINTS} points, got 1000000000000000"),
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x1"], 2, "error[degenerate-ellipse]: "),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=0:1:x"], 2,
      "error[formula]: bad --sweep value: "),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", f"--sweep=0:1:{MAX_PLOT_POINTS + 1}"], 2,
+     f"error[formula]: --sweep takes at most {MAX_PLOT_POINTS} steps, got {MAX_PLOT_POINTS + 1}"),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=0:1:1000000000000000"], 2,
+     f"error[formula]: --sweep takes at most {MAX_PLOT_POINTS} steps, got 1000000000000000"),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=median"], 2,
      "error[assignment]: unknown preset 'median' for 'Cd'"),
     (["effect", *SATURATED_CODED, "--target=Pb", "--fix=zz=mean", "--at=0"], 1,
@@ -585,3 +595,42 @@ def test_configured_alpha_outside_unit_interval_is_refused_by_action(tmp_path, m
     # the pair the refused alpha would have relabelled
     assert main(["action", *ACTION_SURVEY, f"--out={out}"]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["action"]["label"] == "additive"
+
+
+def test_sweep_reaches_the_cap():
+    assert len(cli._parse_sweep(f"-1:1:{MAX_PLOT_POINTS}")) == MAX_PLOT_POINTS
+
+
+def test_help_loads_neither_numpy_nor_an_analysis_module():
+    code = "import condreg.cli\ntry:\n    condreg.cli.main(['--help'])\nexcept SystemExit:\n    pass"
+    assert modules_after(code) == [["condreg.cli", "condreg.defaults", "condreg.errors"], False]
+
+
+ANALYSIS = {"condreg.conditional", "condreg.geometry", "condreg.relations", "condreg.selection"}
+
+
+@pytest.mark.parametrize("argv, analysis", [
+    (["corr", f"--data={SURVEY}"], set()),
+    (["fit", f"--data={SURVEY}", "--formula=Y ~ x1 + x2"], {"condreg.selection"}),
+], ids=["corr", "fit"])
+def test_command_loads_only_the_analysis_modules_it_calls(tmp_path, argv, analysis):
+    argv = [*argv, f"--out={tmp_path / 'out.json'}"]
+    loaded, _ = modules_after(f"import condreg.cli\nassert condreg.cli.main({argv!r}) == 0")
+    assert ANALYSIS & set(loaded) == analysis
+
+
+def test_a_name_patched_before_the_first_command_is_the_one_called(tmp_path):
+    """The benchmark's tracer patches names such as ``load_csv`` on the cli
+    module before any command has run; each command must call the patch."""
+    argv = ["corr", f"--data={SURVEY}", f"--out={tmp_path / 'out.json'}"]
+    code = (
+        "import condreg.cli as cli\n"
+        "calls = []\n"
+        "load, dumps = cli.load_csv, cli.dumps_report\n"
+        "cli.load_csv = lambda *a, **k: calls.append('load_csv') or load(*a, **k)\n"
+        "cli.dumps_report = lambda doc: calls.append('dumps_report') or dumps(doc)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert calls == ['load_csv', 'dumps_report'], calls"
+    )
+    loaded, _ = modules_after(code)
+    assert "condreg.dataset" in loaded

@@ -12,6 +12,7 @@ from condreg import (
     ellipse,
     fit,
 )
+from condreg.defaults import MAX_PLOT_POINTS
 from condreg.errors import (
     AssignmentError,
     DegenerateEllipseError,
@@ -82,6 +83,12 @@ class TestEllipse:
         e = ellipse(Dataset({"x": rng.normal(size=20), "y": rng.normal(size=20)}), "x", "y", 0.95)
         with pytest.raises(DegenerateEllipseError, match="at least 1 point"):
             boundary(e, points)
+
+    def test_boundary_points_are_capped(self, rng):
+        e = ellipse(Dataset({"x": rng.normal(size=20), "y": rng.normal(size=20)}), "x", "y", 0.95)
+        assert boundary(e, MAX_PLOT_POINTS).shape == (MAX_PLOT_POINTS, 2)
+        with pytest.raises(DegenerateEllipseError, match=f"at most {MAX_PLOT_POINTS} points, got 10"):
+            boundary(e, 10**15)
 
 
 class TestClassifyPoint:

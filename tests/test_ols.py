@@ -12,7 +12,7 @@ from condreg import (
     bridge,
     derive,
     fit,
-    full_quadratic,
+    full_quadratic_terms,
     predict,
     residualize,
 )
@@ -155,7 +155,7 @@ class TestFit:
 
     def test_full_quadratic_parameter_count(self, rng):
         d = random_dataset(rng, 20, 4)
-        m = fit(d, full_quadratic([f"x{i}" for i in range(1, 5)]))
+        m = fit(d, ModelSpec("Y", tuple(full_quadratic_terms([f"x{i}" for i in range(1, 5)]))))
         # 1 intercept + 4 linear + 6 cross + 4 squares
         assert m.coef.shape == (15,)
         assert m.labels[:6] == ["(intercept)", "x1", "x2", "x3", "x4", "x1:x2"]

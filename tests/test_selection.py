@@ -10,7 +10,7 @@ from condreg import (
     backward_stepwise,
     best_subset,
     fit,
-    full_quadratic,
+    full_quadratic_terms,
     pearson_matrix,
 )
 from condreg import dataset, parse_terms, print_formula, selection
@@ -187,7 +187,7 @@ class TestBackwardStepwise:
             x2 = rng.normal(size=80)
             y = 2.0 * x1 + 1.5 * x1 * x2 + 0.5 * rng.normal(size=80)
             d = Dataset({"Y": y, "x1": x1, "x2": x2})
-            start = full_quadratic(["x1", "x2"], response="Y")
+            start = ModelSpec("Y", tuple(full_quadratic_terms(["x1", "x2"])))
             result = backward_stepwise(d, start, alpha=0.05)
             survivors = {t.label for t in result.final.spec.terms}
             if {"x1", "x1:x2"} <= survivors:
@@ -197,7 +197,7 @@ class TestBackwardStepwise:
     def test_trace_is_monotone_and_recalculated(self):
         rng = np.random.default_rng(77)
         d = random_dataset(rng, 60, 3, noise=5.0)
-        start = full_quadratic(["x1", "x2", "x3"], response="Y")
+        start = ModelSpec("Y", tuple(full_quadratic_terms(["x1", "x2", "x3"])))
         result = backward_stepwise(d, start, alpha=0.05, enforce_hierarchy=False)
         counts = [len(start.terms)] + [len(s.spec_after.terms) for s in result.steps]
         assert all(a - 1 == b for a, b in zip(counts, counts[1:]))
@@ -238,7 +238,7 @@ class TestBackwardStepwise:
         n = 400
         x1, x2, x3 = rng.uniform(-1.0, 1.0, size=(3, n))
         x = {"x1": x1, "x2": x2, "x3": x3}
-        start = full_quadratic(list(x), response="Y")
+        start = ModelSpec("Y", tuple(full_quadratic_terms(x)))
         full = np.column_stack([np.ones(n)] + [t.column(x) for t in start.terms])
         noise = rng.normal(size=n)
         noise -= full @ np.linalg.lstsq(full, noise, rcond=None)[0]

@@ -7,11 +7,16 @@ import scipy.special
 import scipy.stats
 
 from condreg.stats import (
+    _incomplete_beta,
     chi_square_quantile_2dof,
     log_beta,
-    regularized_incomplete_beta,
     student_t_two_sided_p,
 )
+
+
+def regularized_incomplete_beta(a, b, x):
+    """I_x(a, b) at one x, through the array routine the t tail uses."""
+    return float(_incomplete_beta(a, b, np.array([x]), np.array([1.0 - x]))[0])
 
 
 class TestIncompleteBeta:

@@ -7,7 +7,6 @@ from condreg import (
     ModelSpec,
     Term,
     check_hierarchy,
-    full_quadratic,
     full_quadratic_terms,
 )
 from condreg.errors import DuplicateTermError, ResponseTermError, SchemaError
@@ -87,19 +86,19 @@ class TestModelSpec:
         assert spec.predictors == ("b", "a")
 
     def test_degree_in(self):
-        spec = full_quadratic(["u", "v"])
+        spec = ModelSpec("Y", tuple(full_quadratic_terms(["u", "v"])))
         assert spec.degree_in("u") == 2
         assert spec.degree_in("w") == 0
 
 
 class TestFullQuadratic:
     def test_two_predictors(self):
-        spec = full_quadratic(["x1", "x2"])
-        assert [t.label for t in spec.terms] == ["x1", "x2", "x1:x2", "x1^2", "x2^2"]
+        terms = full_quadratic_terms(["x1", "x2"])
+        assert [t.label for t in terms] == ["x1", "x2", "x1:x2", "x1^2", "x2^2"]
 
     def test_single_predictor(self):
-        spec = full_quadratic(["x1"])
-        assert [t.label for t in spec.terms] == ["x1", "x1^2"]
+        terms = full_quadratic_terms(["x1"])
+        assert [t.label for t in terms] == ["x1", "x1^2"]
 
     def test_term_count_formula(self):
         for k in range(1, 7):
@@ -108,7 +107,7 @@ class TestFullQuadratic:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
-            full_quadratic(["a", "a"])
+            full_quadratic_terms(["a", "a"])
 
 
 class TestHierarchy:
