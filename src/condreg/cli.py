@@ -634,6 +634,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error[io]: {_one_line(exc)}", file=sys.stderr)
         return 1
+    except ImportError as exc:
+        print(f"error[import]: {_one_line(exc)}", file=sys.stderr)
+        return 1
     except CondregError as exc:
         print(f"error[{exc.code}]: {_one_line(exc)}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .defaults import ROW_BLOCK_BYTES
 from .errors import (
     CsvParseError,
     DegenerateColumnError,
@@ -439,18 +440,36 @@ def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.n
     by a power of two at its largest magnitude before it is centred and
     multiplied.  That division is exact, so the results equal the unscaled
     arithmetic bit for bit wherever that arithmetic stays finite, and no
-    square overflows for any finite column.  The stack of columns is the
-    one n-sized array: the squares for the norms overwrite it once the
-    product is formed.
+    square overflows for any finite column.  The columns are read in row
+    chunks of ``ROW_BLOCK_BYTES``, stacked into one reused chunk: a first
+    pass sums them for the means, a second adds each centred chunk's
+    cross-products and squares.  So no n-sized array is made, and with n
+    within one chunk the results are those of stacking all n rows, bit
+    for bit.
 
     Raises DegenerateColumnError naming the first zero-variance column.
     """
-    centered = np.column_stack([d.column(name) for name in names])
-    exponents = np.frexp(np.maximum(centered.max(axis=0), -centered.min(axis=0)))[1]
-    np.ldexp(centered, -exponents, out=centered)
-    centered -= centered.mean(axis=0)
-    gram = centered.T @ centered
-    scaled_norms = np.sqrt(np.square(centered, out=centered).sum(axis=0))
+    if not names:
+        raise ValueError("no columns named")
+    columns = [d.column(name) for name in names]
+    exponents = np.frexp([max(column.max(), -column.min()) for column in columns])[1]
+    rows = max(ROW_BLOCK_BYTES // (8 * len(columns)), 1)
+    chunk = np.empty((min(rows, d.n), len(columns)))
+
+    def chunks():
+        """Each row chunk of the columns, divided by their powers of two."""
+        for start in range(0, d.n, rows):
+            out = chunk[: min(rows, d.n - start)]
+            np.stack([column[start : start + len(out)] for column in columns], axis=1, out=out)
+            yield np.ldexp(out, -exponents, out=out)
+
+    mean = sum(c.sum(axis=0) for c in chunks()) / d.n
+    gram, squares = 0.0, 0.0
+    for c in chunks():
+        c -= mean
+        gram = gram + c.T @ c
+        squares = squares + np.square(c, out=c).sum(axis=0)
+    scaled_norms = np.sqrt(squares)
     for name, norm in zip(names, scaled_norms):
         if norm == 0.0:
             raise DegenerateColumnError(f"column {name!r} has zero variance")

@@ -1,15 +1,21 @@
 """Least-squares fitting from one factorization of the data.
 
 Every fit goes through one :class:`Factorization`: the R factor of
-[intercept | pool term columns | response] is built by numpy's
-Householder QR folded over row blocks (R <- qr([R; block]), as in TSQR),
-and each block's design rows are built from that block's rows of the
-data alone, so the n x (P + 2) design never exists.  Only the small R
-is kept, never Q and never the normal equations.  Each column of R is
-then divided by the power of two at its norm, which is exact, so no
-later step depends on the data's scale.  A sub-model S of the pool has
-design X_S = Q R[:, S] and response y = Q R[:, y], so it is solved from
-R alone, at a cost that does not depend on n.
+[intercept | pool term columns | response] is built by LAPACK's
+Householder QR (``dgeqrf``) folded over row blocks, R <- qr([R; block]),
+a sequential TSQR (Demmel et al. 2012).  One Fortran buffer of
+[R; block] is reused for every block and factored in place: each term's
+column of a block's design rows is written into its own slice of it,
+from that block's rows of the data alone.  A block has
+``defaults.ROW_BLOCK_BYTES`` of design rows (2,048 rows of a 22-column
+factor), and never fewer rows than the factor has columns, so the
+n x (P + 2) design never exists and the fold allocates nothing n-sized.
+The response's two sums of squares are taken over the same blocks.
+Only the small R is kept, never Q and never the normal equations.  Each
+column of R is then divided by the power of two at its norm, which is
+exact, so no later step depends on the data's scale.  A sub-model S of
+the pool has design X_S = Q R[:, S] and response y = Q R[:, y], so it is
+solved from R alone, at a cost that does not depend on n.
 
 Sub-models are solved as a stack: the slices R[:, [0] + S + [y]] of C
 sub-models with the same number of terms go to one call of numpy's
@@ -50,8 +56,10 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .dataset import Dataset
+from .defaults import ROW_BLOCK_BYTES
 from .errors import (
     AssignmentError,
     CollinearityError,
@@ -66,8 +74,12 @@ from .terms import ModelSpec, Term
 
 RANK_TOLERANCE = 1e-10
 _EPS = float(np.finfo(float).eps)
-# Rows per block of the fold that builds R.
-_BLOCK_ROWS = 2048
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of the fold for a factor of ``width`` columns:
+    ``ROW_BLOCK_BYTES`` of design rows, and never fewer rows than columns."""
+    return max(ROW_BLOCK_BYTES // (8 * width), width)
 
 
 def _read_only(values, exponent=0) -> np.ndarray:
@@ -179,29 +191,55 @@ class Factorization:
         y = d.column(response)
         self.pool = tuple(pool)
         terms = [t for t in self.pool if all(name in d for name in t.predictors)]
-        # R is upper trapezoidal, min(n, P + 2) x (P + 2); y = Q R[:, -1].
-        r = np.zeros((0, len(terms) + 2))
+        width = len(terms) + 2
+        rows = _block_rows(width)
+        # [R; block] in one Fortran buffer, factored in place: R, upper
+        # trapezoidal with min(rows so far, P + 2) rows, over the next
+        # block's design rows.  LAPACK reads the buffer's transpose, which
+        # is C-contiguous, as the column-major matrix it is.
+        stack = np.empty((width + min(rows, d.n), width), order="F")
+        below = np.tri(width, width, -1, dtype=bool)
+        tau, work = np.empty(width), np.empty(1)
+        lapack_lite.dgeqrf(len(stack), width, stack.T, len(stack), tau, work, -1, 0)
+        work = np.empty(int(work[0]))
+        height = 0
         overflowed: set[Term] = set()
-        for start in range(0, d.n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            values = {name: d.column(name)[rows] for name in d.names}
+        for start in range(0, d.n, rows):
+            stop = min(start + rows, d.n)
+            block = stack[height : height + stop - start]
+            values = {name: d.column(name)[start:stop] for name in d.names}
+            block[:, 0] = 1.0
             with np.errstate(over="ignore", invalid="ignore"):
-                columns = [term.column(values) for term in terms]
-            block = np.column_stack([np.ones(len(y[rows])), *columns, y[rows]])
+                for j, term in enumerate(terms, start=1):
+                    block[:, j] = term.column(values)
+            block[:, -1] = y[start:stop]
             # A non-finite entry would turn all of R into NaN: its term's
             # column is zeroed and no sub-model may use it.
             for j in np.flatnonzero(~np.isfinite(block).all(axis=0)):
                 block[:, j] = 0.0
                 overflowed.add(terms[j - 1])
-            r = np.linalg.qr(np.vstack([r, block]), mode="r")
+            height += stop - start
+            lapack_lite.dgeqrf(height, width, stack.T, len(stack), tau, work, len(work), 0)
+            height = min(height, width)
+            # below R's diagonal are the reflectors, not zeros
+            stack[:height][below[:height]] = 0.0
+        r = np.ascontiguousarray(stack[:height])
         # the scaled column norms lie in [0.5, 1), or are 0 for a zero column
         self._norms, self._exponents = np.frexp(np.hypot.reduce(r, axis=0))
         self.r = np.ldexp(r, -self._exponents)
-        y = np.ldexp(y, -self._exponents[-1])
         self.response = response
         self.n = d.n
-        self.tss_centered = float(((y - y.mean()) ** 2).sum())
-        self.tss_uncentered = float((y**2).sum())
+        # the response's sums of squares over the same blocks, scaled as R's column
+
+        def scaled_y():
+            for start in range(0, d.n, rows):
+                yield np.ldexp(y[start : start + rows], -self._exponents[-1])
+
+        mean = sum(block.sum() for block in scaled_y()) / d.n
+        self.tss_centered = self.tss_uncentered = 0.0
+        for block in scaled_y():
+            self.tss_centered += float(((block - mean) ** 2).sum())
+            self.tss_uncentered += float((block**2).sum())
         # Per pool position: the term's first predictor absent from the
         # data (or None), whether its column overflowed, its column of R.
         self._absent = [next((n for n in t.predictors if n not in d), None) for t in self.pool]

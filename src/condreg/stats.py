@@ -5,7 +5,7 @@ incomplete beta function, evaluated with a modified-Lentz continued
 fraction (Thompson & Barnett 1986).  :func:`student_t_two_sided_p` takes
 a float or an array of t with one dof and returns a float or an array
 of t's shape.  One loop runs the continued fraction over every element
-at once; an element leaves it at the iteration where its own
+at once; an element's result is its h at the iteration where its own
 |delta - 1| < _REL_TOL, and it takes the (a, b, x) or (b, a, 1 - x)
 representation by its own x, so each entry equals a one-element call
 bit for bit.  log B(dof/2, 1/2) comes from a Stirling-series difference
@@ -29,6 +29,10 @@ import numpy as np
 _REL_TOL = 1e-13
 _MAX_ITER = 500
 _TINY = 1e-300
+# Continued-fraction coefficients formed at once, live elements times
+# iterations to come: many iterations' worth for one element, one
+# iteration's for many.
+_BATCH = 256
 
 # Smallest positive double; tail probabilities are clamped here so that
 # p stays inside (0, 1] even when |t| is astronomically large.
@@ -75,42 +79,72 @@ def _away_from_zero(v: np.ndarray) -> np.ndarray:
 
 def _beta_continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz), per
-    element of the equal-length 1-D arrays a, b and x."""
+    element of the equal-length 1-D arrays a, b and x.
+
+    An iteration is an even and an odd step of d, c and h, updated in
+    place; while few elements are live, the coefficients of several
+    iterations are formed at once.  An element is done at the iteration
+    where its own |delta - 1| < _REL_TOL, and its h then is its result;
+    its d is then set to NaN, so that it is never done again.  Done
+    elements leave the arrays only once they are at least half of them.
+    """
     out = np.empty_like(x)
     if not x.size:
         return out
     index = np.arange(x.size)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = np.ones_like(x)
     d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _away_from_zero(1.0 + aa * d)
-        c = _away_from_zero(1.0 + aa / c)
-        h = h * (d * c)
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _away_from_zero(1.0 + aa * d)
-        c = _away_from_zero(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _REL_TOL
-        if done.any():
-            out[index[done]] = h[done]
-            live = ~done
-            if not live.any():
+    h = d.copy()
+    delta, done, work = np.empty_like(x), np.zeros(x.size, dtype=bool), np.empty((2, x.size))
+    first = 1
+    while first <= _MAX_ITER:
+        m = np.arange(first, min(first + max(_BATCH // x.size, 1), _MAX_ITER + 1), dtype=float)
+        first += len(m)
+        m = m[:, None]
+        both = a + 2.0 * m
+        even = m * (b - m) * x / ((qam + 2.0 * m) * both)
+        # minus the odd coefficient -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        odd = (a + m) * (qab + m) * x / (both * (qap + 2.0 * m))
+        rows = tuple(work)
+        for k in range(len(m)):
+            for coefficient, sign in ((even[k], np.add), (odd[k], np.subtract)):
+                _lentz_step(d, c, coefficient, sign, work, rows)
+                np.multiply(h, np.multiply(d, c, out=delta), out=h)
+            new = np.flatnonzero(np.abs(delta - 1.0) < _REL_TOL)
+            if not new.size:
+                continue
+            out[index[new]] = h[new]
+            d[new] = math.nan
+            done[new] = True
+            if 2 * np.count_nonzero(done) < done.size:
+                continue
+            live = np.flatnonzero(~done)
+            if not live.size:
                 return out
-            index, a, b, x, qab, qap, qam, c, d, h = (
-                v[live] for v in (index, a, b, x, qab, qap, qam, c, d, h)
+            index, a, b, x, qab, qap, qam, c, d, h, delta, work, even, odd = (
+                v.take(live, axis=-1)
+                for v in (index, a, b, x, qab, qap, qam, c, d, h, delta, work, even, odd)
             )
+            done, rows = done[live], tuple(work)
+    i = np.argmin(done)
     raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a[0]}, b={b[0]}, x={x[0]})"
+        f"incomplete beta continued fraction did not converge (a={a[i]}, b={b[i]}, x={x[i]})"
     )
+
+
+def _lentz_step(d, c, coefficient, sign, work, rows) -> None:
+    """One Lentz step in place: d = 1 / (1 +- e d) and c = 1 +- e / c, both
+    kept away from zero, for a coefficient of +-e (``sign`` is np.add or
+    np.subtract).  ``work`` is 2 x len(d) scratch and ``rows`` its rows."""
+    np.multiply(coefficient, d, out=rows[0])
+    np.divide(coefficient, c, out=rows[1])
+    sign(1.0, work, out=work)
+    tiny = np.abs(work) < _TINY
+    if np.count_nonzero(tiny):
+        work[tiny] = _TINY
+    np.divide(1.0, rows[0], out=d)
+    np.copyto(c, rows[1])
 
 
 def _libm(function, values: np.ndarray) -> np.ndarray:

@@ -282,6 +282,27 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert all((tmp_path / f"{argv[0]}.json").exists() for argv in commands)
 
 
+def test_a_module_that_fails_to_import_is_a_classified_error(tmp_path):
+    """A command imports numpy when it runs; a numpy that cannot be
+    imported is one error[import] line and exit 1, and --help, which
+    loads no numpy, still works."""
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text('raise ImportError("numpy is broken here")\n')
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), *sys.path])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "condreg.cli", *argv], env=env,
+                              capture_output=True, text=True, cwd=tmp_path)
+
+    out = run("summary", f"--data={SURVEY}", f"--out={tmp_path / 'summary.json'}")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == ["error[import]: numpy is broken here"]
+    assert not (tmp_path / "summary.json").exists()
+    helped = run("--help")
+    assert helped.returncode == 0 and "Traceback" not in helped.stderr
+
+
 @pytest.fixture
 def overflowing(tmp_path):
     """Column a squares past the largest double; b is ordinary."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condreg import dataset, stats
+from condreg.defaults import ROW_BLOCK_BYTES
 from condreg import (
     Dataset,
     centered_moments,
@@ -270,6 +271,65 @@ class TestCenteredMoments:
         d = Dataset({"a": [1.0, 2.0, 4.0], "k": [3.0, 3.0, 3.0]})
         with pytest.raises(DegenerateColumnError, match="column 'k' has zero variance"):
             centered_moments(d, ["a", "k"])
+
+
+def _stacked_moments(d, names):
+    """centered_moments as it was when it stacked all n rows of the columns."""
+    centered = np.column_stack([d.column(name) for name in names])
+    exponents = np.frexp(np.maximum(centered.max(axis=0), -centered.min(axis=0)))[1]
+    np.ldexp(centered, -exponents, out=centered)
+    centered -= centered.mean(axis=0)
+    gram = centered.T @ centered
+    scaled_norms = np.sqrt(np.square(centered, out=centered).sum(axis=0))
+    r = np.clip(gram / np.outer(scaled_norms, scaled_norms), -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r, np.ldexp(scaled_norms, exponents)
+
+
+def _chunk_rows(k):
+    return ROW_BLOCK_BYTES // (8 * k)
+
+
+class TestChunkedMoments:
+    """centered_moments accumulates over row chunks of ROW_BLOCK_BYTES."""
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_one_chunk_is_bit_identical_to_the_stack(self, rng, k):
+        for n in (2, 37, _chunk_rows(k)):
+            data = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-5, 6, k) + rng.uniform(-3, 3, k)
+            names = [f"c{j}" for j in range(k)]
+            d = Dataset({name: data[:, j] for j, name in enumerate(names)})
+            r, norms = centered_moments(d, names)
+            expected_r, expected_norms = _stacked_moments(d, names)
+            assert r.tobytes() == expected_r.tobytes()
+            assert norms.tobytes() == expected_norms.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_several_chunks_match_corrcoef(self, rng, k):
+        n = 2 * _chunk_rows(k) + 1237
+        data = rng.normal(size=(n, k)) @ (np.eye(k) + 0.6 * rng.normal(size=(k, k))) + 50.0
+        names = [f"c{j}" for j in range(k)]
+        r, norms = centered_moments(Dataset({name: data[:, j] for j, name in enumerate(names)}), names)
+        np.testing.assert_allclose(r, np.corrcoef(data, rowvar=False), rtol=0, atol=1e-13)
+        centered = data - data.mean(axis=0)
+        np.testing.assert_allclose(norms, np.sqrt((centered**2).sum(axis=0)), rtol=1e-13)
+
+    def test_zero_variance_across_chunks_names_the_column(self, rng):
+        n = 3 * _chunk_rows(3) + 5
+        d = Dataset({"a": rng.normal(size=n), "k": np.full(n, 3.5), "b": rng.normal(size=n)})
+        with pytest.raises(DegenerateColumnError, match="column 'k' has zero variance"):
+            centered_moments(d, ["a", "k", "b"])
+
+    def test_huge_columns_do_not_overflow_across_chunks(self, rng):
+        n = 2 * _chunk_rows(2) + 999
+        a, b = rng.normal(size=(2, n))
+        b += 0.5 * a
+        r, norms = centered_moments(Dataset({"a": a, "b": b}), ["a", "b"])
+        with np.errstate(over="raise"):
+            r_big, norms_big = centered_moments(Dataset({"a": 1e300 * a, "b": -1e300 * b}), ["a", "b"])
+        assert np.isfinite(r_big).all() and np.isfinite(norms_big).all()
+        assert r_big[0, 1] == pytest.approx(-r[0, 1], rel=1e-14)
+        np.testing.assert_allclose(norms_big, 1e300 * norms, rtol=1e-14)
 
 
 class TestQuartiles:

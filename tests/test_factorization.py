@@ -21,20 +21,24 @@ from condreg import (
     fit,
     full_quadratic_terms,
 )
-from condreg.errors import CondregError, SearchError
+from condreg.errors import CollinearityError, CondregError, SearchError
 from condreg.formula import print_formula
-from condreg.ols import _BLOCK_ROWS, Factorization
-from condreg.selection import _BLOCK_CANDIDATES
+from condreg.ols import Factorization, _block_rows
+from condreg.selection import _BLOCK_CANDIDATES, advisories
 
 NAMES = ["x1", "x2", "x3"]
 # x1 and dup = 2 * x1 are an exactly collinear pair; zz is in no dataset.
 POOL_TERMS = full_quadratic_terms(NAMES) + [Term.linear("dup")]
 FORCED = [Term.linear("x1"), Term.linear("dup"), Term.linear("zz")]
+# Five predictors: their full quadratic and the intercept and response
+# make a 22-column factor, as in the large-n benchmark.
+WIDE = [f"x{i}" for i in range(1, 6)]
+WIDE_ROWS = _block_rows(len(full_quadratic_terms(WIDE)) + 2)
 
 
-def _dataset(n, seed):
+def _dataset(n, seed, names=NAMES):
     rng = np.random.default_rng(seed)
-    columns = {name: rng.normal(size=n) for name in NAMES}
+    columns = {name: rng.normal(size=n) for name in names}
     columns["dup"] = 2.0 * columns["x1"]
     y = 0.5 + columns["x1"] - columns["x2"] * columns["x3"] + rng.normal(size=n)
     return Dataset({"Y": y, **columns})
@@ -214,7 +218,7 @@ def _search_shape(n=200):
 
 def test_search_factors_candidates_in_blocks(monkeypatch):
     d, pool = _search_shape()
-    assert len(pool) == 27 and d.n <= _BLOCK_ROWS
+    assert len(pool) == 27 and d.n <= _block_rows(len(pool) + 2)
     qr = np.linalg.qr
     calls = []
 
@@ -226,8 +230,8 @@ def test_search_factors_candidates_in_blocks(monkeypatch):
     result = best_subset(d, "Y", pool, 3)
     candidates = math.comb(27, 3)
     assert len(result.ranked) + len(result.skipped) == candidates
-    # one call folds the rows into R, then one per block of candidates
-    assert len(calls) <= -(-candidates // _BLOCK_CANDIDATES) + 1
+    # the fold factors in place; then one call per block of candidates
+    assert len(calls) == -(-candidates // _BLOCK_CANDIDATES)
     # across block boundaries the stacked scores are those of one fit at a time
     core = Factorization(d, "Y", sorted(pool, key=lambda t: t.sort_key))
     fitted = [core.fit(ModelSpec("Y", combo)) for combo in itertools.combinations(core.pool, 3)]
@@ -342,12 +346,12 @@ def test_scaling_by_powers_of_ten_leaves_inference_unchanged(n, seed, y_factor, 
     assert scaled.r2_adj == pytest.approx(base.r2_adj, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17])
+@pytest.mark.parametrize("n", [WIDE_ROWS - 1, WIDE_ROWS, WIDE_ROWS + 1, 2 * WIDE_ROWS + 17])
 def test_fold_over_row_blocks_matches_lstsq(n):
     """R is built block by block; around and past a block's end the fits
     still match lstsq and the explicit (X'X)^{-1}."""
-    d = _dataset(n, seed=n)
-    pool = full_quadratic_terms(NAMES)
+    d = _dataset(n, seed=n, names=WIDE)
+    pool = full_quadratic_terms(WIDE)
     spec = ModelSpec("Y", tuple(pool))
     X, y = _design(d, spec), d.column("Y")
     coef = np.linalg.lstsq(X, y, rcond=None)[0]
@@ -365,19 +369,74 @@ def test_fold_over_row_blocks_matches_lstsq(n):
         assert entry.r2 == pytest.approx(_oracle(d, entry.spec)[1], abs=1e-12)
 
 
-def test_factorization_never_holds_the_design():
-    """Design rows are built a block at a time: the peak stays far below
-    the n x (P + 2) doubles a whole design would take."""
-    names = [f"x{i}" for i in range(1, 6)]
-    n = 20 * _BLOCK_ROWS
+def test_fold_within_one_block_is_numpy_qr():
+    """The fold factors its buffer in place with LAPACK; within one block
+    its R is numpy.linalg.qr's, bit for bit, before the power-of-two scaling."""
+    d = _dataset(500, seed=3, names=WIDE)
+    spec = ModelSpec("Y", tuple(full_quadratic_terms(WIDE)))
+    core = Factorization(d, "Y", spec.terms)
+    r = np.linalg.qr(np.column_stack([_design(d, spec), d.column("Y")]), mode="r")
+    assert np.array_equal(core.r, np.ldexp(r, -np.frexp(np.hypot.reduce(r, axis=0))[1]))
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_overflow_in_any_block_refuses_the_term(where):
+    """A term whose column overflows in one row is refused alike whether
+    that row is in the first block or the last; the other sub-models of
+    the same factorization still match lstsq."""
+    n = 2 * WIDE_ROWS + 17
+    d = _dataset(n, seed=11, names=WIDE)
+    big = np.random.default_rng(12).uniform(1.0, 2.0, n)
+    big[5 if where == "first" else n - 3] = 1e200
+    d = Dataset({**{name: d.column(name) for name in d.names}, "big": big})
+    linear = [Term.linear(name) for name in WIDE]
+    pool = full_quadratic_terms(WIDE) + [Term.linear("big"), Term.power("big", 2)]
+    core = Factorization(d, "Y", pool)
+    with pytest.raises(CollinearityError) as err:
+        core.fit(ModelSpec("Y", (*linear, Term.power("big", 2))))
+    assert err.value.column == "big^2"
+    assert str(err.value) == "design matrix is rank deficient (dependent column: big^2)"
+    for terms in (tuple(linear), tuple(full_quadratic_terms(WIDE)), (linear[0], Term.cross("x2", "x3"))):
+        spec = ModelSpec("Y", terms)
+        oracle = np.linalg.lstsq(_design(d, spec), d.column("Y"), rcond=None)[0]
+        coef = core.fit(spec).coef
+        assert np.abs(coef - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def _fold_peak(n):
+    """Bytes the fold allocates, above its inputs, on n rows of six columns."""
     rng = np.random.default_rng(5)
-    d = Dataset({"Y": rng.normal(size=n), **{name: rng.normal(size=n) for name in names}})
-    pool = full_quadratic_terms(names)
-    assert len(pool) == 20
+    d = Dataset({"Y": rng.normal(size=n), **{name: rng.normal(size=n) for name in WIDE}})
     tracemalloc.start()
     try:
-        Factorization(d, "Y", pool)
+        Factorization(d, "Y", full_quadratic_terms(WIDE))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_factorization_never_holds_the_design():
+    """Design rows are built a block at a time into one reused buffer,
+    and the response's sums of squares are taken over the same blocks:
+    from 20 blocks to 80 the peak grows by less than one n-vector."""
+    small, large = 20 * WIDE_ROWS, 80 * WIDE_ROWS
+    growth = _fold_peak(large) - _fold_peak(small)
+    assert growth < (large - small) * 8
+    assert _fold_peak(small) < small * 22 * 8 / 3
+
+
+def test_advisories_never_stack_the_predictors():
+    """The predictor correlations behind the advisories are accumulated
+    over row chunks: on 100,000 rows of five predictors the peak stays
+    below a quarter of the 4 MB that stacking their columns takes."""
+    n = 100_000
+    rng = np.random.default_rng(6)
+    d = Dataset({"Y": rng.normal(size=n), **{name: rng.normal(size=n) for name in WIDE}})
+    spec = ModelSpec("Y", tuple(Term.linear(name) for name in WIDE))
+    tracemalloc.start()
+    try:
+        advisories(d, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * (len(pool) + 2) * 8 / 3
+    assert peak < n * 5 * 8 / 4
