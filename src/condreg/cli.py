@@ -15,9 +15,10 @@ default of --control-tolerance).  correlation_threshold is the |r| above
 which every command's correlation warnings (fit, stepwise, subset),
 conditional's cautions and bridge's high-correlation findings are
 raised.  Every value in the file is checked when it is loaded, whether
-or not the command reads it: an unknown key, or a numeric setting whose
-value is not a number, is a config error.  Each setting is resolved
-once, before the command runs.
+or not the command reads it: an unknown key, a numeric setting whose
+value is not a number, or a correlation_threshold that is NaN or outside
+[0, 1], is a config error.  Each setting is resolved once, before the
+command runs.
 
 Modules load on first use.  Importing this module and ``--help`` load
 neither numpy nor any analysis module; each command imports the analysis
@@ -110,6 +111,9 @@ def _load_config(path: str | None) -> dict:
             config[key] = type(DEFAULTS[key])(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from exc
+    threshold = config.get("correlation_threshold", 0.0)
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"config key 'correlation_threshold' must lie in [0, 1], got {threshold}")
     return config
 
 

@@ -16,7 +16,13 @@ number, is that parser's either way.
 
 Quartiles use linear interpolation between order statistics (the
 "type 7" convention, numpy's default).  Sample variances use the n-1
-divisor throughout, matching the inference formulas downstream.
+divisor throughout, matching the inference formulas downstream.  Every
+centred moment (correlations, bridge slopes, the ellipse's covariance,
+the summary's mean and variance, a model response's centred sum of
+squares) comes from one engine, ``_moments``: the scaled two-pass
+algorithm that Chan, Golub & LeVeque (1979) analyse.  A column is
+constant when its min equals its max (``column_scales``), the one test
+of constancy in condreg.
 """
 
 from __future__ import annotations
@@ -430,29 +436,33 @@ def correlation_p_value(r, n: int):
     return student_t_two_sided_p(t, n - 2)
 
 
-def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations and centred norms of the named columns, from one product.
+def column_scales(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each named column's power-of-two exponent, and whether it is constant (min == max)."""
+    columns = [d.column(name) for name in names]
+    lows = np.array([column.min() for column in columns])
+    highs = np.array([column.max() for column in columns])
+    return np.frexp(np.maximum(highs, -lows))[1], lows == highs
 
-    ``r[i, j]`` is the Pearson correlation of columns i and j (clipped to
-    [-1, 1], unit diagonal) and ``norms[i]`` the square root of column i's
-    centred sum of squares, so the least-squares slope of column i on
-    column j is ``r[i, j] * norms[i] / norms[j]``.  Each column is divided
-    by a power of two at its largest magnitude before it is centred and
-    multiplied.  That division is exact, so the results equal the unscaled
-    arithmetic bit for bit wherever that arithmetic stays finite, and no
-    square overflows for any finite column.  The columns are read in row
-    chunks of ``ROW_BLOCK_BYTES``, stacked into one reused chunk: a first
-    pass sums them for the means, a second adds each centred chunk's
-    cross-products and squares.  So no n-sized array is made, and with n
+
+def _moments(d: Dataset, names: Sequence[str], constant_ok: bool = False):
+    """Scaled means, centred Gram matrix, centred squares and exponents.
+
+    Each column is divided by its power of two (``column_scales``), which
+    is exact and keeps every square finite.  Row chunks of
+    ``ROW_BLOCK_BYTES`` pass twice through one reused buffer, summed for
+    the means and then centred, so no n-sized array is made; with n
     within one chunk the results are those of stacking all n rows, bit
-    for bit.
-
-    Raises DegenerateColumnError naming the first zero-variance column.
+    for bit.  A constant column's mean is its value, so its centred
+    entries are exact zeros, and a column that varies has positive
+    centred squares.  Unless ``constant_ok``, the first constant column
+    raises DegenerateColumnError before any pass.
     """
     if not names:
         raise ValueError("no columns named")
+    exponents, constant = column_scales(d, names)
+    if constant.any() and not constant_ok:
+        raise DegenerateColumnError(f"column {names[constant.argmax()]!r} has zero variance")
     columns = [d.column(name) for name in names]
-    exponents = np.frexp([max(column.max(), -column.min()) for column in columns])[1]
     rows = max(ROW_BLOCK_BYTES // (8 * len(columns)), 1)
     chunk = np.empty((min(rows, d.n), len(columns)))
 
@@ -464,17 +474,27 @@ def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.n
             yield np.ldexp(out, -exponents, out=out)
 
     mean = sum(c.sum(axis=0) for c in chunks()) / d.n
+    mean[constant] = np.ldexp([column[0] for column in columns], -exponents)[constant]
     gram, squares = 0.0, 0.0
     for c in chunks():
         c -= mean
         gram = gram + c.T @ c
         squares = squares + np.square(c, out=c).sum(axis=0)
+    return mean, gram, squares, exponents
+
+
+def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations and centred norms of the named columns, from ``_moments``.
+
+    ``r[i, j]`` is the Pearson correlation of columns i and j (clipped to
+    [-1, 1], unit diagonal) and ``norms[i]`` the square root of column i's
+    centred sum of squares, so the least-squares slope of column i on
+    column j is ``r[i, j] * norms[i] / norms[j]``.  Raises
+    DegenerateColumnError naming the first constant column.
+    """
+    _, gram, squares, exponents = _moments(d, names)
     scaled_norms = np.sqrt(squares)
-    for name, norm in zip(names, scaled_norms):
-        if norm == 0.0:
-            raise DegenerateColumnError(f"column {name!r} has zero variance")
-    r = gram / np.outer(scaled_norms, scaled_norms)
-    r = np.clip(r, -1.0, 1.0)
+    r = np.clip(gram / np.outer(scaled_norms, scaled_norms), -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
     return r, np.ldexp(scaled_norms, exponents)
 
@@ -495,17 +515,19 @@ def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> Correlation
 
 
 def quartiles(d: Dataset) -> dict[str, ColumnQuartiles]:
-    """Summary per column, in column order (type-7 quartiles)."""
+    """Summary per column, in column order (type-7 quartiles); mean and
+    variance come from ``_moments``, one column at a time."""
     summary: dict[str, ColumnQuartiles] = {}
     for name in d.names:
         col = d.column(name)
         q25, q75 = np.quantile(col, [0.25, 0.75])
-        with np.errstate(over="ignore"):  # inf beyond about 1e154, null in reports
-            variance = float(col.var(ddof=1)) if d.n > 1 else 0.0
+        mean, _, squares, exponent = _moments(d, [name], constant_ok=True)
+        with np.errstate(over="ignore"):  # inf past about 1.8e308, null in reports
+            variance = float(np.ldexp(squares[0] / max(d.n - 1, 1), 2 * exponent[0]))
         summary[name] = ColumnQuartiles(
             min=float(col.min()),
             q25=float(q25),
-            mean=float(col.mean()),
+            mean=float(np.ldexp(mean[0], exponent[0])),
             q75=float(q75),
             max=float(col.max()),
             variance=variance,

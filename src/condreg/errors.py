@@ -2,10 +2,12 @@
 
 Every exception carries a short machine-readable ``code``; the CLI prefixes
 its single-line error output with it (``error[<code>]: message``).  Data
-errors map to exit status 1, model errors to exit status 2.  Two more
-codes come from the environment, not from the input, and also exit 1:
-``io``, a file that cannot be read or written, and ``import``, a module
-that a command loads when it runs (numpy, say) failing to import.
+errors map to exit status 1, model errors to exit status 2.  A constant
+column (min equal to max) is ``degenerate-column`` in every command that
+needs its variance.  Two more codes come from the environment, not from
+the input, and also exit 1: ``io``, a file that cannot be read or
+written, and ``import``, a module that a command loads when it runs
+(numpy, say) failing to import.
 """
 
 from __future__ import annotations

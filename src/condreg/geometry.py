@@ -3,7 +3,12 @@
 Confidence ellipses mark the jointly observed predictor region:
 predictions inside are interpolation, outside extrapolation, and the
 stronger two predictors correlate, the thinner the observed region
-gets.  Combined-action labels are read off the cross term of a fitted
+gets.  An ellipse's center and shape are the sample means and
+covariance from the moments engine of :mod:`condreg.dataset`, so a
+constant column is a degenerate column, and only a perfectly correlated
+pair is a degenerate ellipse.
+
+Combined-action labels are read off the cross term of a fitted
 two-factor model: an insignificant cross term means additivity, a cross
 term opposing the factors' shared direction attenuates it, and a cross
 term that pulls the joint response back to the both-low (control) level
@@ -18,7 +23,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _moments
 from .defaults import CONTROL_TOLERANCE, MAX_PLOT_POINTS
 from .errors import (
     AssignmentError,
@@ -57,21 +62,21 @@ class ConfidenceEllipse:
 
 
 def ellipse(d: Dataset, x: str, y: str, level: float) -> ConfidenceEllipse:
-    """Confidence ellipse from sample means and covariance."""
+    """Confidence ellipse from the sample means and covariance of ``_moments``."""
     if d.n < 3:
         raise InsufficientDataError(f"need n >= 3 observations, got {d.n}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    xv, yv = d.column(x), d.column(y)
-    center = np.array([xv.mean(), yv.mean()])
-    with np.errstate(over="ignore", invalid="ignore"):
-        shape = np.cov(xv, yv, ddof=1)
+    mean, gram, _, exponents = _moments(d, [x, y])
+    center = np.ldexp(mean, exponents)
+    with np.errstate(over="ignore"):
+        shape = np.ldexp(gram / (d.n - 1), exponents[:, None] + exponents)
     if not np.isfinite(shape).all():
         raise DegenerateEllipseError(
             f"({x}, {y}) sample covariance overflows; rescale the columns"
         )
-    det = float(np.linalg.det(shape))
-    if det <= 0.0 or not math.isfinite(det):
+    # the scaled Gram matrix's determinant has shape's sign and cannot overflow
+    if np.linalg.det(gram) <= 0.0:
         raise DegenerateEllipseError(
             f"({x}, {y}) sample covariance is singular; the pair is perfectly correlated"
         )

@@ -10,7 +10,6 @@ from that block's rows of the data alone.  A block has
 ``defaults.ROW_BLOCK_BYTES`` of design rows (2,048 rows of a 22-column
 factor), and never fewer rows than the factor has columns, so the
 n x (P + 2) design never exists and the fold allocates nothing n-sized.
-The response's two sums of squares are taken over the same blocks.
 Only the small R is kept, never Q and never the normal equations.  Each
 column of R is then divided by the power of two at its norm, which is
 exact, so no later step depends on the data's scale.  A sub-model S of
@@ -40,12 +39,12 @@ with sigma^2 = RSS/dof, standard errors and t over the scaled R.  A
 taken back to the data's scale; its two-sided Student t p-values are
 computed on first read.
 
-R^2 uses the centered total sum of squares when an intercept is present
-and the uncentered one otherwise.  A response whose centered sum of
-squares is within (n eps)^2 of its uncentered one is constant: that
-much is the rounding error of its mean.  :func:`fit` is one
-factorization over the model's own terms; model search reuses one for
-many sub-models.
+R^2 uses the response's centered total sum of squares when an intercept
+is present and its uncentered one, the square of its column's norm in R,
+otherwise.  The centered one comes from the moments engine of
+:mod:`condreg.dataset`, which makes it exactly 0 for a constant
+response.  :func:`fit` is one factorization over the model's own terms;
+model search reuses one for many sub-models.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .dataset import Dataset
+from .dataset import Dataset, _moments
 from .defaults import ROW_BLOCK_BYTES
 from .errors import (
     AssignmentError,
@@ -73,7 +72,6 @@ from .stats import student_t_two_sided_p
 from .terms import ModelSpec, Term
 
 RANK_TOLERANCE = 1e-10
-_EPS = float(np.finfo(float).eps)
 
 
 def _block_rows(width: int) -> int:
@@ -189,6 +187,8 @@ class Factorization:
 
     def __init__(self, d: Dataset, response: str, pool: Sequence[Term]):
         y = d.column(response)
+        # the engine's chunk is freed before the fold's buffer is made
+        _, _, squares, exponent = _moments(d, [response], constant_ok=True)
         self.pool = tuple(pool)
         terms = [t for t in self.pool if all(name in d for name in t.predictors)]
         width = len(terms) + 2
@@ -229,17 +229,8 @@ class Factorization:
         self.r = np.ldexp(r, -self._exponents)
         self.response = response
         self.n = d.n
-        # the response's sums of squares over the same blocks, scaled as R's column
-
-        def scaled_y():
-            for start in range(0, d.n, rows):
-                yield np.ldexp(y[start : start + rows], -self._exponents[-1])
-
-        mean = sum(block.sum() for block in scaled_y()) / d.n
-        self.tss_centered = self.tss_uncentered = 0.0
-        for block in scaled_y():
-            self.tss_centered += float(((block - mean) ** 2).sum())
-            self.tss_uncentered += float((block**2).sum())
+        self.tss_centered = float(np.ldexp(squares[0], 2 * (exponent[0] - self._exponents[-1])))
+        self.tss_uncentered = float(self._norms[-1]) ** 2
         # Per pool position: the term's first predictor absent from the
         # data (or None), whether its column overflowed, its column of R.
         self._absent = [next((n for n in t.predictors if n not in d), None) for t in self.pool]
@@ -325,15 +316,8 @@ class Factorization:
 
     def _r2(self, intercept: bool, rss: np.ndarray) -> np.ndarray:
         """R^2 of each residual sum of squares over the scaled R; see :meth:`score`."""
-        if intercept:
-            tss = self.tss_centered
-            # a constant response's centered TSS is its mean's rounding
-            # error, within (n eps)^2 of the uncentered one
-            varies = tss > (self.n * _EPS) ** 2 * self.tss_uncentered
-        else:
-            tss = self.tss_uncentered
-            varies = tss > 0.0
-        if not varies:
+        tss = self.tss_centered if intercept else self.tss_uncentered
+        if tss == 0.0:  # a constant response, or with no intercept an all-zero one
             return np.where(rss <= 1e-12, 1.0, 0.0)
         r2 = 1.0 - rss / tss
         return np.clip(r2, 0.0, 1.0) if intercept else r2

@@ -31,17 +31,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, pearson_matrix
+from .dataset import Dataset, column_scales, pearson_matrix
 from .defaults import DESTABILIZATION_THRESHOLD
 from .errors import (
-    DegenerateColumnError,
     InsufficientDataError,
     ModelError,
     SearchError,
     UnknownColumnError,
 )
 from .ols import Factorization, FittedModel
-from .terms import ModelSpec, Term, canonical_order, check_hierarchy, check_response_unused
+from .terms import ModelSpec, Term, anchored_predictors, canonical_order, check_hierarchy, check_response_unused
 
 MAX_CANDIDATE_FITS = 1_000_000
 # Candidates factored by one numpy.linalg.qr call; bounds the stack's memory.
@@ -119,16 +118,18 @@ def strong_correlations(
 ) -> list[tuple[str, str, float]]:
     """Pairs (a, b, r) of the named columns with |r| > ``threshold``.
 
-    Pairs come in the order of ``names``; names absent from ``d`` are
-    skipped.  Where r is undefined (n < 3, or a column with zero
-    variance) there are none.
+    Pairs come in the order of ``names``; names absent from ``d`` and
+    constant columns, whose r is undefined, are left out.  With n < 3
+    there are none.
     """
     present = [name for name in names if name in d]
+    _, constant = column_scales(d, present)
+    present = [name for name, flat in zip(present, constant.tolist()) if not flat]
     if len(present) < 2:
         return []
     try:
         r = pearson_matrix(d, present).r
-    except (InsufficientDataError, DegenerateColumnError):
+    except InsufficientDataError:
         return []
     return [
         (present[i], present[j], float(r[i, j]))
@@ -298,20 +299,12 @@ def _least_significant(
     spec = model.spec
     if spec.n_parameters <= 1:
         return None  # never remove a model's last parameter
-    anchored: set[str] = set()
-    if enforce_hierarchy:
-        for term in spec.terms:
-            if term.degree >= 2:
-                anchored.update(term.predictors)
+    anchored = anchored_predictors(spec) if enforce_hierarchy else set()
     removable = []
     for term in spec.terms:
         if term in protected:
             continue
-        if (
-            enforce_hierarchy
-            and term.degree == 1
-            and term.factors[0][0] in anchored
-        ):
+        if term.degree == 1 and term.factors[0][0] in anchored:
             continue
         i = model.term_index(term)
         p = float(model.p[i])

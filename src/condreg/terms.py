@@ -161,20 +161,18 @@ def full_quadratic_terms(predictors: Sequence[str]) -> list[Term]:
     return canonical_order(terms)
 
 
+def anchored_predictors(spec: ModelSpec) -> set[str]:
+    """Predictors used by a term of degree >= 2: the hierarchy rule keeps
+    each one's linear term in the model."""
+    return {name for term in spec.terms if term.degree >= 2 for name in term.predictors}
+
+
 def check_hierarchy(spec: ModelSpec) -> list[str]:
-    """Predictors appearing only inside degree->=2 terms, sorted by name.
+    """Anchored predictors (see ``anchored_predictors``) without a linear
+    term, sorted by name.
 
     An empty list means the model is hierarchical (every predictor used
     in a higher-order term also has a pure linear term).
     """
-    linear = {
-        t.factors[0][0] for t in spec.terms if t.degree == 1
-    }
-    violations = set()
-    for term in spec.terms:
-        if term.degree >= 2:
-            for name in term.predictors:
-                if name not in linear:
-                    violations.add(name)
-    return sorted(violations)
-
+    linear = {t.factors[0][0] for t in spec.terms if t.degree == 1}
+    return sorted(anchored_predictors(spec) - linear)

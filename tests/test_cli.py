@@ -441,6 +441,20 @@ def test_conditional_cautions_read_the_configured_threshold(tmp_path, monkeypatc
     assert [(c["predictor"], round(c["r"], 3)) for c in report["conditional"]["cautions"]] == cautions
 
 
+@pytest.mark.parametrize("value", ["0.1", "1.0"])
+def test_a_constant_predictor_keeps_the_other_correlation_warnings(tmp_path, monkeypatch, value):
+    # k is constant whether or not its float mean rounds to its value, and
+    # either way the x1-x2 pair keeps its warning
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    with open(SURVEY, encoding="utf-8") as handle:
+        header, *rows = handle.read().splitlines()
+    path = _write_lines(tmp_path / "survey-k.csv", [header + ",k"] + [row + "," + value for row in rows])
+    report = _run_twice(tmp_path, ["fit", f"--data={path}", "--formula=Y ~ 0 + x1 + x2 + k"])
+    assert [w for w in report["warnings"] if w.startswith("correlation")] == [
+        "correlation: |r(x1, x2)| = 0.838 exceeds 0.7"
+    ]
+
+
 def test_fit_where_r_is_undefined_has_no_correlation_warning(tmp_path, monkeypatch, signal):
     # a constant column, and n = 2 < 3: r is undefined, so the fit is
     # reported without a correlation warning rather than refused
@@ -493,6 +507,29 @@ def test_bad_config_is_a_config_error(tmp_path, monkeypatch, capsys, text, messa
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("threshold", ["NaN", "-1", "1.5"])
+def test_correlation_threshold_outside_the_unit_interval_is_a_config_error(tmp_path, monkeypatch, capsys, threshold):
+    # NaN would silence every correlation warning, and -1 raise one for every pair
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"correlation_threshold": {threshold}}}', encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main([f"--config={config}", "fit", f"--data={SURVEY}", "--formula=Y ~ x1 + x2", f"--out={out}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[config]: config key 'correlation_threshold' must lie in [0, 1], got {float(threshold)}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold, warned", [(0, True), (1, False)])
+def test_correlation_threshold_may_be_either_bound(tmp_path, monkeypatch, threshold, warned):
+    monkeypatch.delenv("CONDREG_CONFIG", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"correlation_threshold": threshold}), encoding="utf-8")
+    report = _run_twice(tmp_path, [f"--config={config}", "fit", f"--data={SURVEY}", "--formula=Y ~ x1 + x2"])
+    assert any(w.startswith("correlation: |r(x1, x2)|") for w in report["warnings"]) is warned
+
+
 def test_missing_config_file_is_an_io_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CONDREG_CONFIG", raising=False)
     code = main([f"--config={tmp_path / 'absent.json'}", "summary", f"--data={SURVEY}"])
@@ -502,11 +539,19 @@ def test_missing_config_file_is_an_io_error(tmp_path, monkeypatch, capsys):
     assert lines[0].startswith("error[io]: ")
 
 
+# Constant columns of seven rows: the mean of 0.1s rounds away from 0.1, that of 1.0s does not.
+CONSTANTS = ["0.1", "1.0"]
+ZERO_VARIANCE = "error[degenerate-column]: column 'a' has zero variance"
+
+
 @pytest.fixture
 def hostile_files(tmp_path):
     (tmp_path / "utf16.csv").write_bytes(b"\xff\xfeu,v\n1,2\n")
     (tmp_path / "late-byte.csv").write_bytes(b"u,v\n1,2\n3,4\n5,\xe96\n")
     (tmp_path / "header-only.csv").write_bytes(b"u,v\n")
+    for value in CONSTANTS:
+        rows = [f"{value},{i % 3},{i * i % 7}" for i in range(7)]
+        (tmp_path / f"const-{value}.csv").write_text("\n".join(["a,b,Y", *rows]) + "\n", encoding="utf-8")
     return tmp_path
 
 
@@ -534,6 +579,10 @@ HOSTILE = [
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--points=1000000000000000"], 2,
      f"error[degenerate-ellipse]: a boundary takes at most {MAX_PLOT_POINTS} points, got 1000000000000000"),
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x1"], 2, "error[degenerate-ellipse]: "),
+    *[(argv + [f"--data={{dir}}/const-{value}.csv"], 1, ZERO_VARIANCE)
+      for value in CONSTANTS
+      for argv in (["corr"], ["bridge", "--response=Y", "--predictors=a,b", "--target=b"],
+                   ["ellipse", "--x=a", "--y=b"], ["ellipse", "--x=b", "--y=a"])],
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=0:1:x"], 2,
      "error[formula]: bad --sweep value: "),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", f"--sweep=0:1:{MAX_PLOT_POINTS + 1}"], 2,
@@ -601,6 +650,14 @@ def test_hostile_argv_gives_one_classified_error(hostile_files, monkeypatch, cap
     assert lines[0].startswith(error)
     assert "Traceback" not in captured.err and captured.out == ""
     assert not os.path.exists(f"{out}.json")
+
+
+@pytest.mark.parametrize("value", CONSTANTS)
+def test_summary_of_a_constant_column_gives_its_value_and_variance_zero(tmp_path, hostile_files, value):
+    report = _run_twice(tmp_path, ["summary", f"--data={hostile_files}/const-{value}.csv"])
+    assert report["columns"]["a"] == dict.fromkeys(["min", "q25", "mean", "q75", "max"], float(value)) | {
+        "variance": 0
+    }
 
 
 @pytest.mark.parametrize("alpha", [7, 0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreg import dataset, stats
+from condreg import dataset, geometry, stats
 from condreg.defaults import ROW_BLOCK_BYTES
 from condreg import (
     Dataset,
@@ -332,6 +332,48 @@ class TestChunkedMoments:
         np.testing.assert_allclose(norms_big, 1e300 * norms, rtol=1e-14)
 
 
+class TestMomentsEngine:
+    """One engine gives every centred moment and decides constancy."""
+
+    def test_every_moment_reader_reaches_the_engine(self, monkeypatch, rng):
+        engine, calls = dataset._moments, []
+
+        def counted(d, names, **kwargs):
+            calls.append(tuple(names))
+            return engine(d, names, **kwargs)
+
+        def no_cov(*args, **kwargs):
+            raise AssertionError("numpy.cov called")
+
+        monkeypatch.setattr(dataset, "_moments", counted)
+        monkeypatch.setattr(geometry, "_moments", counted)
+        monkeypatch.setattr(np, "cov", no_cov)
+        d = Dataset({"a": rng.normal(size=20), "b": rng.normal(size=20)})
+        pearson_matrix(d)
+        assert calls == [("a", "b")]
+        geometry.ellipse(d, "b", "a", 0.95)
+        assert calls[1:] == [("b", "a")]
+        quartiles(d)
+        assert calls[2:] == [("a",), ("b",)]
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, -3e-300, 7e300])
+    def test_a_constant_column_centres_to_exact_zeros(self, rng, value):
+        n = 2 * _chunk_rows(2) + 7  # two chunks and a tail
+        d = Dataset({"a": rng.normal(size=n), "k": np.full(n, value)})
+        mean, gram, squares, exponents = dataset._moments(d, ["a", "k"], constant_ok=True)
+        assert np.ldexp(mean[1], exponents[1]) == value
+        assert squares[1] == gram[0, 1] == gram[1, 0] == gram[1, 1] == 0.0
+        assert squares[0] > 0.0
+        with pytest.raises(DegenerateColumnError, match="column 'k' has zero variance"):
+            dataset._moments(d, ["a", "k"])
+
+    def test_a_column_one_ulp_from_constant_varies(self):
+        column = np.full(9, 0.1)
+        column[4] = np.nextafter(0.1, 1.0)
+        squares = dataset._moments(Dataset({"a": column}), ["a"])[2]
+        assert squares[0] > 0.0
+
+
 class TestQuartiles:
     def test_symmetric_sequence(self):
         q = quartiles(Dataset({"a": [1, 2, 3, 4, 5]}))["a"]
@@ -340,6 +382,10 @@ class TestQuartiles:
     def test_constant_column(self):
         q = quartiles(Dataset({"a": [7.0, 7.0, 7.0]}))["a"]
         assert (q.min, q.q25, q.mean, q.q75, q.max) == (7.0,) * 5
+        # seven 0.1s have a float mean of 0.09999999999999999
+        for value in (0.1, 1.0):
+            q = quartiles(Dataset({"a": np.full(7, value)}))["a"]
+            assert (q.min, q.q25, q.mean, q.q75, q.max, q.variance) == (value,) * 5 + (0.0,)
 
     def test_round_trip_through_target_order_statistics(self):
         # with 5 points the type-7 quartiles land exactly on the 2nd and
@@ -382,6 +428,12 @@ class TestColumnStats:
         s = quartiles(Dataset({"a": [5.0]}))["a"]
         assert s.mean == 5.0
         assert s.variance == 0.0
+
+    def test_variance_within_range_does_not_overflow_on_the_way(self, rng):
+        col = rng.normal(size=2000)
+        s = quartiles(Dataset({"a": 1e153 * col}))["a"]
+        assert s.variance == pytest.approx(1e306 * col.var(ddof=1), rel=1e-13)
+        assert s.mean == pytest.approx(1e153 * col.mean(), rel=1e-12)
 
     def test_closed_form_oracle(self):
         # 1..n: mean (n+1)/2, sample variance n(n+1)/12

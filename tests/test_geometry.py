@@ -15,6 +15,7 @@ from condreg import (
 from condreg.defaults import MAX_PLOT_POINTS
 from condreg.errors import (
     AssignmentError,
+    DegenerateColumnError,
     DegenerateEllipseError,
     InsufficientDataError,
     ModelError,
@@ -63,6 +64,27 @@ class TestEllipse:
         x = rng.normal(size=20)
         with pytest.raises(DegenerateEllipseError):
             ellipse(Dataset({"x": x, "y": 2.0 * x + 1.0}), "x", "y", 0.95)
+
+    def test_center_and_shape_match_numpy(self, rng):
+        a = rng.normal(size=40) + 7.0
+        b = 0.4 * a + rng.normal(size=40)
+        e = ellipse(Dataset({"a": a, "b": b}), "a", "b", 0.95)
+        np.testing.assert_allclose(e.center, [a.mean(), b.mean()], rtol=1e-15)
+        np.testing.assert_allclose(e.shape, np.cov(a, b), rtol=1e-13)
+
+    @pytest.mark.parametrize("value", [0.1, 1.0])
+    def test_constant_column_is_a_degenerate_column(self, rng, value):
+        d = Dataset({"x": rng.normal(size=7), "k": np.full(7, value)})
+        for pair in (("x", "k"), ("k", "x")):
+            with pytest.raises(DegenerateColumnError, match="column 'k' has zero variance"):
+                ellipse(d, *pair, 0.95)
+
+    def test_covariance_within_range_does_not_overflow_on_the_way(self, rng):
+        # the unscaled products (about 1e306 each) would overflow their sum
+        a, b = rng.normal(size=(2, 2000))
+        b += 0.5 * a
+        e = ellipse(Dataset({"a": 1e153 * a, "b": 1e153 * b}), "a", "b", 0.95)
+        np.testing.assert_allclose(e.shape, 1e306 * np.cov(a, b), rtol=1e-13)
 
     def test_needs_three_points(self):
         d = Dataset({"x": [1.0, 2.0], "y": [0.0, 1.0]})
@@ -184,6 +206,28 @@ class TestClassifyAction:
         cross_p = float(m.p[m.term_index(Term.cross("f1", "f2"))])
         assert cross_p > 0.05  # seed chosen so the gate is exercised
         assert classify_action(m, "f1", "f2", alpha=0.05).label == "additive"
+
+    def test_no_single_factor_effect_is_additive(self):
+        # b1 = b2 = b12 cancels both isolated effects at the coded levels,
+        # so only the joint corner moves
+        result = classify_action(published([0.0, 1.0, 1.0, 1.0]), "f1", "f2")
+        assert result.effect_1 == result.effect_2 == 0.0
+        assert result.joint_effect == 4.0
+        assert result.label == "additive"
+
+    @pytest.mark.parametrize(
+        "coef, effects, label",
+        [
+            ([0.0, 3.0, -1.0, 0.5], (5.0, -3.0), "greater-than-additive"),
+            ([0.0, 1.0, -3.0, 0.5], (1.0, -7.0), "less-than-additive"),
+        ],
+    )
+    def test_opposite_effects_take_the_larger_ones_direction(self, coef, effects, label):
+        # the same cross term (gap +2) reinforces the larger effect when it
+        # is positive and opposes it when it is negative
+        result = classify_action(published(coef), "f1", "f2")
+        assert (result.effect_1, result.effect_2) == effects
+        assert result.label == label
 
     def test_missing_cross_term_is_scope_error(self):
         spec = ModelSpec("Y", (Term.linear("f1"), Term.linear("f2")))

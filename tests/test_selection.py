@@ -343,10 +343,16 @@ class TestStrongCorrelations:
         columns = {name: values[:2] for name, values in self._correlated().items()}
         assert strong_correlations(Dataset(columns), ["a", "b", "c"], 0.0) == []
 
-    def test_a_zero_variance_column_gives_none(self):
+    @pytest.mark.parametrize("value", [2.5, 0.1, 1.0])
+    def test_a_constant_column_is_left_out(self, value):
+        """r with a constant column is undefined; the other pairs still count,
+        whether or not the column's mean rounds to its value."""
         columns = self._correlated()
-        columns["k"] = np.full(30, 2.5)
-        assert strong_correlations(Dataset(columns), ["a", "b", "k"], 0.0) == []
+        columns["k"] = np.full(30, value)
+        d = Dataset(columns)
+        r = float(pearson_matrix(d, ["a", "b"]).r[0, 1])
+        assert strong_correlations(d, ["k", "a", "k2", "b"], 0.0) == [("a", "b", r)]
+        assert strong_correlations(d, ["a", "k"], 0.0) == []
 
     def test_names_absent_from_the_data_are_skipped(self):
         d = Dataset(self._correlated())

@@ -10,6 +10,7 @@ from condreg import (
     full_quadratic_terms,
 )
 from condreg.errors import DuplicateTermError, ResponseTermError, SchemaError
+from condreg.terms import anchored_predictors
 
 
 class TestTermAlgebra:
@@ -123,6 +124,14 @@ class TestHierarchy:
 
     def test_triple_product_with_one_linear(self):
         spec = ModelSpec("Y", (Term.linear("x1"), Term.cross("x1", "x2", "x3")))
+        assert check_hierarchy(spec) == ["x2", "x3"]
+
+    def test_anchored_predictors_are_those_of_higher_order_terms(self):
+        # the one rule behind check_hierarchy and stepwise's removability
+        spec = ModelSpec(
+            "Y", (Term.linear("x1"), Term.linear("x4"), Term.cross("x1", "x2"), Term.power("x3", 2))
+        )
+        assert anchored_predictors(spec) == {"x1", "x2", "x3"}
         assert check_hierarchy(spec) == ["x2", "x3"]
 
     def test_square_counts_as_higher_order(self):
