@@ -176,7 +176,10 @@ def _fixed_values(args, data: Dataset | None) -> dict[str, float]:
     from . import conditional as cond
 
     fixes = _parse_fixes(args.fix or [])
-    summary = quartiles(data) if data is not None else None
+    presets = [name for name, value in fixes.items() if isinstance(value, str)]
+    summary = None
+    if data is not None and presets:
+        summary = quartiles(data, [name for name in presets if name in data.names])
     return cond.resolve_assignment(fixes, summary)
 
 

@@ -514,11 +514,12 @@ def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> Correlation
     return CorrelationReport(names=names, r=r, n=d.n)
 
 
-def quartiles(d: Dataset) -> dict[str, ColumnQuartiles]:
-    """Summary per column, in column order (type-7 quartiles); mean and
-    variance come from ``_moments``, one column at a time."""
+def quartiles(d: Dataset, names: Sequence[str] | None = None) -> dict[str, ColumnQuartiles]:
+    """Summary per named column (default: every column, in column order),
+    with type-7 quartiles; mean and variance come from ``_moments``, one
+    column at a time."""
     summary: dict[str, ColumnQuartiles] = {}
-    for name in d.names:
+    for name in d.names if names is None else names:
         col = d.column(name)
         q25, q75 = np.quantile(col, [0.25, 0.75])
         mean, _, squares, exponent = _moments(d, [name], constant_ok=True)

@@ -5,8 +5,8 @@ predictions inside are interpolation, outside extrapolation, and the
 stronger two predictors correlate, the thinner the observed region
 gets.  An ellipse's center and shape are the sample means and
 covariance from the moments engine of :mod:`condreg.dataset`, so a
-constant column is a degenerate column, and only a perfectly correlated
-pair is a degenerate ellipse.
+constant column is a degenerate column, and only a pair perfectly
+correlated to working precision is a degenerate ellipse.
 
 Combined-action labels are read off the cross term of a fitted
 two-factor model: an insignificant cross term means additivity, a cross
@@ -35,6 +35,8 @@ from .errors import (
 from .ols import FittedModel, predict
 from .stats import chi_square_quantile_2dof
 from .terms import Term
+
+_EPS = float(np.finfo(float).eps)
 
 ActionLabel = Literal[
     "additive", "less-than-additive", "greater-than-additive", "antagonism"
@@ -75,8 +77,14 @@ def ellipse(d: Dataset, x: str, y: str, level: float) -> ConfidenceEllipse:
         raise DegenerateEllipseError(
             f"({x}, {y}) sample covariance overflows; rescale the columns"
         )
-    # the scaled Gram matrix's determinant has shape's sign and cannot overflow
-    if np.linalg.det(gram) <= 0.0:
+    # The scaled Gram matrix's determinant has shape's sign and cannot
+    # overflow.  By the two-pass bound (Chan, Golub & LeVeque 1979) each
+    # computed g_ij is within about n u sqrt(g_ii g_jj) of its exact value
+    # (u = eps / 2), so a linear pair's det, exactly 0, can come out as
+    # large as 4 n u g_00 g_11 = 2 n eps g_00 g_11, plus a few eps g_00 g_11
+    # from forming the determinant.  At or below that bound the pair is
+    # perfectly correlated to working precision.
+    if np.linalg.det(gram) <= 2.0 * (d.n + 2) * _EPS * gram[0, 0] * gram[1, 1]:
         raise DegenerateEllipseError(
             f"({x}, {y}) sample covariance is singular; the pair is perfectly correlated"
         )

@@ -6,13 +6,18 @@ format prints the same document as flat ``key = value`` lines (and the
 correlation section as a table); the same number rules feed it and the
 TSV plot files, so identical inputs always produce byte-identical
 output.  A 1-D float array (a row of a matrix, a column of numbers) is
-formatted as one row by :func:`format_row` and joined in one piece; the
-JSON report, the correlation table, the TSV rows and the float columns
-of a :class:`ColumnTable` share it.  A column table is a list of records
-given as columns; both formats print it exactly as the list of dicts it
-stands for, each column's cells formatted in one pass and each JSON
-record filled into one template.  File writes go through a temp file and
-rename, never a partial file.
+formatted as one row by :func:`format_row`, through one ``%.12g``
+template when every entry is finite, and joined in one piece; the JSON
+report, the correlation table, the TSV rows and the float columns of a
+:class:`ColumnTable` share it.  A 2-D float array is formatted a row at
+a time by one matrix-row helper, used by the JSON report and the
+correlation table; a square one that equals its transpose bit for bit
+(a correlation or p matrix) has each pair formatted once and mirrored.
+A column table is a list of records given as columns; both formats
+print it exactly as the list of dicts it stands for, each column's cells
+formatted in one pass and each JSON record filled into one template.
+File writes go through a temp file and rename, never a partial file,
+and encode the text in bounded chunks, never as one second copy.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ import math
 import os
 import tempfile
 from itertools import chain
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 SCHEMA = "condreg/1"
+# Characters encoded and written at a time, so that a report is never
+# held a second time as one encoded copy.
+_WRITE_CHARS = 1 << 16
 
 
 def format_number(x: float) -> str:
@@ -43,12 +51,53 @@ def format_row(values: Any) -> list[str]:
     """format_number of each entry of a 1-D sequence of numbers.
 
     A float ndarray is formatted from one ``tolist`` pass of Python
-    floats, giving the same strings as format_number entry by entry.
+    floats, giving the same strings as format_number entry by entry; an
+    all-finite one through a single ``%.12g`` template, which prints
+    each float as ``format(v, ".12g")`` does.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         floats = values.astype(float, copy=False).tolist()
+        if floats and np.isfinite(values).all():
+            return (("%.12g," * len(floats))[:-1] % tuple(floats)).split(",")
         return [format(v, ".12g") if math.isfinite(v) else "null" for v in floats]
     return [format_number(value) for value in values]
+
+
+def _bitwise_symmetric(m: np.ndarray) -> bool:
+    """Whether a square float array equals its transpose bit for bit.
+
+    Bits, not values, decide: 0.0 == -0.0 although -0 prints apart from
+    0, and NaN != NaN although both print as null.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.itemsize not in (2, 4, 8):
+        return False
+    bits = m.view(f"i{m.itemsize}")
+    return bool((bits == bits.T).all())
+
+
+def _matrix_rows(rows: Any) -> Iterator[list[str]]:
+    """format_row of each row of a matrix (a 2-D array or a list of rows).
+
+    A float array equal to its transpose bit for bit has each row's
+    upper part, diagonal included, formatted once; the cells right of
+    the diagonal are kept as the lower parts of the rows below, each
+    until its row is yielded.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "f" and _bitwise_symmetric(rows)):
+        yield from map(format_row, rows)
+        return
+    lower: list[list[str]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        upper = format_row(row[i:])
+        for below, cell in zip(lower[i + 1 :], upper[1:]):
+            below.append(cell)
+        cells, lower[i] = lower[i] + upper, []
+        yield cells
+
+
+def _json_row(cells: list[str], pad: str) -> str:
+    """A non-empty row of printed cells as _emit prints a list at ``pad``."""
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(cells) + "\n" + pad + "]"
 
 
 def _scalar(obj: Any) -> str | None:
@@ -127,9 +176,15 @@ def _emit(obj: Any, pieces: list[str], indent: int) -> None:
         pieces.append(pad + "}")
     elif isinstance(obj, ColumnTable):
         pieces.append(_table_json(obj, indent))
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-        row = ",\n" + pad + "  "
-        pieces.append("[\n" + pad + "  " + row.join(format_row(obj)) + "\n" + pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size and obj.ndim in (1, 2):
+        if obj.ndim == 1:
+            pieces.append(_json_row(format_row(obj), pad))
+        else:
+            inner = pad + "  "
+            pieces.append("[\n")
+            for cells in _matrix_rows(obj):
+                pieces += (inner, _json_row(cells, inner), ",\n")
+            pieces[-1] = "\n" + pad + "]"  # the last row's separator closes the list
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = list(obj)
         if not items:
@@ -176,14 +231,14 @@ def _correlation_table(section: dict) -> list[str]:
     never run together.
     """
     names = [str(name) for name in section["names"]]
-    r = [format_row(row) for row in section["r"]]
-    p = [format_row(row) for row in section["p"]]
+    r, p = list(_matrix_rows(section["r"])), list(_matrix_rows(section["p"]))
     for i, cells in enumerate(p):
         cells[i] = "—"
     width = 1 + max(len(cell) for cell in chain(names, *r, *p))
+    template = f"%{width}s" * (len(names) + 1)
 
     def row(label: str, cells: list[str]) -> str:
-        return "".join(cell.rjust(width) for cell in [label, *cells])
+        return template % (label, *cells)
 
     lines = [row("", names)]
     for name, r_cells, p_cells in zip(names, r, p):
@@ -251,7 +306,8 @@ def write_text_atomic(path: str, text: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start : start + _WRITE_CHARS])
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

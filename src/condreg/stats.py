@@ -7,8 +7,12 @@ a float or an array of t with one dof and returns a float or an array
 of t's shape.  One loop runs the continued fraction over every element
 at once; an element's result is its h at the iteration where its own
 |delta - 1| < _REL_TOL, and it takes the (a, b, x) or (b, a, 1 - x)
-representation by its own x, so each entry equals a one-element call
-bit for bit.  log B(dof/2, 1/2) comes from a Stirling-series difference
+representation by its own x.  The prefactor's log, log1p and exp are
+numpy ufuncs over the whole array, each representation's logarithm
+under a ``where=`` mask; a ufunc computes each element on its own, so
+each entry equals a one-element call bit for bit.  Arguments outside
+the domain (a or b not positive, x or 1 - x outside [0, 1]) raise
+ValueError.  log B(dof/2, 1/2) comes from a Stirling-series difference
 once dof >= 20, within 1e-15 of 50-digit mpmath up to dof 1e12.
 Against 40-digit mpmath the relative error of p is below 3e-13 at dof
 5, 30, 920 and 998 for 1e-6 <= |t| <= 40; it grows with dof to 3.2e-11
@@ -147,26 +151,24 @@ def _lentz_step(d, c, coefficient, sign, work, rows) -> None:
     np.copyto(c, rows[1])
 
 
-def _libm(function, values: np.ndarray) -> np.ndarray:
-    """A ``math`` function applied to each element of a 1-D float array."""
-    return np.fromiter(map(function, values.tolist()), float, values.size)
-
-
 def _incomplete_beta(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """I_x(a, b) per element of 1-D arrays x and y = 1 - x, given both so
-    that neither is formed by subtraction."""
+    that neither is formed by subtraction.  Raises ValueError unless a and
+    b are positive and x and y lie in [0, 1]."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if np.any((x < 0.0) | (x > 1.0) | (y < 0.0) | (y > 1.0)):
+        raise ValueError("x and 1 - x must lie in [0, 1]")
     out = np.where(x == 0.0, 0.0, 1.0)
     inner = (x != 0.0) & (y != 0.0)
     x, y = x[inner], y[inner]
     # Each element takes the representation that converges fastest.
     first = x < (a + 1.0) / (a + b + 2.0)
     # Where x is near 1 the subtraction below amplifies any error in
-    # front, so log x is taken from the complement.  The logarithms and
-    # exp are libm's, element by element, as in a one-element call.
-    log_x = np.empty_like(x)
-    log_x[first] = _libm(math.log, x[first])
-    log_x[~first] = _libm(math.log1p, -y[~first])
-    front = _libm(math.exp, a * log_x + b * _libm(math.log, y) - log_beta(a, b))
+    # front, so log x is taken from the complement.
+    log_x = np.log(x, out=np.empty_like(x), where=first)
+    np.log1p(-y, out=log_x, where=~first)
+    front = np.exp(a * log_x + b * np.log(y) - log_beta(a, b))
     shape_a = np.where(first, a, b)
     fraction = front * _beta_continued_fraction(
         shape_a, np.where(first, b, a), np.where(first, x, y)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from condreg import FittedModel, ModelSpec, cli, full_quadratic_terms, load_csv, pearson_matrix, report
+from condreg import FittedModel, ModelSpec, cli, dataset, full_quadratic_terms, load_csv, pearson_matrix, report
 from condreg.cli import main
 from condreg.defaults import MAX_PLOT_POINTS
 from conftest import modules_after
@@ -439,6 +439,30 @@ def test_conditional_cautions_read_the_configured_threshold(tmp_path, monkeypatc
     report = _run_twice(tmp_path, [f"--config={config}", "conditional", f"--data={SURVEY}",
                                    "--formula=Y ~ quad(x1,x2)", "--target=x1", "--fix=x2=q25"])
     assert [(c["predictor"], round(c["r"], 3)) for c in report["conditional"]["cautions"]] == cautions
+
+
+def test_fix_summarises_only_the_columns_fixed_at_a_preset(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no --fix names a preset, so no column needs a summary")
+
+    monkeypatch.setattr(cli, "quartiles", refuse)
+    for argv in (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0.25"],
+                 ["effect", *SATURATED_CODED, "--target=Pb", "--fix=Cd=-0.5", "--at=0.2"],
+                 ["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd"]):
+        assert main(argv) == 0
+    summarised = []
+
+    def spy(d, names=None):
+        summarised.append(names)
+        return dataset.quartiles(d, names)
+
+    monkeypatch.setattr(cli, "quartiles", spy)
+    assert main(["conditional", f"--data={SURVEY}", "--formula=Y ~ quad(x1,x2) + x3", "--target=x1",
+                 "--fix=x2=q25,x3=1.5"]) == 0
+    assert main(["conditional", f"--data={SURVEY}", "--formula=Y ~ x1 + x2", "--target=x1",
+                 "--fix=x2=mean,x9=max"]) == 1
+    assert summarised == [["x2"], ["x2"]]
+    assert capsys.readouterr().err.splitlines() == ["error[unknown-column]: no summary for column 'x9'"]
 
 
 @pytest.mark.parametrize("value", ["0.1", "1.0"])

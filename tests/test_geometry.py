@@ -65,6 +65,27 @@ class TestEllipse:
         with pytest.raises(DegenerateEllipseError):
             ellipse(Dataset({"x": x, "y": 2.0 * x + 1.0}), "x", "y", 0.95)
 
+    def test_every_exactly_linear_pair_is_degenerate(self):
+        # y = a x + b rounds each y, and centring and the Gram sums round
+        # too, so about 4 in 10 of these determinants come out above 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=int(rng.integers(3, 201)))
+            for a, b in [(2.0, 1.0), (-3.0, 0.5), (0.1, 7.0)]:
+                with pytest.raises(DegenerateEllipseError, match="perfectly correlated"):
+                    ellipse(Dataset({"x": x, "y": a * x + b}), "x", "y", 0.95)
+
+    @pytest.mark.parametrize("n", [3, 50, 100_000])
+    def test_nearly_linear_pair_keeps_its_ellipse(self, rng, n):
+        r = 0.999999
+        x, z = rng.normal(size=(2, n))
+        x -= x.mean()
+        z -= z.mean()
+        z -= (z @ x) / (x @ x) * x
+        x, z = x / np.linalg.norm(x), z / np.linalg.norm(z)
+        e = ellipse(Dataset({"x": x, "y": r * x + np.sqrt(1.0 - r * r) * z}), "x", "y", 0.95)
+        assert e.shape[0, 1] / np.sqrt(e.shape[0, 0] * e.shape[1, 1]) == pytest.approx(r, abs=1e-12)
+
     def test_center_and_shape_match_numpy(self, rng):
         a = rng.normal(size=40) + 7.0
         b = 0.4 * a + rng.normal(size=40)

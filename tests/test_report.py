@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condreg import Dataset, pearson_matrix
+from condreg import Dataset, pearson_matrix, report
 from condreg.cli import main
 from condreg.report import (
     ColumnTable,
@@ -54,6 +54,25 @@ def test_cli_out_survives_a_failed_rename(tmp_path, refused_rename, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "summary.json"]
 
 
+def test_text_that_cannot_be_encoded_keeps_the_old_file(tmp_path):
+    # the lone surrogate sits in the second chunk, after the first was written
+    target = tmp_path / "report.json"
+    target.write_text("previous\n", encoding="utf-8")
+    text = "a" * (report._WRITE_CHARS + 10) + "\ud800\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(target), text)
+    assert target.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_long_text_is_written_whole(tmp_path):
+    target = tmp_path / "report.json"
+    text = "".join(f"{i},é—\n" for i in range(3 * report._WRITE_CHARS // 8))
+    assert len(text) > 2 * report._WRITE_CHARS
+    write_text_atomic(str(target), text)
+    assert target.read_bytes() == text.encode("utf-8")
+
+
 def test_write_replaces_the_old_file(tmp_path):
     target = tmp_path / "report.json"
     target.write_text("previous\n", encoding="utf-8")
@@ -85,6 +104,22 @@ def test_correlation_table_keeps_every_cell_apart():
 
 EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, -1e-320, 1.0 / 3.0, -2.0 / 3.0,
          1e22, -123456789012345.0, 1e-5, 9.99999999999e-5, 1e300]
+
+
+def _with(matrix, index, value):
+    """A copy of matrix with one entry set."""
+    out = matrix.copy()
+    out[index] = value
+    return out
+
+
+# Symmetric bit for bit, with a 0.0 pair, subnormals and twelve-digit ties.
+SYMMETRIC = np.array([
+    [1.0, 0.0, -0.25, 1.0 / 3.0],
+    [0.0, 5e-324, -2.0 / 3.0, 1e22],
+    [-0.25, -2.0 / 3.0, 0.0, 9.99999999999e-5],
+    [1.0 / 3.0, 1e22, 9.99999999999e-5, -123456789012345.0],
+])
 ROW_ARRAYS = {
     "edges": np.array(EDGES),
     "float32": np.array([math.nan, math.inf, -0.0, 1e-40, 1.0 / 3.0, 3.4e38], dtype=np.float32),
@@ -92,6 +127,13 @@ ROW_ARRAYS = {
     "int": np.array([1, -2, 0, 10**15, -(2**62)]),
     "2-D": np.array(EDGES[:12]).reshape(3, 4),
     "2-D float32": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+    "symmetric": SYMMETRIC,
+    "symmetric float32": SYMMETRIC.astype(np.float32),
+    "symmetric but for a signed zero": _with(SYMMETRIC, (0, 1), -0.0),
+    "asymmetric by one ulp": _with(SYMMETRIC, (1, 3), np.nextafter(SYMMETRIC[3, 1], math.inf)),
+    "symmetric with NaN and inf": _with(_with(_with(SYMMETRIC, (0, 2), math.nan), (2, 0), math.nan),
+                                        (3, 3), -math.inf),
+    "non-square": SYMMETRIC[:3],
     "empty": np.array([]),
     "empty int": np.array([], dtype=int),
     "empty 2-D": np.zeros((2, 0)),
@@ -124,14 +166,25 @@ def test_float_rows_print_twelve_digits_and_null():
 
 
 def test_correlation_table_rows_print_as_the_entry_by_entry_path():
-    r = np.array(EDGES[:9]).reshape(3, 3)
-    p = np.array(EDGES[6:15]).reshape(3, 3)
-    fast = {"names": ["a", "b", "c"], "n": 9, "r": r, "p": p}
-    generic = {**fast, "r": _generic(r), "p": _generic(p)}
-    text = render_text(new_document("corr", correlation=fast))
-    assert text == render_text(new_document("corr", correlation=generic))
-    rows = text.splitlines()[3:]
-    assert [row.split()[1 + i] for i, row in enumerate(rows[2::2])] == ["—"] * 3
+    # bitwise symmetric pairs take the mirrored path; the others do not
+    for r, p in [
+        (np.array(EDGES[:9]).reshape(3, 3), np.array(EDGES[6:15]).reshape(3, 3)),
+        *((ROW_ARRAYS[name][:3, :3], ROW_ARRAYS[name][1:, 1:]) for name in ROW_ARRAYS if name.startswith("sym")),
+        (ROW_ARRAYS["asymmetric by one ulp"][1:, 1:], ROW_ARRAYS["symmetric but for a signed zero"][:3, :3]),
+    ]:
+        fast = {"names": ["a", "b", "c"], "n": 9, "r": r, "p": p}
+        generic = {**fast, "r": _generic(r), "p": _generic(p)}
+        text = render_text(new_document("corr", correlation=fast))
+        assert text == render_text(new_document("corr", correlation=generic))
+        rows = text.splitlines()[3:]
+        assert [row.split()[1 + i] for i, row in enumerate(rows[2::2])] == ["—"] * 3
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-2.3e-308, 2.3e-308)), min_size=1, max_size=40))
+def test_finite_rows_print_through_one_template_as_entry_by_entry(values):
+    # subnormals, -0.0 and every exponent go through the one %.12g template
+    assert format_row(np.array(values)) == [format_number(v) for v in values]
 
 
 def test_tsv_rows_print_as_the_entry_by_entry_path():
