@@ -261,9 +261,11 @@ def cmd_conditional(args) -> int:
         body.update(asdict(cond.t_coefficients(section)))
     doc = new_document("conditional", formula=print_formula(model.spec), conditional=body)
     if args.sweep:
+        import numpy as np
+
         grid = _parse_sweep(args.sweep)
-        rows = [(v, section(v)) for v in grid]
-        doc["sweep"] = [{"x": v, "y": y} for v, y in rows]
+        rows = np.column_stack((grid, section(grid)))
+        doc["sweep"] = [{"x": v, "y": y} for v, y in rows.tolist()]
         comments = [
             f"conditional response of {model.spec.response} vs {args.target}",
             "fixed: " + ", ".join(f"{k}={format_number(v)}" for k, v in sorted(fixed.items())),
@@ -380,7 +382,7 @@ def cmd_residualize(args) -> int:
         text = plot_tsv(
             [f"{args.target} with linear dependence on {', '.join(others)} removed"],
             [f"{args.target}_star"],
-            [(value,) for value in result.column],
+            result.column[:, None],
         )
         write_text_atomic(args.column_out, text)
     return _finish(args, doc)

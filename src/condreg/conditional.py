@@ -3,7 +3,8 @@
 Fixing every predictor but one in a fitted polynomial-term model yields
 a univariate polynomial in the remaining predictor.  These sections of
 the response surface, not individual coefficients, are the objects this
-package is built to report on.
+package is built to report on.  A section's coefficients are the linear
+map ``ModelSpec.section_matrix`` of the model's; unit effects read them.
 """
 
 from __future__ import annotations
@@ -107,29 +108,19 @@ def derive(
 ) -> ConditionalResponse:
     """Section the model along ``target`` at a fixed co-predictor point.
 
-    Substitutes the fixed values into every term and collects by powers
-    of the target.  Of the strong (a, b, r) pairs in ``correlations``, as
+    The section's coefficients are ``ModelSpec.section_matrix`` times
+    the model's.  Of the strong (a, b, r) pairs in ``correlations``, as
     from :func:`condreg.selection.strong_correlations`, each pair of the
     target and a fixed predictor is attached as a caution (no gating).
     """
     _check_assignment(m, target, fixed)
-    degree = m.spec.degree_in(target)
-    poly = [0.0] * (degree + 1)
-    poly[0] += m.intercept_value
-    offset = 1 if m.spec.intercept else 0
-    for i, term in enumerate(m.spec.terms):
-        k = term.degree_in(target)
-        partial = float(m.coef[offset + i])
-        for name, power in term.factors:
-            if name != target:
-                partial *= fixed[name] ** power
-        poly[k] += partial
+    poly = m.spec.section_matrix(target, fixed) @ m.coef
 
     partner = {b if a == target else a: r for a, b, r in correlations if target in (a, b)}
     return ConditionalResponse(
         target=target,
         fixed=dict(fixed),
-        poly=tuple(poly),
+        poly=tuple(poly.tolist()),
         cautions=tuple((name, partner[name]) for name in sorted(fixed) if name in partner),
     )
 
@@ -139,15 +130,20 @@ def unit_effect(
 ) -> float:
     """Response change when ``target`` moves from ``at`` to ``at + 1``.
 
-    Exactly the finite difference of the conditional polynomial; for a
-    model with no higher-order terms in the target this is the target's
-    coefficient, independent of ``at`` and of the fixed values.  Raises
-    AssignmentError for an ``at`` that is not finite.
+    The exact forward difference of the section: the sum of poly_k times
+    (at + 1)^k - at^k, each expanded about b = at + 1/2 as the sum over odd
+    i of C(k, i) 2^(1 - i) b^(k - i), whose terms share one sign, so nothing
+    cancels.  For a model with no higher-order terms in the target this
+    is the target's coefficient, independent of ``at`` and of the fixed
+    values.  Raises AssignmentError for an ``at`` that is not finite.
     """
     if not math.isfinite(at):
         raise AssignmentError(f"effect point must be a finite number, got {at}")
-    section = derive(m, target, fixed)
-    return section(at + 1.0) - section(at)
+    b = at + 0.5
+    return sum(  # math.prod, as a power out of range is inf where ** raises OverflowError
+        c * sum(math.comb(k, i) * 2.0 ** (1 - i) * math.prod([b] * (k - i)) for i in range(1, k + 1, 2))
+        for k, c in enumerate(derive(m, target, fixed).poly)
+    )
 
 
 def t_coefficients(section: ConditionalResponse) -> TCoefficients:

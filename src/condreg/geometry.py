@@ -9,7 +9,8 @@ constant column is a degenerate column, and only a pair perfectly
 correlated to working precision is a degenerate ellipse.
 
 Combined-action labels are read off the cross term of a fitted
-two-factor model: an insignificant cross term means additivity, a cross
+two-factor model: an insignificant cross term, or one that adds nothing
+to the joint effect at the evaluated levels, means additivity, a cross
 term opposing the factors' shared direction attenuates it, and a cross
 term that pulls the joint response back to the both-low (control) level
 against two same-signed single-factor effects is antagonism.
@@ -154,8 +155,7 @@ def classify_action(
     AssignmentError for levels of a name that is neither factor, a level
     that is not finite, or a low level equal to its high level.
     """
-    from .ols import predict  # here, so that ellipse loads neither ols nor terms
-    from .terms import Term
+    from .terms import Term  # here, so that ellipse loads neither ols nor terms
 
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
@@ -187,19 +187,15 @@ def classify_action(
             raise AssignmentError(f"levels of {name!r} must differ, got {list(pair)}")
     lo1, hi1 = levels.get(f1, (-1.0, 1.0))
     lo2, hi2 = levels.get(f2, (-1.0, 1.0))
-    corners = {
-        (a, b): predict(m, {**fixed, f1: va, f2: vb})
-        for (a, b), (va, vb) in {
-            ("lo", "lo"): (lo1, lo2),
-            ("hi", "lo"): (hi1, lo2),
-            ("lo", "hi"): (lo1, hi2),
-            ("hi", "hi"): (hi1, hi2),
-        }.items()
-    }
-    y_ll = corners[("lo", "lo")]
-    effect_1 = corners[("hi", "lo")] - y_ll
-    effect_2 = corners[("lo", "hi")] - y_ll
-    joint = corners[("hi", "hi")] - y_ll
+    ll, hl, lh, hh = (
+        spec.section_matrix(None, {**fixed, f1: v1, f2: v2})[0]
+        for v1, v2 in ((lo1, lo2), (hi1, lo2), (lo1, hi2), (hi1, hi2))
+    )
+    # Design rows are differenced before the coefficients apply, so a term
+    # without a factor adds exactly 0 to that factor's effect and to the
+    # interaction gap (hh - hl) - (lh - ll).
+    differences = np.array([hl - ll, lh - ll, hh - ll, (hh - hl) - (lh - ll)])
+    effect_1, effect_2, joint, gap = (differences @ m.coef).tolist()
 
     cross_coef = m.coefficient(cross)
     cross_p = float(m.p[m.term_index(cross)])
@@ -214,16 +210,8 @@ def classify_action(
 
     if not math.isnan(cross_p) and cross_p > alpha:
         return ActionClass(label="additive", **evidence)
-
-    # Interaction contribution to the joint effect relative to additivity;
-    # pure-power terms cancel in this double difference.
-    gap = (
-        corners[("hi", "hi")]
-        - corners[("hi", "lo")]
-        - corners[("lo", "hi")]
-        + corners[("lo", "lo")]
-    )
-    if effect_1 == 0.0 and effect_2 == 0.0:
+    # No interaction, or no single-factor effect to set a direction.
+    if gap == 0.0 or (effect_1 == 0.0 and effect_2 == 0.0):
         return ActionClass(label="additive", **evidence)
     if effect_1 * effect_2 > 0.0:
         direction = math.copysign(1.0, effect_1)
@@ -236,7 +224,8 @@ def classify_action(
     if gap * direction > 0.0:
         return ActionClass(label="greater-than-additive", **evidence)
 
-    corner_range = max(corners.values()) - min(corners.values())
+    # the corners' spread, each taken relative to the both-low corner
+    corner_range = max(0.0, effect_1, effect_2, joint) - min(0.0, effect_1, effect_2, joint)
     restored = abs(joint) <= control_tolerance * corner_range
     if shared and restored:
         return ActionClass(label="antagonism", **evidence)

@@ -138,10 +138,6 @@ class FittedModel:
     def coefficient(self, term) -> float:
         return float(self.coef[self.term_index(term)])
 
-    @property
-    def intercept_value(self) -> float:
-        return float(self.coef[0]) if self.spec.intercept else 0.0
-
     @classmethod
     def from_coefficients(cls, spec: ModelSpec, coef) -> "FittedModel":
         """Wrap externally supplied (e.g. published) coefficients.
@@ -388,9 +384,5 @@ def predict(m: FittedModel, point: Mapping[str, float]) -> float:
     if missing:
         raise AssignmentError(f"assignment missing predictors: {missing}")
     x = {name: float(point[name]) for name in m.spec.predictors}
-    value = m.intercept_value
-    offset = 1 if m.spec.intercept else 0
-    for i, term in enumerate(m.spec.terms):
-        value += float(m.coef[offset + i]) * term.column(x)
-    return value
+    return float(m.spec.section_matrix(None, x)[0] @ m.coef)
 

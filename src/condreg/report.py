@@ -8,7 +8,7 @@ TSV plot files, so identical inputs always produce byte-identical
 output.  A 1-D float array (a row of a matrix, a column of numbers) is
 formatted as one row by :func:`format_row`, through one ``%.12g``
 template when every entry is finite, and joined in one piece; the JSON
-report, the correlation table, the TSV rows and the float columns of a
+report, the correlation table, the TSV columns and the float columns of a
 :class:`ColumnTable` share it.  A 2-D float array is formatted a row at
 a time by one matrix-row helper, used by the JSON report and the
 correlation table; a square one that equals its transpose bit for bit
@@ -16,8 +16,9 @@ correlation table; a square one that equals its transpose bit for bit
 A column table is a list of records given as columns; both formats
 print it exactly as the list of dicts it stands for, each column's cells
 formatted in one pass and each JSON record filled into one template.
-File writes go through a temp file and rename, never a partial file;
-a file and standard output alike take the text in bounded chunks, so it
+File writes go through a temp file and rename, never a partial file,
+except to a FIFO or device, which is written in place; a file and
+standard output alike take the text in bounded chunks, so it
 is never held a second time as one encoded copy.  This module does not
 import numpy: no numpy object can exist before numpy is loaded, so it
 finds numpy in ``sys.modules`` to tell a numpy value from others, and a
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from itertools import chain
@@ -314,12 +316,17 @@ def model_section(fitted) -> dict:
     }
 
 
-def plot_tsv(comments: Iterable[str], header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """TSV plot data with '#' comment lines, numbers at 12 digits."""
+def plot_tsv(comments: Iterable[str], header: Sequence[str], rows: Any) -> str:
+    """TSV plot data with '#' comment lines, numbers at 12 digits.
+
+    ``rows`` is a 2-D float array, one column per header name (or a
+    sequence of equal-length rows); each column is formatted by one
+    :func:`format_row` call.
+    """
+    columns = rows.T if _float_array(rows) else zip(*rows)
     lines = [f"# {comment}" for comment in comments]
     lines.append("\t".join(header))
-    for row in rows:
-        lines.append("\t".join(format_row(row)))
+    lines.extend(map("\t".join, zip(*map(format_row, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -330,9 +337,25 @@ def write_chunks(handle: IO[str], text: str) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write text to ``path`` so that no reader sees a partial regular file.
+
+    A new path or a regular file gets a temp file in its directory,
+    renamed over it.  A path that exists and is not a regular file (a
+    FIFO, a terminal or another device) would be destroyed by a rename,
+    so it is opened and written in place, in chunks.  A symlink is
+    followed, never replaced: what it points to is written in place or
+    renamed over, and the link stays.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            write_chunks(handle, text)
+        return
+    path = os.path.realpath(path)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             write_chunks(handle, text)

@@ -147,6 +147,18 @@ class ModelSpec:
     def degree_in(self, predictor: str) -> int:
         return max((t.degree_in(predictor) for t in self.terms), default=0)
 
+    def section_matrix(self, target: str | None, fixed: Mapping[str, float]) -> np.ndarray:
+        """G, with G @ coef the section's coefficients along ``target`` at ``fixed``:
+        column j is parameter j's term at ``fixed`` with the target at 1, in the
+        row of the term's power of the target.  No target: the design row at ``fixed``."""
+        point = dict(fixed) if target is None else {**fixed, target: 1.0}
+        g = np.zeros((self.degree_in(target) + 1, self.n_parameters))
+        if self.intercept:
+            g[0, 0] = 1.0
+        for j, term in enumerate(self.terms, start=int(self.intercept)):
+            g[term.degree_in(target), j] = term.column(point)
+        return g
+
 
 def full_quadratic_terms(predictors: Sequence[str]) -> list[Term]:
     """Linear + pairwise cross + square terms, canonically ordered."""

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from condreg import (
     Dataset,
@@ -39,6 +43,38 @@ TB_SPEC = ModelSpec(
 TB_MODEL = FittedModel.from_coefficients(
     TB_SPEC, [1175.0, -15.08, -3.411, -39.62, -4.810, 0.0504, 0.565]
 )
+
+EPS = float(np.finfo(float).eps)
+# Products that underflow lose digits that no relative bound covers; with
+# the values drawn below, each parameter's such loss is far below this.
+TINY = float(np.finfo(float).tiny)
+NAMES = ("x1", "x2", "x3")
+
+
+@st.composite
+def sections(draw):
+    """A model of degree <= 3 in at most 3 predictors with published
+    coefficients, a target it uses and a point for the others."""
+    powers = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: 1 <= sum(e) <= 3)
+    exponents = draw(st.lists(powers, min_size=1, max_size=6, unique=True))
+    terms = tuple(Term([(n, e) for n, e in zip(NAMES, row) if e]) for row in exponents)
+    spec = ModelSpec("Y", terms, intercept=draw(st.booleans()))
+    coef = draw(st.lists(st.floats(-1e6, 1e6), min_size=spec.n_parameters, max_size=spec.n_parameters))
+    target = draw(st.sampled_from(spec.predictors))
+    fixed = {name: draw(st.floats(-1e3, 1e3)) for name in spec.predictors if name != target}
+    return FittedModel.from_coefficients(spec, coef), target, fixed
+
+
+def exact_partials(m, point):
+    """(power of the target, exact coefficient times the term at ``point``)
+    per parameter; the target, absent from ``point``, counts as 1."""
+    out = [(0, Fraction(m.coef[0]))] if m.spec.intercept else []
+    for term, c in zip(m.spec.terms, m.coef[int(m.spec.intercept):]):
+        value = Fraction(c)
+        for name, power in term.factors:
+            value *= Fraction(point.get(name, 1.0)) ** power
+        out.append((sum(p for n, p in term.factors if n not in point), value))
+    return out
 
 
 class TestDerive:
@@ -129,6 +165,29 @@ class TestDerive:
         assert section.cautions == (("x1", 0.75), ("x3", -0.8))
 
 
+class TestSectionMap:
+    @given(sections())
+    def test_poly_is_the_exact_substitution_to_rounding(self, case):
+        m, target, fixed = case
+        poly = derive(m, target, fixed).poly
+        exact = [Fraction(0)] * len(poly)
+        scale = [Fraction(0)] * len(poly)
+        for k, partial in exact_partials(m, fixed):
+            exact[k] += partial
+            scale[k] += abs(partial)
+        p = m.spec.n_parameters
+        for value, want, bound in zip(poly, exact, scale):
+            assert abs(Fraction(value) - want) <= (p + 2) * EPS * bound + p * TINY
+
+    @given(sections(), st.floats(-1e3, 1e3))
+    def test_section_at_a_point_is_the_prediction(self, case, x):
+        m, target, fixed = case
+        point = {**fixed, target: x}
+        scale = float(sum(abs(partial) for _, partial in exact_partials(m, point)))
+        bound = (2 * m.spec.n_parameters + 12) * EPS * scale + m.spec.n_parameters * TINY
+        assert abs(derive(m, target, fixed)(x) - predict(m, point)) <= bound
+
+
 class TestUnitEffect:
     def test_pure_linear_model(self, rng):
         d = random_dataset(rng, 20, 2)
@@ -153,6 +212,24 @@ class TestUnitEffect:
         spec = ModelSpec("Y", (Term.linear("a"), Term.power("a", 2)))
         m = FittedModel.from_coefficients(spec, [1.0, 2.0, 3.0])
         assert unit_effect(m, "a", {}, at=1.0) == pytest.approx(11.0, rel=1e-12)
+
+    @pytest.mark.parametrize("at", [0.0, 1e6, 1e8, -1e8, 1e200])
+    def test_quadratic_to_a_rounding_at_any_point(self, at):
+        # Y = 1000 + 3.1a + 0.7a^2 changes by exactly 3.1 + 0.7 (2a + 1)
+        spec = ModelSpec("Y", (Term.linear("a"), Term.power("a", 2)))
+        m = FittedModel.from_coefficients(spec, [1000.0, 3.1, 0.7])
+        exact = Fraction(3.1) + Fraction(0.7) * (2 * Fraction(at) + 1)
+        assert abs(Fraction(unit_effect(m, "a", {}, at)) / exact - 1) <= 1e-15
+
+    @given(sections(), st.floats(1e-3, 1e8), st.booleans())
+    def test_is_the_exact_forward_difference_of_the_section(self, case, size, negative):
+        m, target, fixed = case
+        at = -size if negative else size
+        poly = derive(m, target, fixed).poly
+        a = Fraction(at)
+        steps = [Fraction(c) * ((a + 1) ** k - a**k) for k, c in enumerate(poly)]
+        bound = 8 * EPS * float(sum(map(abs, steps))) + len(poly) * TINY
+        assert abs(Fraction(unit_effect(m, target, fixed, at)) - sum(steps)) <= bound
 
     @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_point_is_refused(self, at):

@@ -237,6 +237,21 @@ class TestClassifyAction:
         assert result.label == "additive"
 
     @pytest.mark.parametrize(
+        "coef, levels",
+        [
+            ([1000.1, 3.3, 7.7, 0.0, 0.9], {"a": (0.3, 1.7), "b": (0.1, 2.9)}),
+            ([693.0, -4.7, -0.5, 0.0, 0.0], None),
+        ],
+    )
+    def test_a_zero_cross_coefficient_is_additive(self, coef, levels):
+        # published, so there is no p to gate on: the corners' double
+        # difference must come out exactly 0, whatever the other terms add
+        spec = ModelSpec("Y", (Term.linear("a"), Term.linear("b"), Term.cross("a", "b"), Term.power("a", 2)))
+        result = classify_action(FittedModel.from_coefficients(spec, coef), "a", "b", levels=levels)
+        assert result.label == "additive"
+        assert result.effect_1 != 0.0 and result.effect_2 != 0.0
+
+    @pytest.mark.parametrize(
         "coef, effects, label",
         [
             ([0.0, 3.0, -1.0, 0.5], (5.0, -3.0), "greater-than-additive"),

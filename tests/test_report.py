@@ -1,10 +1,12 @@
 """Atomic report writes (a failed write leaves the old file and no temp
-file), the text rendering of the correlation table, the row formatter
+file; a FIFO is written in place and a symlink followed), the text rendering of the correlation table, the row formatter
 that prints a float array in one piece, and the column table that prints
 a list of records a row at a time."""
 
 import math
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +81,32 @@ def test_write_replaces_the_old_file(tmp_path):
     write_text_atomic(str(target), "new\n")
     assert target.read_text(encoding="utf-8") == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_target_is_written_in_place(tmp_path):
+    target = tmp_path / "report.fifo"
+    os.mkfifo(target)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(target.read_bytes()), daemon=True)
+    reader.start()
+    text = "".join(f"{i},é\n" for i in range(report._WRITE_CHARS // 2))
+    write_text_atomic(str(target), text)
+    reader.join(timeout=30)
+    assert received == [text.encode("utf-8")]
+    assert stat.S_ISFIFO(os.stat(target).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
+def test_a_symlink_is_followed_and_kept(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("previous\n", encoding="utf-8")
+    link = tmp_path / "latest.json"
+    link.symlink_to(target)
+    write_text_atomic(str(link), "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latest.json", "report.json"]
 
 
 def test_correlation_table_keeps_every_cell_apart():
