@@ -8,6 +8,16 @@ report (schema "condreg/1") plus TSV plot data where applicable.
 Exit codes: 0 success, 1 I/O or data error (any DataError), 2 model error.
 Every failure prints a single ``error[<code>]: message`` line to stderr.
 
+The installed ``condreg`` command and ``python -m condreg.cli`` call
+:func:`run`, which calls :func:`main` and exits with its code (argparse
+exits 0 after --help and 2 on a usage error).  Just before that exit it
+freezes the heap (``gc.freeze``), so the interpreter's exit-time
+collections, which would traverse every object numpy, argparse and the
+command made, skip them; atexit handlers, stream flushes and profiler
+output run as usual.  Every file a command writes is closed before main
+returns, since a frozen file object is never finalized.  main itself
+leaves the heap as it is, for callers that go on running.
+
 Defaults can come from a JSON config file (--config or $CONDREG_CONFIG);
 flags override the file, the file overrides built-ins.  Recognized keys:
 delimiter, alpha, level, correlation_threshold, antagonism_tolerance (the
@@ -37,11 +47,12 @@ modules it calls when it runs:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .defaults import CONTROL_TOLERANCE, DESTABILIZATION_THRESHOLD, MAX_PLOT_POINTS
 from .errors import (
@@ -666,6 +677,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run main and exit with its code, the heap frozen (see the module docstring).
+
+    The freeze also precedes argparse's own exits, for --help and usage errors.
+    """
+    try:
+        code = main(argv)
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 def _bind(args: argparse.Namespace) -> None:
     """Set each name of _LAZY the command calls as a global, unless set already.
 
@@ -684,4 +707,4 @@ def _one_line(exc: BaseException) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -17,13 +17,14 @@ A column table is a list of records given as columns; both formats
 print it exactly as the list of dicts it stands for, each column's cells
 formatted in one pass and each JSON record filled into one template.
 File writes go through a temp file and rename, never a partial file,
-except to a FIFO or device, which is written in place; a file and
-standard output alike take the text in bounded chunks, so it
-is never held a second time as one encoded copy.  This module does not
-import numpy: no numpy object can exist before numpy is loaded, so it
-finds numpy in ``sys.modules`` to tell a numpy value from others, and a
-float array's cells, or a Python float's, are formatted without that
-lookup.
+except to a FIFO or device, which is written in place, and to an alias
+of an open descriptor (``/dev/stdout``), written through that
+descriptor; a file and standard output alike take the text in bounded
+chunks, so it is never held a second time as one encoded copy.  This
+module does not import numpy: no numpy object can exist before numpy is
+loaded, so it finds numpy in ``sys.modules`` to tell a numpy value from
+others, and a float array's cells, or a Python float's, are formatted
+without that lookup.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ SCHEMA = "condreg/1"
 # Characters encoded and written at a time, so that a report is never
 # held a second time as one encoded copy.
 _WRITE_CHARS = 1 << 16
+# Directories whose entries are this process's open descriptors, and the
+# most symlinks followed from a path to one of them (Linux's limit).
+_DESCRIPTOR_DIRECTORIES = ("/dev/fd", "/proc/self/fd")
+_MAX_LINKS = 40
 
 
 def _numpy_instance(obj: Any, kind: str) -> bool:
@@ -340,12 +345,29 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write text to ``path`` so that no reader sees a partial regular file.
 
     A new path or a regular file gets a temp file in its directory,
-    renamed over it.  A path that exists and is not a regular file (a
-    FIFO, a terminal or another device) would be destroyed by a rename,
-    so it is opened and written in place, in chunks.  A symlink is
-    followed, never replaced: what it points to is written in place or
-    renamed over, and the link stays.
+    renamed over it.  A path whose symlink chain passes through a
+    descriptor directory (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N``,
+    ``/proc/self/fd/N``) names a descriptor this process holds open; the
+    text goes through a duplicate of it, after the standard streams are
+    flushed, so that a file the shell opened for it is appended to at the
+    descriptor's offset, as a shell's ``>> f.txt`` or ``> f.txt`` asks,
+    never truncated or replaced.  Any other path that exists and is not a
+    regular file (a FIFO, a terminal or another device) would be destroyed
+    by a rename, so it is opened and written in place.  Either way the
+    text goes in chunks.  A symlink is followed, never replaced: what it
+    points to is written in place or renamed over, and the link stays.
     """
+    descriptor = _descriptor_alias(path)
+    if descriptor is not None:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+        try:
+            with open(os.dup(descriptor), "w", encoding="utf-8") as handle:
+                write_chunks(handle, text)
+        except OSError as exc:  # errors on a descriptor name no file
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        return
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -364,3 +386,22 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _descriptor_alias(path: str) -> int | None:
+    """The descriptor of this process that ``path`` names through its chain
+    of symlinks (``/dev/stdout`` -> ``/proc/self/fd/1`` gives 1), or None.
+
+    The chain is read one link at a time, not resolved: the last link, from
+    the descriptor directory to the open file, is the one to stop at.
+    """
+    for _ in range(_MAX_LINKS):
+        head, name = os.path.split(path)
+        if name.isdigit() and os.path.realpath(head) in {
+            os.path.realpath(directory) for directory in _DESCRIPTOR_DIRECTORIES
+        }:
+            return int(name)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None

@@ -13,12 +13,13 @@ where they are used, a row block at a time, in :mod:`condreg.ols`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateTermError, ResponseTermError, SchemaError
+from .errors import AssignmentError, DuplicateTermError, ResponseTermError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,23 @@ class ModelSpec:
     def section_matrix(self, target: str | None, fixed: Mapping[str, float]) -> np.ndarray:
         """G, with G @ coef the section's coefficients along ``target`` at ``fixed``:
         column j is parameter j's term at ``fixed`` with the target at 1, in the
-        row of the term's power of the target.  No target: the design row at ``fixed``."""
+        row of the term's power of the target.  No target: the design row at ``fixed``.
+
+        Raises AssignmentError, naming the term and the values, for a term
+        whose value at finite ``fixed`` values leaves the double range."""
         point = dict(fixed) if target is None else {**fixed, target: 1.0}
         g = np.zeros((self.degree_in(target) + 1, self.n_parameters))
         if self.intercept:
             g[0, 0] = 1.0
         for j, term in enumerate(self.terms, start=int(self.intercept)):
-            g[term.degree_in(target), j] = term.column(point)
+            try:
+                value = term.column(point)
+            except OverflowError:  # a float power out of range; a product gives inf
+                value = math.inf
+            if math.isinf(value) and all(math.isfinite(point[name]) for name in term.predictors):
+                at = ", ".join(f"{name}={point[name]!r}" for name in term.predictors if name != target)
+                raise AssignmentError(f"term {term.label!r} at {at} leaves the double range")
+            g[term.degree_in(target), j] = value
         return g
 
 

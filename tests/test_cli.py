@@ -1,6 +1,7 @@
 """Contract tests for the command-line driver: exit codes, error lines,
 byte-identical reports, and the numbers in them against lstsq oracles."""
 
+import gc
 import json
 import os
 import subprocess
@@ -693,6 +694,12 @@ HOSTILE = [
      "error[assignment]: effect point must be a finite number, got nan"),
     (["effect", *SATURATED_CODED, "--target=Pb", "--at=0", "--fix=Cd=-inf"], 2,
      "error[assignment]: fixed value for 'Cd' must be a finite number, got -inf"),
+    (["conditional", "--formula=Y ~ a + b + b^2", "--coef=1,2,3,4", "--target=a", "--fix=b=1e200"], 2,
+     "error[assignment]: term 'b^2' at b=1e+200 leaves the double range"),
+    (["action", "--formula=Y ~ a + b + a:b + a^2", "--coef=1,2,3,4,5", "--f1=a", "--f2=b",
+      "--levels=a=0:1e200"], 2, "error[assignment]: term 'a^2' at a=1e+200 leaves the double range"),
+    (["effect", "--formula=Y ~ a + b + c + b:c", "--coef=1,2,3,4,5", "--target=a", "--at=0",
+      "--fix=b=1e200,c=1e200"], 2, "error[assignment]: term 'b:c' at b=1e+200, c=1e+200 leaves the double range"),
 ]
 
 
@@ -779,3 +786,56 @@ def test_a_name_patched_before_the_first_command_is_the_one_called(tmp_path):
     )
     loaded, _ = modules_after(code)
     assert "condreg.dataset" in loaded
+
+
+def test_the_console_script_is_cli_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        entry = tomllib.load(handle)["project"]["scripts"]["condreg"]
+    module, _, name = entry.partition(":")
+    assert getattr(__import__(module, fromlist=[name]), name) is cli.run
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["summary", f"--data={SURVEY}", "--out={tmp}/out.json"], 0),
+    (["summary", "--data={tmp}/absent.csv", "--out={tmp}/out.json"], 1),
+    (["--help"], 0),
+    (["fit"], 2),
+], ids=["command", "failed-command", "help", "usage-error"])
+def test_run_exits_with_mains_status_and_leaves_the_heap_frozen(tmp_path, capsys, argv, status):
+    """run is what the installed command and ``python -m condreg.cli`` call:
+    argparse's own exits as well as main's leave every object frozen, out of
+    reach of the exit-time collections."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run(argv)
+        assert exited.value.code == status
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["summary", f"--data={SURVEY}", f"--out={tmp_path / 'out.json'}"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+def test_out_naming_standard_output_appends_to_the_redirected_file(tmp_path, out):
+    """``condreg ... --out=/dev/stdout >> f.txt`` appends to f.txt: the report
+    goes through the descriptor, and no new file is renamed over f.txt."""
+    if not os.path.exists(out):
+        pytest.skip(f"{out} does not exist on this system")
+    target = tmp_path / "f.txt"
+    target.write_bytes(b"earlier line\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with open(target, "ab") as stdout:
+        done = subprocess.run([sys.executable, "-m", "condreg.cli", "summary", f"--data={SURVEY}", f"--out={out}"],
+                              env=env, stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, b"")
+    with open(os.path.join(GOLDEN, "summary.json"), "rb") as golden:
+        assert target.read_bytes() == b"earlier line\n" + golden.read()
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]

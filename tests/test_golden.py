@@ -10,7 +10,9 @@ change to how the slopes are summed moves it, so its value is held below
 ``NOISE_BOUND`` instead of compared digit for digit.
 """
 
+import gc
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -104,3 +106,16 @@ def test_every_case_has_its_files_and_no_file_is_orphaned():
     assert reports <= stored
     others = {name for name in stored - reports if not name.endswith(".csv")}
     assert {name for name in others if not (name.endswith(".tsv") and name[:-4] in CASES)} == set()
+
+
+def test_every_file_a_command_writes_is_closed_before_main_returns(tmp_path):
+    """The installed command freezes the heap before it exits (``cli.run``),
+    and a frozen file object is never finalized: had a handle only a
+    reference cycle kept alive, its buffered text would be lost.  Every
+    case writes its report, plot or column file and closes it in main."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        codes = [run_case(case, "json", tmp_path)[0] for case in CASES]
+        gc.collect()
+    assert codes == [0] * len(CASES)
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -1,7 +1,9 @@
 """Atomic report writes (a failed write leaves the old file and no temp
-file; a FIFO is written in place and a symlink followed), the text rendering of the correlation table, the row formatter
-that prints a float array in one piece, and the column table that prints
-a list of records a row at a time."""
+file; a FIFO is written in place, a descriptor alias through its
+descriptor, and a symlink followed), the text rendering of the
+correlation table, the row formatter that prints a float array in one
+piece, and the column table that prints a list of records a row at a
+time."""
 
 import math
 import os
@@ -107,6 +109,38 @@ def test_a_symlink_is_followed_and_kept(tmp_path):
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_text(encoding="utf-8") == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latest.json", "report.json"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("through_link", [False, True])
+def test_a_descriptor_alias_is_written_at_the_descriptors_offset(tmp_path, through_link):
+    """/dev/fd/N names a descriptor this process holds open: the text goes
+    through it, after what was written to it before and before what follows,
+    as a shell's ``> f.txt`` asks, and no file is renamed over f.txt."""
+    target = tmp_path / "f.txt"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        path = f"/dev/fd/{fd}"
+        if through_link:
+            (tmp_path / "link").symlink_to(path)
+            path = str(tmp_path / "link")
+        os.write(fd, b"before\n")
+        write_text_atomic(path, "report\n")
+        os.write(fd, b"after\n")
+    finally:
+        os.close(fd)
+    assert target.read_bytes() == b"before\nreport\nafter\n"
+    assert target.is_file() and not target.is_symlink()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_closed_descriptor_is_an_error_naming_the_path(tmp_path, capsys):
+    fd = os.open(tmp_path, os.O_RDONLY)
+    os.close(fd)
+    data = tmp_path / "data.csv"
+    data.write_text("u,v\n1,2\n3,5\n", encoding="utf-8")
+    assert main(["summary", f"--data={data}", f"--out=/dev/fd/{fd}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error[io]: [Errno 9] Bad file descriptor: '/dev/fd/{fd}'"]
 
 
 def test_correlation_table_keeps_every_cell_apart():
