@@ -84,22 +84,6 @@ def resolve_assignment(
     return resolved
 
 
-def _check_assignment(m: FittedModel, target: str, fixed: Mapping[str, float]) -> None:
-    predictors = set(m.spec.predictors)
-    if target not in predictors:
-        raise AssignmentError(f"target {target!r} does not appear in the model")
-    needed = predictors - {target}
-    given = set(fixed)
-    if target in given:
-        raise AssignmentError(f"target {target!r} must not be fixed")
-    missing = sorted(needed - given)
-    if missing:
-        raise AssignmentError(f"fixed assignment missing predictors: {missing}")
-    extra = sorted(given - needed)
-    if extra:
-        raise AssignmentError(f"fixed assignment has superfluous entries: {extra}")
-
-
 def derive(
     m: FittedModel,
     target: str,
@@ -112,8 +96,9 @@ def derive(
     the model's.  Of the strong (a, b, r) pairs in ``correlations``, as
     from :func:`condreg.selection.strong_correlations`, each pair of the
     target and a fixed predictor is attached as a caution (no gating).
+    ``ModelSpec.check_point`` decides whether ``fixed`` is a valid point.
     """
-    _check_assignment(m, target, fixed)
+    m.spec.check_point((target,), fixed)
     poly = m.spec.section_matrix(target, fixed) @ m.coef
 
     partner = {b if a == target else a: r for a, b, r in correlations if target in (a, b)}

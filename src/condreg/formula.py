@@ -21,28 +21,6 @@ _QUAD = re.compile(r"^quad\(([^()]*)\)$")
 _FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormulaError("unbalanced parentheses")
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise FormulaError("unbalanced parentheses")
-    parts.append("".join(current))
-    return parts
-
-
 def _parse_term(token: str) -> Term:
     factors: list[tuple[str, int]] = []
     for piece in token.split(":"):
@@ -86,7 +64,7 @@ def parse_formula(text: str) -> ModelSpec:
 
     intercept = True
     terms: list[Term] = []
-    for raw in _split_top_level(sides[1], "+"):
+    for raw in sides[1].split("+"):
         token = raw.strip()
         if not token:
             raise FormulaError("empty term (stray '+'?)")
@@ -100,9 +78,11 @@ def parse_formula(text: str) -> ModelSpec:
             names = [name.strip() for name in quad.group(1).split(",") if name.strip()]
             if not names:
                 raise FormulaError("quad() needs at least one predictor")
-            for name in names:
+            for i, name in enumerate(names):
                 if not _IDENT.match(name):
                     raise FormulaError(f"bad predictor name {name!r} in quad()")
+                if name in names[:i]:
+                    raise FormulaError(f"duplicate predictor name {name!r} in quad()")
             new_terms = full_quadratic_terms(names)
         else:
             new_terms = [_parse_term(token)]

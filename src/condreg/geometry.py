@@ -146,8 +146,9 @@ def classify_action(
 
     The model must contain linear terms for both factors and their cross
     term.  ``levels`` gives each factor's (low, high) evaluation points,
-    defaulting to the coded convention (-1, +1); any further predictors
-    in the model must be pinned via ``fixed``.
+    defaulting to the coded convention (-1, +1); ``fixed`` pins every
+    further predictor of the model, by the one rule of
+    ``ModelSpec.check_point`` with both factors varied.
 
     When the isolated effects disagree in sign, the larger-magnitude
     effect supplies the reference direction.  Raises ModelError unless
@@ -168,13 +169,8 @@ def classify_action(
             raise ScopeError(
                 f"model lacks the {needed.label!r} term required for action classification"
             )
-    others = [name for name in spec.predictors if name not in (f1, f2)]
     fixed = dict(fixed or {})
-    missing = [name for name in others if name not in fixed]
-    if missing:
-        raise AssignmentError(
-            f"predictors {missing} must be fixed for action classification"
-        )
+    spec.check_point((f1, f2), fixed)
 
     levels = dict(levels or {})
     extra = sorted(set(levels) - {f1, f2})

@@ -129,11 +129,9 @@ class FittedModel:
 
     def term_index(self, term) -> int:
         """Position of a term's coefficient in ``coef``."""
-        offset = 1 if self.spec.intercept else 0
-        for i, candidate in enumerate(self.spec.terms):
-            if candidate == term:
-                return offset + i
-        raise KeyError(f"term {term.label!r} not in model")
+        if term not in self.spec.terms:
+            raise KeyError(f"term {term.label!r} not in model")
+        return self.spec.intercept + self.spec.terms.index(term)
 
     def coefficient(self, term) -> float:
         return float(self.coef[self.term_index(term)])
@@ -297,7 +295,7 @@ class Factorization:
         rss = r[:, p, p] ** 2 if r.shape[1] > p else np.zeros(count)
         return r, rss, errors
 
-    def score(self, intercept: bool, candidates: np.ndarray, allow_saturated: bool = False):
+    def score(self, intercept: bool, candidates: np.ndarray):
         """R^2 of a stack of sub-models, and the errors that refuse some.
 
         ``candidates`` is a C x k array of positions in ``pool``.  Returns
@@ -307,7 +305,7 @@ class Factorization:
         uncentered one without; a constant response is explained fully
         by an exact fit and not at all otherwise.
         """
-        _, rss, errors = self._solve(intercept, candidates, allow_saturated)
+        _, rss, errors = self._solve(intercept, candidates, allow_saturated=False)
         return self._r2(intercept, rss), errors
 
     def _r2(self, intercept: bool, rss: np.ndarray) -> np.ndarray:
@@ -379,10 +377,9 @@ def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedMod
 
 
 def predict(m: FittedModel, point: Mapping[str, float]) -> float:
-    """Model prediction at one predictor assignment."""
-    missing = [name for name in m.spec.predictors if name not in point]
-    if missing:
-        raise AssignmentError(f"assignment missing predictors: {missing}")
-    x = {name: float(point[name]) for name in m.spec.predictors}
+    """Model prediction at one predictor assignment, a point that
+    ``ModelSpec.check_point`` accepts with nothing varied."""
+    m.spec.check_point((), point)
+    x = {name: float(value) for name, value in point.items()}
     return float(m.spec.section_matrix(None, x)[0] @ m.coef)
 

@@ -148,10 +148,28 @@ class ModelSpec:
     def degree_in(self, predictor: str) -> int:
         return max((t.degree_in(predictor) for t in self.terms), default=0)
 
+    def check_point(self, varied: Sequence[str], fixed: Mapping[str, float]) -> None:
+        """The one rule for a point {x_j^0} of the model: each ``varied``
+        predictor is in the model and not fixed, and ``fixed`` names every
+        other predictor of the model and nothing else.  Raises AssignmentError."""
+        predictors = set(self.predictors)
+        for name in varied:
+            if name not in predictors:
+                raise AssignmentError(f"varied predictor {name!r} does not appear in the model")
+            if name in fixed:
+                raise AssignmentError(f"varied predictor {name!r} must not be fixed")
+        missing = sorted(predictors - set(varied) - set(fixed))
+        if missing:
+            raise AssignmentError(f"fixed assignment missing predictors: {missing}")
+        extra = sorted(set(fixed) - predictors)
+        if extra:
+            raise AssignmentError(f"fixed assignment has superfluous entries: {extra}")
+
     def section_matrix(self, target: str | None, fixed: Mapping[str, float]) -> np.ndarray:
         """G, with G @ coef the section's coefficients along ``target`` at ``fixed``:
         column j is parameter j's term at ``fixed`` with the target at 1, in the
         row of the term's power of the target.  No target: the design row at ``fixed``.
+        Callers check the point first with :meth:`check_point`.
 
         Raises AssignmentError, naming the term and the values, for a term
         whose value at finite ``fixed`` values leaves the double range."""

@@ -684,6 +684,14 @@ HOSTILE = [
       "--levels=Pb=1:1"], 2, "error[assignment]: levels of 'Pb' must differ, got [1.0, 1.0]"),
     (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--fix=Pb=inf"], 2,
      "error[assignment]: fixed value for 'Pb' must be a finite number, got inf"),
+    (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--fix=zz=3"], 2,
+     "error[assignment]: fixed assignment has superfluous entries: ['zz']"),
+    (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--fix=Pb=3"], 2,
+     "error[assignment]: varied predictor 'Pb' must not be fixed"),
+    (["action", "--formula=Y ~ a + b + a:b + c", "--coef=1,2,3,4,5", "--f1=a", "--f2=b"], 2,
+     "error[assignment]: fixed assignment missing predictors: ['c']"),
+    (["fit", f"--data={SURVEY}", "--formula=Y ~ quad(x1,x1)"], 2,
+     "error[formula]: duplicate predictor name 'x1' in quad()"),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=inf"], 2,
      "error[assignment]: fixed value for 'Cd' must be a finite number, got inf"),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=nan"], 2,

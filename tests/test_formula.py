@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from condreg import ModelSpec, Term, parse_formula, parse_terms, print_formula
+from condreg import ModelSpec, Term, full_quadratic_terms, parse_formula, parse_terms, print_formula
 from condreg.errors import FormulaError
 
 
@@ -62,6 +64,7 @@ class TestParse:
             "Y ~ x1 ~ x2",
             "Y ~ quad()",
             "Y ~ quad(x1",
+            "Y ~ quad(x1,x1)",
             "2y ~ x1",
             "Y ~ x-1",
         ],
@@ -99,6 +102,33 @@ class TestRoundTrip:
                     assert parse_formula(print_formula(spec)) == spec
                     count += 1
         assert count == (7 + 21 + 35) * 2
+
+
+NAMES = ["a", "b2", "x_1", "Zed"]
+# A term of degree at most the cap: one to three factors with powers.
+TERMS = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(1, 3)), min_size=1, max_size=3).map(Term).filter(
+    lambda term: term.degree <= 3
+)
+# One summand of a formula: a term, or quad() of distinct names.
+CHUNKS = st.one_of(
+    TERMS.map(lambda term: (term.label, [term])),
+    st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True).map(
+        lambda names: (f"quad({','.join(names)})", full_quadratic_terms(names))
+    ),
+)
+
+
+@given(chunks=st.lists(CHUNKS, min_size=1, max_size=4), intercept=st.booleans())
+def test_printed_spec_parses_back_to_itself(chunks, intercept):
+    """parse(print(spec)) == spec, for specs written with quad() and ``0 +``."""
+    parts, terms = [] if intercept else ["0"], []
+    for text, chunk in chunks:
+        if not set(chunk) & set(terms):  # a repeated term is a formula error
+            parts.append(text)
+            terms.extend(chunk)
+    spec = parse_formula(f"resp ~ {' + '.join(parts)}")
+    assert spec == ModelSpec("resp", tuple(terms), intercept=intercept)
+    assert parse_formula(print_formula(spec)) == spec
 
 
 class TestParseTerms:

@@ -272,6 +272,12 @@ class TestPredict:
         with pytest.raises(AssignmentError):
             predict(m, {"x1": 0.0})
 
+    def test_name_the_model_does_not_use(self, rng):
+        d = random_dataset(rng, 10, 2)
+        m = fit(d, linear_spec("Y", "x1", "x2"))
+        with pytest.raises(AssignmentError, match=r"^fixed assignment has superfluous entries: \['zz'\]$"):
+            predict(m, {"x1": 0.0, "x2": 1.0, "zz": 3.0})
+
     def test_published_coefficient_count_checked(self):
         spec = linear_spec("Y", "x1")
         with pytest.raises(AssignmentError):

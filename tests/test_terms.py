@@ -9,7 +9,7 @@ from condreg import (
     check_hierarchy,
     full_quadratic_terms,
 )
-from condreg.errors import DuplicateTermError, ResponseTermError, SchemaError
+from condreg.errors import AssignmentError, DuplicateTermError, ResponseTermError, SchemaError
 from condreg.terms import anchored_predictors
 
 
@@ -90,6 +90,36 @@ class TestModelSpec:
         spec = ModelSpec("Y", tuple(full_quadratic_terms(["u", "v"])))
         assert spec.degree_in("u") == 2
         assert spec.degree_in("w") == 0
+
+
+class TestCheckPoint:
+    """One rule decides whether a point {x_j^0} of the model is valid."""
+
+    SPEC = ModelSpec("Y", (Term.linear("a"), Term.linear("b"), Term.cross("a", "b"), Term.linear("c")))
+
+    @pytest.mark.parametrize(
+        "varied, fixed",
+        [(("a",), {"b": 1.0, "c": 2.0}), (("a", "b"), {"c": 2.0}), ((), {"a": 0.0, "b": 1.0, "c": 2.0})],
+        ids=["one-varied", "two-varied", "none-varied"],
+    )
+    def test_a_complete_point_passes(self, varied, fixed):
+        assert self.SPEC.check_point(varied, fixed) is None
+
+    @pytest.mark.parametrize(
+        "varied, fixed, message",
+        [
+            (("z",), {"a": 0.0, "b": 1.0, "c": 2.0}, "varied predictor 'z' does not appear in the model"),
+            (("a",), {"a": 0.0, "b": 1.0, "c": 2.0}, "varied predictor 'a' must not be fixed"),
+            (("a", "b"), {"b": 1.0, "c": 2.0}, "varied predictor 'b' must not be fixed"),
+            (("a",), {"b": 1.0}, "fixed assignment missing predictors: ['c']"),
+            ((), {"b": 1.0}, "fixed assignment missing predictors: ['a', 'c']"),
+            (("a", "b"), {"c": 2.0, "zz": 3.0}, "fixed assignment has superfluous entries: ['zz']"),
+        ],
+        ids=["varied-absent", "varied-fixed", "second-varied-fixed", "missing", "missing-none-varied", "superfluous"],
+    )
+    def test_each_rule_refuses_with_its_message(self, varied, fixed, message):
+        with pytest.raises(AssignmentError, match=f"^{re.escape(message)}$"):
+            self.SPEC.check_point(varied, fixed)
 
 
 class TestFullQuadratic:
