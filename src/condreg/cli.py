@@ -62,6 +62,7 @@ from .errors import (
     DataError,
     EmptyDataError,
     FormulaError,
+    SaturatedModelError,
 )
 
 if TYPE_CHECKING:
@@ -69,6 +70,7 @@ if TYPE_CHECKING:
 
     from .dataset import Dataset
     from .ols import FittedModel
+    from .terms import ModelSpec
 
 # Names the commands call as globals of this module, and the module each
 # comes from.  bench/tracing.py and the tests patch them here.  A name is
@@ -193,17 +195,31 @@ def _obtain_model(args: argparse.Namespace) -> tuple[FittedModel, Dataset | None
             data, _ = _load_data(args)
         return model, data
     data, _ = _load_data(args)
-    return fit(data, spec, allow_saturated=args.allow_saturated), data
+    return _fit(args, data, spec), data
 
 
-def _fixed_values(args, data: Dataset | None) -> dict[str, float]:
+def _fit(args: argparse.Namespace, data: Dataset, spec: ModelSpec) -> FittedModel:
+    """fit, for a command that takes --allow-saturated: its refusal of an
+    exact fit names the flag."""
+    try:
+        return fit(data, spec, allow_saturated=args.allow_saturated)
+    except SaturatedModelError as exc:
+        raise SaturatedModelError(f"{exc}; pass --allow-saturated to permit an exact fit") from None
+
+
+def _fixed_values(args, data: Dataset | None, spec: ModelSpec, varied: Sequence[str]) -> dict[str, float]:
+    """The --fix values.  Where one is a preset, they are first checked as
+    a point of ``spec`` with ``varied`` free, so that a name the model does
+    not use is refused alike whether its value is a number or a preset."""
     from . import conditional as cond
 
     fixes = _parse_fixes(args.fix or [])
     presets = [name for name, value in fixes.items() if isinstance(value, str)]
     summary = None
-    if data is not None and presets:
-        summary = quartiles(data, [name for name in presets if name in data.names])
+    if presets:
+        spec.check_point(varied, fixes)
+        if data is not None:
+            summary = quartiles(data, [name for name in presets if name in data.names])
     return cond.resolve_assignment(fixes, summary)
 
 
@@ -235,7 +251,7 @@ def cmd_fit(args) -> int:
 
     spec = parse_formula(args.formula)
     data, dropped = _load_data(args)
-    model = fit(data, spec, allow_saturated=args.allow_saturated)
+    model = _fit(args, data, spec)
     doc = new_document(
         "fit",
         formula=print_formula(spec),
@@ -254,7 +270,7 @@ def cmd_conditional(args) -> int:
     from .report import format_number
 
     model, data = _obtain_model(args)
-    fixed = _fixed_values(args, data)
+    fixed = _fixed_values(args, data, model.spec, (args.target,))
     correlations = []
     if data is not None:
         from . import selection
@@ -309,7 +325,7 @@ def cmd_effect(args) -> int:
     from .formula import print_formula
 
     model, data = _obtain_model(args)
-    fixed = _fixed_values(args, data)
+    fixed = _fixed_values(args, data, model.spec, (args.target,))
     change = cond.unit_effect(model, args.target, fixed, args.at)
     doc = new_document(
         "effect",
@@ -485,7 +501,7 @@ def cmd_action(args) -> int:
         args.f2,
         alpha=args.alpha,
         levels=_parse_levels(args.levels or []),
-        fixed=_fixed_values(args, data),
+        fixed=_fixed_values(args, data, model.spec, (args.f1, args.f2)),
         control_tolerance=args.control_tolerance,
     )
     doc = new_document(

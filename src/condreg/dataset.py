@@ -429,13 +429,15 @@ def correlation_p_value(r, n: int):
     if n < 3:
         raise InsufficientDataError(f"need n >= 3 for a correlation p-value, got {n}")
     r = np.asarray(r, dtype=float)
-    outside = ~((-1.0 <= r) & (r <= 1.0))
-    if outside.any():
-        raise ValueError(f"correlation must lie in [-1, 1], got {r[outside].flat[0]}")
-    denom = 1.0 - r * r
-    inside = denom > 0.0
-    t = np.full(r.shape, math.inf)
-    t[inside] = r[inside] * math.sqrt(n - 2) / np.sqrt(denom[inside])
+    if not ((-1.0 <= r) & (r <= 1.0)).all():
+        first = next(v for v in r.flat if not -1.0 <= v <= 1.0)
+        raise ValueError(f"correlation must lie in [-1, 1], got {first}")
+    # t in one array: sqrt(1 - r^2) in place, then r sqrt(n - 2) over it
+    t = np.multiply(r, r, out=np.empty_like(r))
+    np.subtract(1.0, t, out=t)
+    np.sqrt(t, out=t)
+    with np.errstate(divide="ignore"):
+        np.divide(r * math.sqrt(n - 2), t, out=t)  # 1 - r^2 = 0 gives +-inf
     return student_t_two_sided_p(t, n - 2)
 
 

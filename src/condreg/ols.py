@@ -271,8 +271,8 @@ class Factorization:
             shared = ModelError("model has no parameters to fit")
         elif self.n - p < 1 and not (allow_saturated and self.n == p):
             shared = SaturatedModelError(
-                f"model has {p} parameters for {self.n} observations (dof={self.n - p});"
-                " pass allow_saturated=True to permit an exact fit"
+                f"model has {p} parameters for {self.n} observations (dof={self.n - p}),"
+                " so it fits the data exactly"
             )
         if shared is not None:
             for i in range(count):

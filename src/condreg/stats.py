@@ -4,16 +4,20 @@ Two-sided Student-t tail probabilities go through the regularized
 incomplete beta function, evaluated with a modified-Lentz continued
 fraction (Thompson & Barnett 1986).  :func:`student_t_two_sided_p` takes
 a float or an array of t with one dof and returns a float or an array
-of t's shape.  One loop runs the continued fraction over every element
-at once; an element's result is its h at the iteration where its own
-|delta - 1| < _REL_TOL, and it takes the (a, b, x) or (b, a, 1 - x)
-representation by its own x.  The prefactor's log, log1p and exp are
-numpy ufuncs over the whole array, each representation's logarithm
-under a ``where=`` mask; a ufunc computes each element on its own, so
-each entry equals a one-element call bit for bit.  Arguments outside
-the domain (a or b not positive, x or 1 - x outside [0, 1]) raise
-ValueError.  log B(dof/2, 1/2) comes from a Stirling-series difference
-once dof >= 20, within 1e-15 of 50-digit mpmath up to dof 1e12.
+of t's shape.  It works through t in blocks of ``ROW_BLOCK_BYTES // 8``
+elements, so its working set is that of one block whatever t's size.
+Within a block each element takes the (a, b, x) or (b, a, 1 - x)
+representation by its own x, and one loop per representation runs the
+continued fraction, with scalar shape parameters, over that
+representation's elements at once; an element's result is its h at the
+iteration where its own |delta - 1| < _REL_TOL.  The prefactor's log,
+log1p and exp are numpy ufuncs over the block, each representation's
+logarithm under a ``where=`` mask.  A ufunc computes each element on its
+own, so each entry equals a one-element call bit for bit, whatever the
+block or the other elements.  Arguments outside the domain (a or b not
+positive, x or 1 - x outside [0, 1]) raise ValueError.  log B(dof/2,
+1/2) comes from a Stirling-series difference once dof >= 20, within
+1e-15 of 50-digit mpmath up to dof 1e12.
 Against 40-digit mpmath the relative error of p is below 3e-13 at dof
 5, 30, 920 and 998 for 1e-6 <= |t| <= 40; it grows with dof to 3.2e-11
 at dof 2e5 and 1.4e-8 at 1e8.  What is left is the rounding of log x
@@ -30,6 +34,8 @@ import math
 
 import numpy as np
 
+from .defaults import ROW_BLOCK_BYTES
+
 _REL_TOL = 1e-13
 _MAX_ITER = 500
 _TINY = 1e-300
@@ -37,6 +43,8 @@ _TINY = 1e-300
 # iterations to come: many iterations' worth for one element, one
 # iteration's for many.
 _BATCH = 256
+# Elements of t per block of the tail: its arrays are each a block long.
+_BLOCK = ROW_BLOCK_BYTES // 8
 
 # Smallest positive double; tail probabilities are clamped here so that
 # p stays inside (0, 1] even when |t| is astronomically large.
@@ -81,41 +89,41 @@ def _away_from_zero(v: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < _TINY, _TINY, v)
 
 
-def _beta_continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta (modified Lentz), per
-    element of the equal-length 1-D arrays a, b and x.
+def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta (modified Lentz) at shape
+    parameters a and b, per element of the 1-D array x.
 
     An iteration is an even and an odd step of d, c and h, updated in
-    place; while few elements are live, the coefficients of several
-    iterations are formed at once.  An element is done at the iteration
-    where its own |delta - 1| < _REL_TOL, and its h then is its result;
-    its d is then set to NaN, so that it is never done again.  Done
-    elements leave the arrays only once they are at least half of them.
+    place.  The coefficients are formed in one reused buffer; while few
+    elements are live, those of several iterations are formed at once.
+    An element is done at the iteration where its own |delta - 1| <
+    _REL_TOL, and its h then is its result; its d is then set to NaN, so
+    that it is never done again.  Done elements leave the arrays only once
+    they are at least half of them, and the live ones are moved to the
+    front of the same buffers, x's among them: x is overwritten.
     """
     out = np.empty_like(x)
     if not x.size:
         return out
     index = np.arange(x.size)
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = np.ones_like(x)
-    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
+    d = 1.0 / _away_from_zero(1.0 - (a + b) * x / (a + 1.0))
     h = d.copy()
     delta, done, work = np.empty_like(x), np.zeros(x.size, dtype=bool), np.empty((2, x.size))
-    first = 1
-    while first <= _MAX_ITER:
-        m = np.arange(first, min(first + max(_BATCH // x.size, 1), _MAX_ITER + 1), dtype=float)
-        first += len(m)
-        m = m[:, None]
-        both = a + 2.0 * m
-        even = m * (b - m) * x / ((qam + 2.0 * m) * both)
-        # minus the odd coefficient -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        odd = (a + m) * (qab + m) * x / (both * (qap + 2.0 * m))
+    buffer = np.empty(2 * max(_BATCH, x.size))
+    m = 1
+    while m <= _MAX_ITER:
+        steps = np.arange(m, min(m + max(_BATCH // x.size, 1), _MAX_ITER + 1), dtype=float)
+        coefficients = buffer[: 2 * steps.size * x.size].reshape(2, steps.size, x.size)
+        _coefficients(a, b, steps, x, coefficients)
         rows = tuple(work)
-        for k in range(len(m)):
-            for coefficient, sign in ((even[k], np.add), (odd[k], np.subtract)):
+        for even, odd in zip(*coefficients):
+            m += 1
+            for coefficient, sign in ((even, np.add), (odd, np.subtract)):
                 _lentz_step(d, c, coefficient, sign, work, rows)
                 np.multiply(h, np.multiply(d, c, out=delta), out=h)
-            new = np.flatnonzero(np.abs(delta - 1.0) < _REL_TOL)
+            # .nonzero(), not np.flatnonzero: fewer Python calls an iteration
+            new = (np.abs(delta - 1.0) < _REL_TOL).nonzero()[0]
             if not new.size:
                 continue
             out[index[new]] = h[new]
@@ -126,15 +134,31 @@ def _beta_continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.
             live = np.flatnonzero(~done)
             if not live.size:
                 return out
-            index, a, b, x, qab, qap, qam, c, d, h, delta, work, even, odd = (
-                v.take(live, axis=-1)
-                for v in (index, a, b, x, qab, qap, qam, c, d, h, delta, work, even, odd)
-            )
-            done, rows = done[live], tuple(work)
+            index, x, c, d, h = (_move_to_front(v, live) for v in (index, x, c, d, h))
+            delta, done, work = delta[: live.size], done[: live.size], work[:, : live.size]
+            done[:] = False
+            break
     i = np.argmin(done)
     raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a[i]}, b={b[i]}, x={x[i]})"
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x[i]})"
     )
+
+
+def _coefficients(a: float, b: float, m: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """The even coefficients m (b - m) x / ((a - 1 + 2m)(a + 2m)) of the steps
+    m into out[0], and minus the odd ones, (a + m)(a + b + m) x / ((a + 2m)(a
+    + 1 + 2m)), into out[1]: one row per step, one column per element of x."""
+    both = a + 2.0 * m
+    even, odd = out
+    np.multiply((m * (b - m))[:, None], x, out=even)
+    np.divide(even, ((a - 1.0 + 2.0 * m) * both)[:, None], out=even)
+    np.multiply(((a + m) * (a + b + m))[:, None], x, out=odd)
+    np.divide(odd, (both * (a + 1.0 + 2.0 * m))[:, None], out=odd)
+
+
+def _move_to_front(v: np.ndarray, live: np.ndarray) -> np.ndarray:
+    v[: live.size] = v[live]
+    return v[: live.size]
 
 
 def _lentz_step(d, c, coefficient, sign, work, rows) -> None:
@@ -164,16 +188,19 @@ def _incomplete_beta(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.nda
     x, y = x[inner], y[inner]
     # Each element takes the representation that converges fastest.
     first = x < (a + 1.0) / (a + b + 2.0)
-    # Where x is near 1 the subtraction below amplifies any error in
-    # front, so log x is taken from the complement.
-    log_x = np.log(x, out=np.empty_like(x), where=first)
-    np.log1p(-y, out=log_x, where=~first)
-    front = np.exp(a * log_x + b * np.log(y) - log_beta(a, b))
-    shape_a = np.where(first, a, b)
-    fraction = front * _beta_continued_fraction(
-        shape_a, np.where(first, b, a), np.where(first, x, y)
-    ) / shape_a
-    out[inner] = np.where(first, fraction, 1.0 - fraction)
+    # front = exp(a log x + b log y - log B(a, b)), formed in place.  Where
+    # x is near 1 the subtraction amplifies any error in front, so log x
+    # is taken from the complement.
+    front = np.log(x, out=np.empty_like(x), where=first)
+    np.log1p(-y, out=front, where=~first)
+    front *= a
+    front += np.multiply(np.log(y), b)
+    front -= log_beta(a, b)
+    np.exp(front, out=front)
+    for rows, shape, other, z, complement in ((first, a, b, x, False), (~first, b, a, y, True)):
+        fraction = front[rows] * _beta_continued_fraction(shape, other, z[rows]) / shape
+        front[rows] = 1.0 - fraction if complement else fraction
+    out[inner] = front
     return out
 
 
@@ -181,20 +208,31 @@ def student_t_two_sided_p(t, dof: float):
     """P(|T_dof| >= |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2), clamped to (0, 1].
 
     t is a float or an array; the result is a float or an array of t's
-    shape.  NaN gives NaN and +-inf the floor.
+    shape.  NaN gives NaN and +-inf the floor.  The elements are taken
+    in blocks of _BLOCK, so the working set does not grow with t's size.
     """
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     values = np.asarray(t, dtype=float)
     flat = values.ravel()
-    p = np.where(np.isnan(flat), math.nan, _P_FLOOR)
-    finite = np.isfinite(flat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tt = flat[finite] * flat[finite]
-        # 1 - x from tt, not by subtraction (unused when tt = inf, as x = 0)
-        x, y = dof / (dof + tt), tt / (dof + tt)
-    p[finite] = np.clip(_incomplete_beta(dof / 2.0, 0.5, x, y), _P_FLOOR, 1.0)
+    p = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        _two_sided_p(flat[start : start + _BLOCK], dof, p[start : start + _BLOCK])
     return float(p[0]) if values.ndim == 0 else p.reshape(values.shape)
+
+
+def _two_sided_p(t: np.ndarray, dof: float, out: np.ndarray) -> None:
+    out.fill(_P_FLOOR)
+    out[np.isnan(t)] = math.nan
+    finite = np.isfinite(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = t[finite]
+        tt *= tt
+        total = dof + tt
+        # 1 - x from tt, not by subtraction (unused when tt = inf, as x = 0)
+        y = np.divide(tt, total, out=tt)
+        x = np.divide(dof, total, out=total)
+    out[finite] = np.clip(_incomplete_beta(dof / 2.0, 0.5, x, y), _P_FLOOR, 1.0)
 
 
 def chi_square_quantile_2dof(level: float) -> float:

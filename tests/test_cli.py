@@ -461,10 +461,11 @@ def test_fix_summarises_only_the_columns_fixed_at_a_preset(monkeypatch, capsys):
     monkeypatch.setattr(cli, "quartiles", spy)
     assert main(["conditional", f"--data={SURVEY}", "--formula=Y ~ quad(x1,x2) + x3", "--target=x1",
                  "--fix=x2=q25,x3=1.5"]) == 0
+    # a name the model does not use is refused before any column is summarised
     assert main(["conditional", f"--data={SURVEY}", "--formula=Y ~ x1 + x2", "--target=x1",
-                 "--fix=x2=mean,x9=max"]) == 1
-    assert summarised == [["x2"], ["x2"]]
-    assert capsys.readouterr().err.splitlines() == ["error[unknown-column]: no summary for column 'x9'"]
+                 "--fix=x2=mean,x9=max"]) == 2
+    assert summarised == [["x2"]]
+    assert capsys.readouterr().err.splitlines() == ["error[assignment]: fixed assignment has superfluous entries: ['x9']"]
 
 
 @pytest.mark.parametrize("value", ["0.1", "1.0"])
@@ -651,8 +652,14 @@ HOSTILE = [
      f"error[formula]: --sweep takes at most {MAX_PLOT_POINTS} steps, got 1000000000000000"),
     (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=median"], 2,
      "error[assignment]: unknown preset 'median' for 'Cd'"),
-    (["effect", *SATURATED_CODED, "--target=Pb", "--fix=zz=mean", "--at=0"], 1,
-     "error[unknown-column]: no summary for column 'zz'"),
+    # a name the model does not use: one error whether its value is a preset or a number
+    (["effect", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0,zz=mean", "--at=0"], 2,
+     "error[assignment]: fixed assignment has superfluous entries: ['zz']"),
+    (["effect", *SATURATED_CODED, "--target=Pb", "--at=0", "--fix=Cd=0,zz=3"], 2,
+     "error[assignment]: fixed assignment has superfluous entries: ['zz']"),
+    (["fit", f"--data={os.path.join(GOLDEN, 'coded.csv')}", "--formula=SDH ~ Pb + Cd + Pb:Cd"], 2,
+     "error[saturated]: model has 4 parameters for 4 observations (dof=0), so it fits the data exactly;"
+     " pass --allow-saturated to permit an exact fit"),
     (["subset", f"--data={SURVEY}", "--response=Y", "--pool=x1,x2", "--size=-1"], 2, "error[search]: "),
     (["fit", f"--data={SURVEY}", "--formula=Y ~"], 2, "error[formula]: "),
     (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--levels=Pb=1"], 2,

@@ -83,8 +83,8 @@ def _oracle(d, spec):
         return "skipped", f"model has {p} parameters but only {n} observations", None
     if n - p < 1:
         reason = (
-            f"model has {p} parameters for {n} observations (dof={n - p});"
-            " pass allow_saturated=True to permit an exact fit"
+            f"model has {p} parameters for {n} observations (dof={n - p}),"
+            " so it fits the data exactly"
         )
         return "skipped", reason, None
     X = _design(d, spec)

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
+from condreg.dataset import correlation_p_value
 from condreg.stats import (
+    _BLOCK,
     _incomplete_beta,
     chi_square_quantile_2dof,
     log_beta,
@@ -201,6 +206,50 @@ class TestArrayTail:
         singles = [student_t_two_sided_p(float(v), dof) for v in t]
         assert (_bits(p) == _bits(singles)).all()
         assert (_bits(p[::-1]) == _bits(student_t_two_sided_p(t[::-1].copy(), dof))).all()
+
+
+# Zeros of both signs, the smallest subnormal and a larger one, +-inf and NaN.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan]
+
+
+@given(
+    st.sampled_from([1, 2.5, 30, 998, 2e5, 1e8]),
+    st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(-50.0, 50.0), st.floats()), max_size=40),
+)
+def test_an_array_of_both_representations_equals_one_element_calls(dof, drawn):
+    # |t| = 0.5 takes the (b, a, 1 - x) representation and |t| = 40 the (a, b, x) one at every dof
+    t = np.array([0.5, *drawn, 40.0])
+    with np.errstate(over="ignore"):
+        x = dof / (dof + t[[0, -1]] ** 2)
+    assert list(x < (dof / 2 + 1.0) / (dof / 2 + 2.5)) == [False, True]
+    p = student_t_two_sided_p(t, dof)
+    assert (_bits(p) == _bits([student_t_two_sided_p(float(v), dof) for v in t])).all()
+
+
+def test_blocks_leave_every_entry_as_it_is():
+    rng = np.random.default_rng(11)
+    t = np.concatenate([rng.normal(scale=3.0, size=2 * _BLOCK + 17), _EDGES])
+    rng.shuffle(t)
+    chunks = [student_t_two_sided_p(t[i : i + 10_007], 998) for i in range(0, t.size, 10_007)]
+    assert (_bits(student_t_two_sided_p(t, 998)) == _bits(np.concatenate(chunks))).all()
+
+
+def _p_value_peak(size: int) -> int:
+    """Bytes correlation_p_value allocates on ``size`` values of r, beyond
+    its t and its result, 8 bytes a value each."""
+    r = np.random.default_rng(3).uniform(-0.3, 0.3, size)
+    tracemalloc.start()
+    try:
+        correlation_p_value(r, 1000)
+        return tracemalloc.get_traced_memory()[1] - 2 * r.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_tail_holds_one_block_whatever_its_input():
+    """Beyond t and p, the peak on 1,000,000 values is that of two blocks,
+    up to 1% for how the continued fraction's elements converge."""
+    assert _p_value_peak(1_000_000) <= 1.01 * _p_value_peak(2 * _BLOCK)
 
 
 class TestChiSquareQuantile:
