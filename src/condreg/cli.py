@@ -3,7 +3,11 @@
 One subcommand per analysis: fit, conditional, effect, bridge,
 residualize, stepwise, subset, ellipse, action, corr, summary.  Input is
 CSV (header row, configurable delimiter); output is a deterministic JSON
-report (schema "condreg/1") plus TSV plot data where applicable.
+report (schema "condreg/1") plus TSV plot data where applicable.  A JSON
+report is written as it is formed, its pieces going straight into the
+--out file or standard output, so its text is never held whole; a text
+report, whose correlation table needs every cell's width first, and a
+TSV file are formed whole and written as one piece.
 
 Exit codes: 0 success, 1 I/O or data error (any DataError), 2 model error.
 Every failure prints a single ``error[<code>]: message`` line to stderr.
@@ -52,7 +56,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
 from .defaults import CONTROL_TOLERANCE, DESTABILIZATION_THRESHOLD, MAX_PLOT_POINTS
 from .errors import (
@@ -73,10 +77,12 @@ if TYPE_CHECKING:
     from .terms import ModelSpec
 
 # Names the commands call as globals of this module, and the module each
-# comes from.  bench/tracing.py and the tests patch them here.  A name is
-# imported on first use: by __getattr__, or by main (_bind), which sets it
-# only where it is not set already, so a patch made before the call is the
-# function that runs.  Every other name a command needs it imports itself.
+# comes from; dumps_report, which no command calls, stays for the callers
+# that read it here.  bench/tracing.py and the tests patch them here.  A
+# name is imported on first use: by __getattr__, or by main (_bind), which
+# sets it only where it is not set already, so a patch made before the
+# call is the function that runs.  Every other name a command needs it
+# imports itself.
 _LAZY = {
     "load_csv": "dataset",
     "pearson_matrix": "dataset",
@@ -224,20 +230,20 @@ def _fixed_values(args, data: Dataset | None, spec: ModelSpec, varied: Sequence[
 
 
 def _finish(args: argparse.Namespace, doc: dict) -> int:
-    from .report import render_text
+    from .report import render_text, report_pieces
 
-    _write(args.out, render_text(doc) if args.format == "text" else dumps_report(doc))
+    _write(args.out, [render_text(doc)] if args.format == "text" else report_pieces(doc))
     return 0
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to path atomically, or to standard output in bounded chunks."""
+def _write(path: str | None, pieces: Iterable[str]) -> None:
+    """Write str pieces to path atomically, or to standard output, in bounded writes."""
     if path:
-        write_text_atomic(path, text)
+        write_text_atomic(path, pieces)
     else:
         from .report import write_chunks
 
-        write_chunks(sys.stdout, text)
+        write_chunks(sys.stdout, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +303,7 @@ def cmd_conditional(args) -> int:
             f"conditional response of {model.spec.response} vs {args.target}",
             "fixed: " + ", ".join(f"{k}={format_number(v)}" for k, v in sorted(fixed.items())),
         ]
-        _write(args.plot_out, plot_tsv(comments, [args.target, model.spec.response], rows))
+        _write(args.plot_out, [plot_tsv(comments, [args.target, model.spec.response], rows)])
     return _finish(args, doc)
 
 
@@ -411,7 +417,7 @@ def cmd_residualize(args) -> int:
             [f"{args.target}_star"],
             result.column[:, None],
         )
-        write_text_atomic(args.column_out, text)
+        write_text_atomic(args.column_out, [text])
     return _finish(args, doc)
 
 
@@ -484,7 +490,7 @@ def cmd_ellipse(args) -> int:
         f"level = {format_number(args.level)}",
         f"threshold = {format_number(shape.threshold)}",
     ]
-    _write(args.plot_out, plot_tsv(comments, [args.x, args.y], points))
+    _write(args.plot_out, [plot_tsv(comments, [args.x, args.y], points)])
     return _finish(args, doc)
 
 

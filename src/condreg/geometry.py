@@ -33,7 +33,7 @@ from .errors import (
     ModelError,
     ScopeError,
 )
-from .stats import chi_square_quantile_2dof
+from .stats import chi_square_quantile_2dof, student_t_two_sided_p
 
 if TYPE_CHECKING:
     from .ols import FittedModel
@@ -120,14 +120,19 @@ class ActionClass:
 
     ``effect_1``/``effect_2`` are the isolated single-factor effects
     (each factor moved low -> high with the other held low);
-    ``joint_effect`` moves both.  ``cross_p`` is NaN when the model
-    carries published coefficients without inference; the significance
-    gate is then skipped and the cross term treated as real.
+    ``joint_effect`` moves both.  ``gap_p`` is the two-sided t test's p
+    of the interaction gap (hh - hl) - (lh - ll) the label is read from,
+    and ``cross_p`` that of the cross coefficient alone; the two agree
+    when the gap's design row holds the cross term only, as at the
+    coded levels -1 and +1.  Both are NaN at dof 0 (an exact fit, or
+    published coefficients); the significance gate is then skipped and
+    the gap treated as real.
     """
 
     label: ActionLabel
     cross_coef: float
     cross_p: float
+    gap_p: float
     effect_1: float
     effect_2: float
     joint_effect: float
@@ -142,7 +147,7 @@ def classify_action(
     fixed: Mapping[str, float] | None = None,
     control_tolerance: float = CONTROL_TOLERANCE,
 ) -> ActionClass:
-    """Classify the joint action of two factors from their cross term.
+    """Classify the joint action of two factors from their interaction gap.
 
     The model must contain linear terms for both factors and their cross
     term.  ``levels`` gives each factor's (low, high) evaluation points,
@@ -150,7 +155,8 @@ def classify_action(
     further predictor of the model, by the one rule of
     ``ModelSpec.check_point`` with both factors varied.
 
-    When the isolated effects disagree in sign, the larger-magnitude
+    A gap whose t test gives a p above ``alpha`` reads additive.  When
+    the isolated effects disagree in sign, the larger-magnitude
     effect supplies the reference direction.  Raises ModelError unless
     ``alpha`` lies in (0, 1) and ``control_tolerance`` is >= 0, and
     AssignmentError for levels of a name that is neither factor, a level
@@ -193,18 +199,22 @@ def classify_action(
     differences = np.array([hl - ll, lh - ll, hh - ll, (hh - hl) - (lh - ll)])
     effect_1, effect_2, joint, gap = (differences @ m.coef).tolist()
 
-    cross_coef = m.coefficient(cross)
-    cross_p = float(m.p[m.term_index(cross)])
+    gap_p = math.nan
+    if m.dof:
+        row = differences[3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap_p = student_t_two_sided_p(gap / np.sqrt(row @ m.cov @ row), m.dof)
 
     evidence = dict(
-        cross_coef=cross_coef,
-        cross_p=cross_p,
+        cross_coef=m.coefficient(cross),
+        cross_p=float(m.p[m.term_index(cross)]),
+        gap_p=gap_p,
         effect_1=effect_1,
         effect_2=effect_2,
         joint_effect=joint,
     )
 
-    if not math.isnan(cross_p) and cross_p > alpha:
+    if not math.isnan(gap_p) and gap_p > alpha:
         return ActionClass(label="additive", **evidence)
     # No interaction, or no single-factor effect to set a direction.
     if gap == 0.0 or (effect_1 == 0.0 and effect_2 == 0.0):

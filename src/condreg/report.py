@@ -16,11 +16,14 @@ correlation table; a square one that equals its transpose bit for bit
 A column table is a list of records given as columns; both formats
 print it exactly as the list of dicts it stands for, each column's cells
 formatted in one pass and each JSON record filled into one template.
-File writes go through a temp file and rename, never a partial file,
-except to a FIFO or device, which is written in place, and to an alias
-of an open descriptor (``/dev/stdout``), written through that
-descriptor; a file and standard output alike take the text in bounded
-chunks, so it is never held a second time as one encoded copy.  This
+The JSON text is formed as a stream of pieces (a key, a matrix row, a
+table record), which :func:`dumps_report` joins and the writers take one
+at a time, so a report written out is never held whole.  File writes go
+through a temp file and rename, never a partial file, except to a FIFO
+or device, which is written in place, and to an alias of an open
+descriptor (``/dev/stdout``), written through that descriptor; a file
+and standard output alike take the pieces in bounded writes, short ones
+gathered and a long one (such as a whole text report) sliced.  This
 module does not import numpy: no numpy object can exist before numpy is
 loaded, so it finds numpy in ``sys.modules`` to tell a numpy value from
 others, and a float array's cells, or a Python float's, are formatted
@@ -39,8 +42,7 @@ from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 SCHEMA = "condreg/1"
-# Characters encoded and written at a time, so that a report is never
-# held a second time as one encoded copy.
+# The most characters joined, encoded and written at a time.
 _WRITE_CHARS = 1 << 16
 # Directories whose entries are this process's open descriptors, and the
 # most symlinks followed from a path to one of them (Linux's limit).
@@ -125,7 +127,7 @@ def _matrix_rows(rows: Any) -> Iterator[list[str]]:
 
 
 def _json_row(cells: list[str], pad: str) -> str:
-    """A non-empty row of printed cells as _emit prints a list at ``pad``."""
+    """A non-empty row of printed cells as _pieces prints a list at ``pad``."""
     return "[\n" + pad + "  " + (",\n" + pad + "  ").join(cells) + "\n" + pad + "]"
 
 
@@ -176,65 +178,57 @@ def _cell(value: Any, text: bool) -> str:
     return scalar
 
 
-def _table_json(table: ColumnTable, indent: int) -> str:
-    """The table as _emit prints the list of dicts it stands for."""
-    if not table.n_rows:
-        return "[]"
+def _table_json(table: ColumnTable, indent: int) -> Iterator[str]:
+    """The table as _pieces prints the list of dicts it stands for, a record a piece."""
     pad = "  " * (indent + 1)
     # one %-template per record; a key's own % signs are escaped
     keys = [f"{pad}  {json.dumps(str(key))}: ".replace("%", "%%") for key in table.columns]
     record = pad + "{\n" + ",\n".join(key + "%s" for key in keys) + "\n" + pad + "}"
-    rows = [record % cells for cells in zip(*table.cells(False))]
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
+    for i, cells in enumerate(zip(*table.cells(False))):
+        yield (",\n" if i else "[\n") + record % cells
+    yield "\n" + "  " * indent + "]" if table.n_rows else "[]"
 
 
-def _emit(obj: Any, pieces: list[str], indent: int) -> None:
+def _pieces(obj: Any, indent: int) -> Iterator[str]:
     pad = "  " * indent
     scalar = json.dumps(obj) if isinstance(obj, str) else _scalar(obj)
     if scalar is not None:
-        pieces.append(scalar)
+        yield scalar
     elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            pieces.append(f'{pad}  {json.dumps(str(key))}: ')
-            _emit(value, pieces, indent + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
+            yield (",\n" if i else "{\n") + f'{pad}  {json.dumps(str(key))}: '
+            yield from _pieces(value, indent + 1)
+        yield "\n" + pad + "}" if obj else "{}"
     elif isinstance(obj, ColumnTable):
-        pieces.append(_table_json(obj, indent))
+        yield from _table_json(obj, indent)
     elif _float_array(obj) and obj.size and obj.ndim in (1, 2):
         if obj.ndim == 1:
-            pieces.append(_json_row(format_row(obj), pad))
+            yield _json_row(format_row(obj), pad)
         else:
             inner = pad + "  "
-            pieces.append("[\n")
-            for cells in _matrix_rows(obj):
-                pieces += (inner, _json_row(cells, inner), ",\n")
-            pieces[-1] = "\n" + pad + "]"  # the last row's separator closes the list
+            for i, cells in enumerate(_matrix_rows(obj)):
+                yield (",\n" if i else "[\n") + inner + _json_row(cells, inner)
+            yield "\n" + pad + "]"
     elif _sequence(obj):
         items = list(obj)
-        if not items:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
         for i, value in enumerate(items):
-            pieces.append(pad + "  ")
-            _emit(value, pieces, indent + 1)
-            pieces.append(",\n" if i < len(items) - 1 else "\n")
-        pieces.append(pad + "]")
+            yield (",\n" if i else "[\n") + pad + "  "
+            yield from _pieces(value, indent + 1)
+        yield "\n" + pad + "]" if items else "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
+def report_pieces(document: dict) -> Iterator[str]:
+    """A report document's deterministic JSON text as str pieces, in order,
+    each formed when it is taken."""
+    yield from _pieces(document, 0)
+    yield "\n"
+
+
 def dumps_report(document: dict) -> str:
     """Serialize a report document to deterministic JSON text."""
-    pieces: list[str] = []
-    _emit(document, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return "".join(report_pieces(document))
 
 
 def _flatten(prefix: str, obj: Any, lines: list[str]) -> None:
@@ -335,14 +329,28 @@ def plot_tsv(comments: Iterable[str], header: Sequence[str], rows: Any) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_chunks(handle: IO[str], text: str) -> None:
-    """Write text to an open text stream ``_WRITE_CHARS`` characters at a time."""
-    for start in range(0, len(text), _WRITE_CHARS):
-        handle.write(text[start : start + _WRITE_CHARS])
+def write_chunks(handle: IO[str], pieces: Iterable[str]) -> None:
+    """Write str pieces to an open text stream in writes of at most
+    ``_WRITE_CHARS`` characters: short pieces are gathered into one write,
+    and a longer piece is written in slices, never joined with others."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        if size + len(piece) > _WRITE_CHARS and batch:
+            handle.write("".join(batch))
+            batch, size = [], 0
+        if len(piece) > _WRITE_CHARS:
+            for start in range(0, len(piece), _WRITE_CHARS):
+                handle.write(piece[start : start + _WRITE_CHARS])
+        else:
+            batch.append(piece)
+            size += len(piece)
+    if batch:
+        handle.write("".join(batch))
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` so that no reader sees a partial regular file.
+def write_text_atomic(path: str, pieces: Iterable[str]) -> None:
+    """Write str pieces to ``path`` so that no reader sees a partial regular file.
 
     A new path or a regular file gets a temp file in its directory,
     renamed over it.  A path whose symlink chain passes through a
@@ -354,8 +362,10 @@ def write_text_atomic(path: str, text: str) -> None:
     never truncated or replaced.  Any other path that exists and is not a
     regular file (a FIFO, a terminal or another device) would be destroyed
     by a rename, so it is opened and written in place.  Either way the
-    text goes in chunks.  A symlink is followed, never replaced: what it
-    points to is written in place or renamed over, and the link stays.
+    pieces go through :func:`write_chunks` as they are formed; an error
+    raised while they are formed leaves a renamed-over file unchanged and
+    no temp file.  A symlink is followed, never replaced: what it points
+    to is written in place or renamed over, and the link stays.
     """
     descriptor = _descriptor_alias(path)
     if descriptor is not None:
@@ -364,7 +374,7 @@ def write_text_atomic(path: str, text: str) -> None:
                 stream.flush()
         try:
             with open(os.dup(descriptor), "w", encoding="utf-8") as handle:
-                write_chunks(handle, text)
+                write_chunks(handle, pieces)
         except OSError as exc:  # errors on a descriptor name no file
             raise OSError(exc.errno, exc.strerror, path) from exc
         return
@@ -374,13 +384,13 @@ def write_text_atomic(path: str, text: str) -> None:
         regular = True
     if not regular:
         with open(path, "w", encoding="utf-8") as handle:
-            write_chunks(handle, text)
+            write_chunks(handle, pieces)
         return
     path = os.path.realpath(path)
     fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            write_chunks(handle, text)
+            write_chunks(handle, pieces)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -152,28 +152,28 @@ def test_subset_ranks_and_skips(tmp_path, signal):
 def test_subset_builds_no_object_per_candidate(tmp_path, monkeypatch):
     """Best subset of 3 from a 27-term pool: 2,925 candidates, one
     ModelSpec and one FittedModel (the best model, for its advisories),
-    and a ranked table that costs as many _emit calls as an empty one."""
+    and a ranked table that costs as many _pieces calls as an empty one."""
     rng = np.random.default_rng(27)
     names = [f"x{i}" for i in range(1, 7)]
     columns = {name: rng.normal(size=60) for name in names}
     path = _write_csv(tmp_path / "pool.csv", {RESPONSE: columns["x1"] + rng.normal(size=60), **columns})
     pool = ",".join(term.label for term in full_quadratic_terms(names))
     built, documents, emitted = [], [], []
-    spec_check, model_init, dumps, emit = ModelSpec.__post_init__, FittedModel.__init__, cli.dumps_report, report._emit
+    spec_check, model_init, new, emit = ModelSpec.__post_init__, FittedModel.__init__, cli.new_document, report._pieces
     monkeypatch.setattr(ModelSpec, "__post_init__", lambda self: built.append(type(self)) or spec_check(self))
     monkeypatch.setattr(FittedModel, "__init__", lambda self, *a, **k: built.append(type(self)) or model_init(self, *a, **k))
-    monkeypatch.setattr(cli, "dumps_report", lambda doc: documents.append(doc) or dumps(doc))
+    monkeypatch.setattr(cli, "new_document", lambda *a, **k: documents.append(new(*a, **k)) or documents[-1])
     argv = ["subset", f"--data={path}", "--response=Y", f"--pool={pool}", "--size=3"]
     assert main([*argv, f"--out={tmp_path / 'report.json'}"]) == 0
     assert built == [ModelSpec, FittedModel]
     (doc,) = documents
     assert doc["ranked"].n_rows + len(doc["skipped"]) == 2925
-    monkeypatch.setattr(report, "_emit", lambda *args: emitted.append(1) or emit(*args))
+    monkeypatch.setattr(report, "_pieces", lambda *args: emitted.append(1) or emit(*args))
     counts = []
     empty = report.ColumnTable({key: [] for key in doc["ranked"].columns})
     for ranked in (doc["ranked"], empty):
         emitted.clear()
-        dumps({**doc, "ranked": ranked})
+        report.dumps_report({**doc, "ranked": ranked})
         counts.append(len(emitted))
     assert counts[0] == counts[1]
 
@@ -793,11 +793,11 @@ def test_a_name_patched_before_the_first_command_is_the_one_called(tmp_path):
     code = (
         "import condreg.cli as cli\n"
         "calls = []\n"
-        "load, dumps = cli.load_csv, cli.dumps_report\n"
+        "load, write = cli.load_csv, cli.write_text_atomic\n"
         "cli.load_csv = lambda *a, **k: calls.append('load_csv') or load(*a, **k)\n"
-        "cli.dumps_report = lambda doc: calls.append('dumps_report') or dumps(doc)\n"
+        "cli.write_text_atomic = lambda *a: calls.append('write_text_atomic') or write(*a)\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "assert calls == ['load_csv', 'dumps_report'], calls"
+        "assert calls == ['load_csv', 'write_text_atomic'], calls"
     )
     loaded, _ = modules_after(code)
     assert "condreg.dataset" in loaded

@@ -206,6 +206,7 @@ class TestClassifyAction:
         assert result.effect_1 < 0 and result.effect_2 < 0
         assert result.cross_coef > 0
         assert abs(result.joint_effect) < 5.0
+        assert np.isnan(result.cross_p) and np.isnan(result.gap_p)  # no inference on published values
 
     def test_less_than_additive_pattern(self):
         model = published([204.0, 1674.0, 36.0, -413.0])
@@ -226,7 +227,33 @@ class TestClassifyAction:
         m = fit(d, CROSS_SPEC)
         cross_p = float(m.p[m.term_index(Term.cross("f1", "f2"))])
         assert cross_p > 0.05  # seed chosen so the gate is exercised
-        assert classify_action(m, "f1", "f2", alpha=0.05).label == "additive"
+        result = classify_action(m, "f1", "f2", alpha=0.05)
+        assert result.label == "additive"
+        # at the coded levels the gap's row is 4 times the cross term's
+        assert (result.cross_p, result.gap_p) == (cross_p, cross_p)
+
+    def test_the_gate_tests_the_gap_the_label_is_read_from(self):
+        """Y = 10 + a + b + 0.5c + 2abc + noise: at c = 5 the gap is
+        4(b_ab + 5 b_abc), about 40, though b_ab alone is near 0."""
+        rng = np.random.default_rng(2)
+        n = 80
+        a, b = rng.choice([-1.0, 1.0], n), rng.choice([-1.0, 1.0], n)
+        c, noise = rng.uniform(0, 10, n), rng.normal(size=n)
+        y = 10 + a + b + 0.5 * c + 2 * a * b * c + noise
+        labels = ("a", "b", "c", "a:b", "a:c", "b:c", "a:b:c")
+        spec = ModelSpec("Y", tuple(Term.cross(*label.split(":")) for label in labels))
+        result = classify_action(fit(Dataset({"Y": y, "a": a, "b": b, "c": c}), spec), "a", "b", fixed={"c": 5.0})
+        assert result.cross_p > 0.8  # the cross coefficient alone reads additive
+        assert result.label == "less-than-additive"
+        assert (result.effect_1, result.effect_2, result.joint_effect) == pytest.approx((-17.96, -18.45, 3.60), abs=0.01)
+        # oracle: the t test of L @ beta from an independent least-squares solve
+        x = np.column_stack([np.ones(n), a, b, c, a * b, a * c, b * c, a * b * c])
+        beta, rss, _, _ = np.linalg.lstsq(x, y, rcond=None)
+        row = np.array([0, 0, 0, 0, 4, 0, 0, 20])
+        dof = n - x.shape[1]
+        gap_se = np.sqrt(rss[0] / dof * row @ np.linalg.inv(x.T @ x) @ row)
+        assert row @ beta == pytest.approx(40.0, abs=0.5)
+        assert result.gap_p == pytest.approx(2 * scipy.stats.t.sf(row @ beta / gap_se, dof), rel=1e-6)
 
     def test_no_single_factor_effect_is_additive(self):
         # b1 = b2 = b12 cancels both isolated effects at the coded levels,
@@ -348,7 +375,7 @@ class TestClassifyAction:
         )
         on_coded = classify_action(fit(Dataset({"Y": y, **coded}), CROSS_SPEC), "f1", "f2")
         assert on_raw.label == on_coded.label
-        for field in ("effect_1", "effect_2", "joint_effect", "cross_p"):
+        for field in ("effect_1", "effect_2", "joint_effect", "cross_p", "gap_p"):
             assert getattr(on_raw, field) == pytest.approx(getattr(on_coded, field), rel=1e-9)
         half_ranges = [(hi - lo) / 2.0 for lo, hi in ranges.values()]
         assert on_raw.cross_coef * half_ranges[0] * half_ranges[1] == pytest.approx(

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from condreg import cli
 from condreg.cli import main
+from condreg.report import dumps_report
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -73,18 +75,17 @@ def _without_noise(report: bytes) -> bytes:
     return NOISE.sub(blank, report)
 
 
+def case_argv(case: str, directory: Path) -> list[str]:
+    paths = {"coded": GOLDEN / "coded.csv", "survey": GOLDEN / "survey.csv", "tsv": directory / f"{case}.tsv"}
+    return [arg.format(**paths) for arg in CASES[case]]
+
+
 def run_case(case: str, fmt: str, directory: Path) -> tuple[int, bytes, bytes | None]:
     """Exit code, report bytes and TSV bytes (None if none is written)."""
-    paths = {
-        "coded": GOLDEN / "coded.csv",
-        "survey": GOLDEN / "survey.csv",
-        "tsv": directory / f"{case}.tsv",
-    }
+    tsv = directory / f"{case}.tsv"
     report = directory / f"{case}{SUFFIX[fmt]}"
-    argv = [arg.format(**paths) for arg in CASES[case]]
-    code = main([*argv, f"--format={fmt}", f"--out={report}"])
-    tsv = paths["tsv"].read_bytes() if paths["tsv"].exists() else None
-    return code, report.read_bytes(), tsv
+    code = main([*case_argv(case, directory), f"--format={fmt}", f"--out={report}"])
+    return code, report.read_bytes(), tsv.read_bytes() if tsv.exists() else None
 
 
 @pytest.mark.parametrize("fmt", list(SUFFIX))
@@ -96,6 +97,20 @@ def test_report_matches_golden(tmp_path, case, fmt):
     assert _without_noise(report) == _without_noise(stored)
     stored_tsv = GOLDEN / f"{case}.tsv"
     assert tsv == (stored_tsv.read_bytes() if stored_tsv.exists() else None)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_a_streamed_report_is_the_text_dumps_report_forms(tmp_path, monkeypatch, capsys, case):
+    """A command writes its JSON report as it is formed, to --out and to
+    standard output alike; either way the text is dumps_report's."""
+    documents = []
+    new = cli.new_document
+    monkeypatch.setattr(cli, "new_document", lambda *a, **k: documents.append(new(*a, **k)) or documents[-1])
+    code, written, _ = run_case(case, "json", tmp_path)
+    assert (code, main(case_argv(case, tmp_path))) == (0, 0)
+    to_file, to_stdout = documents
+    assert written == dumps_report(to_file).encode("utf-8")
+    assert capsys.readouterr().out == dumps_report(to_stdout)
 
 
 def test_every_case_has_its_files_and_no_file_is_orphaned():

@@ -1,14 +1,17 @@
-"""Atomic report writes (a failed write leaves the old file and no temp
-file; a FIFO is written in place, a descriptor alias through its
-descriptor, and a symlink followed), the text rendering of the
-correlation table, the row formatter that prints a float array in one
-piece, and the column table that prints a list of records a row at a
-time."""
+"""Atomic report writes (a failed write, or an error while the report is
+formed, leaves the old file and no temp file; a FIFO is written in
+place, a descriptor alias through its descriptor, and a symlink
+followed), pieces written as they are formed in bounded writes, the
+text rendering of the correlation table, the row formatter that prints
+a float array in one piece, and the column table that prints a list of
+records a row at a time."""
 
 import math
 import os
 import stat
 import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from condreg.report import (
     new_document,
     plot_tsv,
     render_text,
+    report_pieces,
     write_text_atomic,
 )
 
@@ -41,7 +45,7 @@ def test_failed_rename_keeps_the_old_file(tmp_path, refused_rename):
     target = tmp_path / "report.json"
     target.write_text("previous\n", encoding="utf-8")
     with pytest.raises(OSError, match="rename refused"):
-        write_text_atomic(str(target), "new\n")
+        write_text_atomic(str(target), ["new\n"])
     assert target.read_text(encoding="utf-8") == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -64,7 +68,7 @@ def test_text_that_cannot_be_encoded_keeps_the_old_file(tmp_path):
     target.write_text("previous\n", encoding="utf-8")
     text = "a" * (report._WRITE_CHARS + 10) + "\ud800\n"
     with pytest.raises(UnicodeEncodeError):
-        write_text_atomic(str(target), text)
+        write_text_atomic(str(target), [text])
     assert target.read_text(encoding="utf-8") == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -73,16 +77,57 @@ def test_long_text_is_written_whole(tmp_path):
     target = tmp_path / "report.json"
     text = "".join(f"{i},é—\n" for i in range(3 * report._WRITE_CHARS // 8))
     assert len(text) > 2 * report._WRITE_CHARS
-    write_text_atomic(str(target), text)
+    write_text_atomic(str(target), [text])
     assert target.read_bytes() == text.encode("utf-8")
 
 
 def test_write_replaces_the_old_file(tmp_path):
     target = tmp_path / "report.json"
     target.write_text("previous\n", encoding="utf-8")
-    write_text_atomic(str(target), "new\n")
+    write_text_atomic(str(target), ["new\n"])
     assert target.read_text(encoding="utf-8") == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_an_error_while_the_report_is_formed_keeps_the_old_file(tmp_path):
+    # the first piece is written before the unserializable value is reached
+    target = tmp_path / "report.json"
+    target.write_text("previous\n", encoding="utf-8")
+    doc = {"head": "x" * (2 * report._WRITE_CHARS), "tail": object()}
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        write_text_atomic(str(target), report_pieces(doc))
+    assert target.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_short_pieces_are_gathered_and_a_long_one_is_sliced():
+    limit = report._WRITE_CHARS
+    pieces = ["a" * 10] * 3 + ["b" * (2 * limit + 5), "c" * (limit - 1), "d" * 2]
+    writes = []
+    report.write_chunks(SimpleNamespace(write=writes.append), iter(pieces))
+    assert writes == ["a" * 30, "b" * limit, "b" * limit, "b" * 5, "c" * (limit - 1), "d" * 2]
+
+
+def test_writing_a_wide_correlation_report_holds_a_small_part_of_it(tmp_path):
+    """The report is written as it is formed: joining its pieces, as
+    dumps_report does, held about twice its length.  What is left are the
+    rows still to come, each keeping the cells mirrored from the rows
+    above (about a quarter of each matrix's cells at the peak)."""
+    rng = np.random.default_rng(300)
+    data = Dataset({f"c{j}": rng.normal(size=40) for j in range(300)})
+    corr = pearson_matrix(data)
+    doc = new_document("corr", correlation={"names": list(corr.names), "n": corr.n, "r": corr.r, "p": corr.p})
+    target = tmp_path / "corr.json"
+    tracemalloc.start()
+    try:
+        write_text_atomic(str(target), report_pieces(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = target.stat().st_size
+    assert length > 4_000_000
+    assert peak < 0.5 * length
+    assert target.read_text(encoding="utf-8") == dumps_report(doc)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -92,8 +137,10 @@ def test_a_fifo_target_is_written_in_place(tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(target.read_bytes()), daemon=True)
     reader.start()
-    text = "".join(f"{i},é\n" for i in range(report._WRITE_CHARS // 2))
-    write_text_atomic(str(target), text)
+    lines = [f"{i},é\n" for i in range(report._WRITE_CHARS // 2)]
+    pieces = ["".join(lines), *lines]  # one piece longer than a write, then many short ones
+    text = "".join(pieces)
+    write_text_atomic(str(target), iter(pieces))
     reader.join(timeout=30)
     assert received == [text.encode("utf-8")]
     assert stat.S_ISFIFO(os.stat(target).st_mode)
@@ -105,7 +152,7 @@ def test_a_symlink_is_followed_and_kept(tmp_path):
     target.write_text("previous\n", encoding="utf-8")
     link = tmp_path / "latest.json"
     link.symlink_to(target)
-    write_text_atomic(str(link), "new\n")
+    write_text_atomic(str(link), ["new\n"])
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_text(encoding="utf-8") == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latest.json", "report.json"]
@@ -125,7 +172,7 @@ def test_a_descriptor_alias_is_written_at_the_descriptors_offset(tmp_path, throu
             (tmp_path / "link").symlink_to(path)
             path = str(tmp_path / "link")
         os.write(fd, b"before\n")
-        write_text_atomic(path, "report\n")
+        write_text_atomic(path, ["report\n"])
         os.write(fd, b"after\n")
     finally:
         os.close(fd)
