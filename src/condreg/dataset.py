@@ -50,6 +50,7 @@ from .errors import (
     SchemaError,
     UnknownColumnError,
 )
+from . import stats
 from .stats import student_t_two_sided_p
 
 PRESET_STATS = ("min", "q25", "mean", "q75", "max")
@@ -137,9 +138,12 @@ class CorrelationReport:
     ``r`` is symmetric with a unit diagonal; ``p`` is symmetric with the
     diagonal pinned to the 1-boundary of (0, 1] (rendered as an em-dash
     in text output, since a column is trivially correlated with itself).
-    ``p`` is computed on first access, with one Student t tail call over
-    the upper triangle's t statistics, so callers that read only ``r``
-    never pay for it.
+    ``p`` is computed on first access, so callers that read only ``r``
+    never pay for it.  The upper triangle is taken in slabs of whole rows
+    (``_upper_slabs``) of at most one tail block of pairs each; a slab's r
+    goes through one ``correlation_p_value`` call, and its p is written
+    into both triangles.  When every pair fits in one block, that is one
+    Student t tail call, and beyond r and p the working set is one slab's.
     """
 
     names: tuple[str, ...]
@@ -149,10 +153,32 @@ class CorrelationReport:
     @cached_property
     def p(self) -> np.ndarray:
         p = np.ones((len(self.names),) * 2)
-        upper = np.triu_indices(len(self.names), 1)
-        p[upper] = p[upper[::-1]] = correlation_p_value(self.r[upper], self.n)
+        for rows, columns in _upper_slabs(len(self.names), stats._BLOCK):
+            upper = np.arange(columns.start, columns.stop) > np.arange(rows.start, rows.stop)[:, None]
+            p[rows, columns][upper] = p[columns, rows].T[upper] = correlation_p_value(
+                self.r[rows, columns][upper], self.n
+            )
         p.flags.writeable = False
         return p
+
+
+def _upper_slabs(k: int, block: int):
+    """Row and column slices covering the strict upper triangle of a k x k
+    matrix in row order, at most ``block`` pairs each: runs of whole rows
+    (columns from the first row's diagonal on), or, for a row longer than
+    a block, that row in pieces."""
+    i = 0
+    while i < k - 1:
+        end, pairs = i + 1, k - 1 - i  # row i has k - 1 - i pairs
+        if pairs > block:
+            for j in range(i + 1, k, block):
+                yield slice(i, end), slice(j, min(j + block, k))
+        else:
+            while end < k - 1 and pairs + (k - 1 - end) <= block:
+                pairs += k - 1 - end
+                end += 1
+            yield slice(i, end), slice(i + 1, k)
+        i = end
 
 
 @dataclass(frozen=True)
@@ -422,9 +448,11 @@ def correlation_p_value(r, n: int):
     """Two-sided p for a Pearson r at sample size n, per element of r.
 
     The test statistic is t = r * sqrt(n-2) / sqrt(1-r^2) on n-2 degrees
-    of freedom, and all of r goes through one Student t tail call: a
-    float gives a float, an array an array of its shape.  |r| = 1 maps
-    to the p floor (smallest positive double).
+    of freedom, formed in one array, and goes through one Student t tail
+    call (which works through it in blocks): a float gives a float, an
+    array an array of its shape.  |r| = 1 maps to the p floor (smallest
+    positive double).  ``CorrelationReport.p`` calls it once per slab of
+    the upper triangle, not on the whole matrix.
     """
     if n < 3:
         raise InsufficientDataError(f"need n >= 3 for a correlation p-value, got {n}")
@@ -455,12 +483,14 @@ def _moments(d: Dataset, names: Sequence[str], constant_ok: bool = False):
     Each column is divided by its power of two (``column_scales``), which
     is exact and keeps every square finite.  Row chunks of
     ``ROW_BLOCK_BYTES`` pass twice through one reused buffer, summed for
-    the means and then centred, so no n-sized array is made; with n
-    within one chunk the results are those of stacking all n rows, bit
-    for bit.  A constant column's mean is its value, so its centred
-    entries are exact zeros, and a column that varies has positive
-    centred squares.  Unless ``constant_ok``, the first constant column
-    raises DegenerateColumnError before any pass.
+    the means and then centred, so no n-sized array is made; each chunk's
+    k x k product goes into one reused buffer and is added into the Gram
+    matrix in place, so the pass holds two k x k arrays.  With n within
+    one chunk the results are those of stacking all n rows, bit for bit.
+    A constant column's mean is its value, so its centred entries are
+    exact zeros, and a column that varies has positive centred squares.
+    Unless ``constant_ok``, the first constant column raises
+    DegenerateColumnError before any pass.
     """
     if not names:
         raise ValueError("no columns named")
@@ -480,10 +510,11 @@ def _moments(d: Dataset, names: Sequence[str], constant_ok: bool = False):
 
     mean = sum(c.sum(axis=0) for c in chunks()) / d.n
     mean[constant] = np.ldexp([column[0] for column in columns], -exponents)[constant]
-    gram, squares = 0.0, 0.0
+    # gram starts at +0.0, as the sum 0.0 + (first chunk's product) did
+    gram, product, squares = np.zeros((len(columns),) * 2), np.empty((len(columns),) * 2), 0.0
     for c in chunks():
         c -= mean
-        gram = gram + c.T @ c
+        gram += np.matmul(c.T, c, out=product)
         squares = squares + np.square(c, out=c).sum(axis=0)
     return mean, gram, squares, exponents
 
@@ -492,14 +523,16 @@ def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.n
     """Correlations and centred norms of the named columns, from ``_moments``.
 
     ``r[i, j]`` is the Pearson correlation of columns i and j (clipped to
-    [-1, 1], unit diagonal) and ``norms[i]`` the square root of column i's
-    centred sum of squares, so the least-squares slope of column i on
-    column j is ``r[i, j] * norms[i] / norms[j]``.  Raises
-    DegenerateColumnError naming the first constant column.
+    [-1, 1], unit diagonal), formed in the Gram matrix's own buffer, and
+    ``norms[i]`` the square root of column i's centred sum of squares, so
+    the least-squares slope of column i on column j is
+    ``r[i, j] * norms[i] / norms[j]``.  Raises DegenerateColumnError
+    naming the first constant column.
     """
-    _, gram, squares, exponents = _moments(d, names)
+    _, r, squares, exponents = _moments(d, names)
     scaled_norms = np.sqrt(squares)
-    r = np.clip(gram / np.outer(scaled_norms, scaled_norms), -1.0, 1.0)
+    np.divide(r, np.outer(scaled_norms, scaled_norms), out=r)
+    np.clip(r, -1.0, 1.0, out=r)
     np.fill_diagonal(r, 1.0)
     return r, np.ldexp(scaled_norms, exponents)
 

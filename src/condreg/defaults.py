@@ -17,8 +17,11 @@ CONTROL_TOLERANCE = 0.05
 # plot file, so a larger grid is refused before anything is allocated.
 MAX_PLOT_POINTS = 1_000_000
 
-# Bytes of rows per block of each pass over the data after the CSV parse:
-# the design rows of the fold that builds R in ols (2,048 rows of the 22
-# columns of a five-predictor full quadratic) and the column chunks of
-# dataset.centered_moments.  Each pass holds one such block, not n rows.
+# Bytes per block of each pass whose working set would otherwise grow with
+# its input: the design rows of the fold that builds R in ols (2,048 rows of
+# the 22 columns of a five-predictor full quadratic), the row chunks of
+# dataset._moments, and, at 8 bytes an element, the Student t tail's blocks
+# of t (stats._BLOCK), which also bound the pairs in each row slab of
+# dataset.CorrelationReport.p.  Each pass holds one such block (times the
+# arrays it keeps per element), not n rows or k^2 / 2 pairs.
 ROW_BLOCK_BYTES = 352 * 1024

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,103 @@ class TestMomentsEngine:
         column[4] = np.nextafter(0.1, 1.0)
         squares = dataset._moments(Dataset({"a": column}), ["a"])[2]
         assert squares[0] > 0.0
+
+
+def _summed_gram_moments(d, names):
+    """centered_moments as it was when each chunk's Gram product was added
+    into a new array and r was formed from new arrays: the oracle for r and
+    the norms formed in place."""
+    exponents, _ = dataset.column_scales(d, names)
+    data = np.ldexp(np.column_stack([d.column(name) for name in names]), -exponents)
+    rows = max(_chunk_rows(len(names)), 1)
+    mean = sum(data[s : s + rows].sum(axis=0) for s in range(0, d.n, rows)) / d.n
+    gram, squares = 0.0, 0.0
+    for s in range(0, d.n, rows):
+        c = data[s : s + rows] - mean
+        gram = gram + c.T @ c
+        squares = squares + np.square(c).sum(axis=0)
+    scaled_norms = np.sqrt(squares)
+    r = np.clip(gram / np.outer(scaled_norms, scaled_norms), -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r, np.ldexp(scaled_norms, exponents)
+
+
+def _triangle_p(report):
+    """CorrelationReport.p as it was: one call over np.triu_indices' gather."""
+    p = np.ones((len(report.names),) * 2)
+    upper = np.triu_indices(len(report.names), 1)
+    p[upper] = p[upper[::-1]] = correlation_p_value(report.r[upper], report.n)
+    return p
+
+
+def _with_exact_correlations(rng, n, k):
+    """k columns over n rows (n a multiple of 4) whose r holds exact -1, +1
+    and 0 entries besides random ones."""
+    data = rng.normal(size=(n, k)) @ (np.eye(k) + 0.4 * rng.normal(size=(k, k)))
+    data[:, 1] = -data[:, 0]  # r = -1
+    data[:, 2] = 4.0 * data[:, 0] + 3.0  # r = +1 within rounding, clipped
+    data[:, 3] = np.resize([1.0, -1.0], n)
+    data[:, 4] = np.resize([1.0, 1.0, -1.0, -1.0], n)  # r = 0 with column 3
+    return Dataset({f"c{j}": data[:, j] for j in range(k)})
+
+
+class TestInPlaceReference:
+    """r, the norms and p, formed in place and by row slabs, equal what the
+    summed Gram expression and the np.triu_indices gather gave, bit for bit."""
+
+    @pytest.mark.parametrize("k", [5, 6, 40])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_r_and_norms_equal_the_summed_gram(self, rng, k, chunks):
+        n = 4 * ((chunks - 1) * _chunk_rows(k) // 4 + 3)  # a multiple of 4, into the last chunk
+        d = _with_exact_correlations(rng, n, k)
+        r, norms = centered_moments(d, d.names)
+        expected_r, expected_norms = _summed_gram_moments(d, d.names)
+        assert r.tobytes() == expected_r.tobytes()
+        assert norms.tobytes() == expected_norms.tobytes()
+        assert r[3, 4] == 0.0
+        assert r[0, 1] == pytest.approx(-1.0, abs=1e-13) and r[0, 2] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, "k - 2", None])
+    def test_p_equals_the_triangle_gather(self, rng, monkeypatch, block):
+        k = 13
+        if block is not None:
+            monkeypatch.setattr(stats, "_BLOCK", k - 2 if block == "k - 2" else block)
+        r = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1)
+        r += r.T
+        np.fill_diagonal(r, 1.0)
+        for i, j, value in [(0, 1, 1.0), (0, 2, -1.0), (0, 3, 0.0), (0, 4, -0.0), (5, 9, -0.0), (5, 12, 1.0)]:
+            r[i, j] = r[j, i] = value
+        report = dataset.CorrelationReport(names=tuple(f"c{j}" for j in range(k)), r=r, n=30)
+        assert report.p.tobytes() == _triangle_p(report).tobytes()
+        data_report = pearson_matrix(_with_exact_correlations(rng, 40, k))
+        assert data_report.p.tobytes() == _triangle_p(data_report).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 40), block=st.integers(1, 60))
+    def test_slabs_cover_the_upper_triangle_in_row_order(self, k, block):
+        pairs = []
+        for rows, columns in dataset._upper_slabs(k, block):
+            i, j = np.meshgrid(np.arange(rows.start, rows.stop), np.arange(columns.start, columns.stop), indexing="ij")
+            upper = j > i
+            assert 0 < np.count_nonzero(upper) <= block
+            if rows.stop - rows.start > 1:  # several rows: whole ones only
+                assert columns == slice(rows.start + 1, k)
+            pairs += zip(i[upper].tolist(), j[upper].tolist())
+        assert pairs == list(zip(*(index.tolist() for index in np.triu_indices(k, 1))))
+
+    def test_p_holds_r_p_and_one_slab(self):
+        """Under tracemalloc, reading p of 300 columns (44,850 pairs, one
+        slab) peaks below r + p + 20 blocks of the tail (16.2 measured); the
+        triangle gather and the tail's copies it replaced took 22.7."""
+        d = Dataset({f"c{j}": np.random.default_rng(j).normal(size=60) for j in range(300)})
+        report = pearson_matrix(d)
+        tracemalloc.start()
+        try:
+            report.p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < report.r.nbytes + report.p.nbytes + 20 * 8 * stats._BLOCK
 
 
 class TestQuartiles:

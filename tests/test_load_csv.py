@@ -69,7 +69,10 @@ def csv_inputs(draw):
             lines.append(draw(BLANK_LINE))
             continue
         width = k if draw(st.integers(0, 9)) else draw(st.integers(1, k + 1))  # short or long rows
-        lines.append(delimiter.join(draw(st.lists(CELL, min_size=width, max_size=width))))
+        cells = draw(st.lists(CELL, min_size=width, max_size=width))
+        if draw(st.integers(0, 2)) == 0:  # a third of the rows span lines
+            cells[draw(st.integers(0, width - 1))] = draw(MULTILINE_CELL)
+        lines.append(delimiter.join(cells))
     if draw(st.booleans()):
         lines.insert(0, draw(BLANK_LINE))
     end = "\r\n" if draw(st.integers(0, 7)) == 0 else "\n"

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condreg import (
     Dataset,
@@ -151,13 +153,25 @@ class TestAbbottCarroll:
         assert report.ac_sum == pytest.approx(report.a, rel=1e-12)
         assert abs(report.ac_sum - report.a) == pytest.approx(0.0, abs=1e-9)
 
-    def test_identity_for_linear_models(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(2, 6))
-            n = int(rng.integers(10, 51))
-            d = random_dataset(rng, n, k)
-            report = bridge(d, "Y", [f"x{i + 1}" for i in range(k)], "x1")
-            assert abs(report.ac_sum - report.a) < 1e-9 * max(1.0, abs(report.a))
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        n=st.integers(10, 50),
+        shared=st.floats(0.0, 0.9),
+        target=st.integers(0, 4),
+    )
+    def test_identity_for_linear_models(self, seed, k, n, shared, target):
+        """ac_sum == a for predictor-linear models whose predictors share a
+        factor (pairwise correlation about shared^2), through bridge's one
+        set of centred moments."""
+        rng = np.random.default_rng(seed)
+        predictors = shared * rng.normal(size=(n, 1)) + np.sqrt(1.0 - shared**2) * rng.normal(size=(n, k))
+        y = 1.5 + predictors @ (2.0 * rng.normal(size=k)) + rng.normal(size=n)
+        names = [f"x{i + 1}" for i in range(k)]
+        d = Dataset([("Y", y), *zip(names, predictors.T)])
+        report = bridge(d, "Y", names, names[target % k])
+        assert abs(report.ac_sum - report.a) < 1e-9 * max(1.0, abs(report.a))
 
 
 class TestDetectParadox:
