@@ -34,18 +34,30 @@ character, a numeric setting whose value is not a number, or a
 correlation_threshold that is NaN or outside [0, 1], is a config error.
 Each setting is resolved once, before the command runs.
 
+Parsed inputs are cached per user (:mod:`condreg.cache`).  A ``--data``
+file of more than 256 KiB is looked up by a BLAKE2b-256 hash of its
+bytes, taken together with the parser's source, numpy's version and the
+delimiter; a hit reads the parsed columns back instead of parsing the
+file again, and a miss parses it and stores them.  The cache lives in
+``$XDG_CACHE_HOME/condreg`` (``~/.cache/condreg`` when that is unset)
+and holds at most ``defaults.PARSE_CACHE_BYTES`` (512 MiB), the least
+recently used entries going first.  ``rm -r ~/.cache/condreg`` clears
+it.  Reports, dropped-row counts and errors are the same with the cache
+cold, warm or unusable.
+
 Modules load on first use.  Importing this module and ``--help`` load
 neither numpy nor any analysis module.  Besides this module, defaults,
 errors and report (which imports no numpy), a command loads only the
 modules it calls when it runs:
 
     bridge --a1 ... --r            relations, and no numpy
-    corr, summary                  dataset, stats
-    ellipse                        dataset, stats, geometry
-    bridge --data, residualize     dataset, stats, ols, terms, relations
-    fit, stepwise, subset          dataset, stats, formula, ols, terms, selection
+    corr, summary                  cache, dataset, stats
+    ellipse                        cache, dataset, stats, geometry
+    bridge --data, residualize     cache, dataset, stats, ols, terms, relations
+    fit, stepwise, subset          cache, dataset, stats, formula, ols, terms, selection
     conditional, effect, action    dataset, stats, formula, ols, terms, conditional;
-                                   action also geometry, conditional --data also selection
+                                   with --data also cache, action also geometry,
+                                   conditional --data also selection
 """
 
 from __future__ import annotations
@@ -84,7 +96,7 @@ if TYPE_CHECKING:
 # call is the function that runs.  Every other name a command needs it
 # imports itself.
 _LAZY = {
-    "load_csv": "dataset",
+    "load_csv": "cache",
     "pearson_matrix": "dataset",
     "quartiles": "dataset",
     "parse_formula": "formula",
@@ -568,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condreg",
         description="Fit polynomial-term linear models and interpret them through "
-        "conditional response functions, coefficient bridges, and domain geometry.",
+        "conditional response functions, coefficient bridges, and domain geometry. "
+        "A --data file over 256 KiB is parsed once and then read from a cache in "
+        "$XDG_CACHE_HOME/condreg (default ~/.cache/condreg).",
     )
     parser.add_argument("--config", help="JSON config file (or $CONDREG_CONFIG)")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -718,7 +732,8 @@ def _bind(args: argparse.Namespace) -> None:
     data, and only the commands that take --formula parse and fit a model.
     """
     bound = globals()
-    needed = {"dataset": bool(args.data), "formula": "formula" in args, "ols": "formula" in args}
+    needed = {"cache": bool(args.data), "dataset": bool(args.data), "formula": "formula" in args,
+              "ols": "formula" in args}
     for name, module in _LAZY.items():
         if name not in bound and needed.get(module, True):
             bound[name] = __getattr__(name)

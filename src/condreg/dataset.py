@@ -215,7 +215,8 @@ def load_csv(
     a text stream or no usable row sends the whole input through the row
     parser instead.  Either way gives the same names, bit-identical
     columns and the same dropped count; every error and its line number
-    come from the row parser.
+    come from the row parser.  One UTF-8 byte-order mark at the start of
+    the input, as Excel writes, is dropped.
 
     Parameters
     ----------
@@ -269,6 +270,9 @@ def load_csv(
 # Bytes read per block of lines, before the last line is completed.
 _BLOCK_BYTES = 1 << 18
 _NON_SPACE = re.compile(rb"\S")
+# The UTF-8 byte-order mark that some programs (Excel) write first; the
+# header goes without it.
+_BOM = "\ufeff"
 # Bytes a body of plain numbers may hold besides the delimiter.
 _NUMBER_BYTES = b"0123456789+-.eE \t\r\n"
 
@@ -292,15 +296,16 @@ def _load_blocks(stream: IO[bytes], delimiter: str, header: bool) -> tuple[Datas
     """
     if not delimiter.isascii():
         return None
-    names: list[str] | None = None
+    line = stream.readline().removeprefix(_BOM.encode("utf-8"))
     try:
-        while names is None:
-            line = stream.readline()
+        while True:
             if not line or b'"' in line:
                 return None
             record = next(csv.reader([line.removesuffix(b"\n").decode("utf-8")], delimiter=delimiter), [])
             if not _is_blank(record):
-                names = _column_names(record, header)
+                break
+            line = stream.readline()
+        names = _column_names(record, header)
     except (ValueError, csv.Error, SchemaError):
         return None
     block = (b"" if header else line) + _read_block(stream)
@@ -366,7 +371,7 @@ def _load_rows(raw: bytes | str, delimiter: str, header: bool) -> tuple[Dataset,
         except UnicodeDecodeError as exc:
             line = raw.count(b"\n", 0, exc.start) + 1
             raise CsvParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8", line=line) from exc
-    names, rows, dropped = _parse_records(io.StringIO(raw), delimiter, None, header)
+    names, rows, dropped = _parse_records(io.StringIO(raw.removeprefix(_BOM)), delimiter, None, header)
     if names is None:
         raise EmptyDataError("stream contains no rows")
     if not rows:
@@ -526,15 +531,16 @@ def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.n
     [-1, 1], unit diagonal), formed in the Gram matrix's own buffer, and
     ``norms[i]`` the square root of column i's centred sum of squares, so
     the least-squares slope of column i on column j is
-    ``r[i, j] * norms[i] / norms[j]``.  Raises DegenerateColumnError
-    naming the first constant column.
+    ``r[i, j] * norms[i] / norms[j]``; a norm past the double range is
+    inf.  Raises DegenerateColumnError naming the first constant column.
     """
     _, r, squares, exponents = _moments(d, names)
     scaled_norms = np.sqrt(squares)
     np.divide(r, np.outer(scaled_norms, scaled_norms), out=r)
     np.clip(r, -1.0, 1.0, out=r)
     np.fill_diagonal(r, 1.0)
-    return r, np.ldexp(scaled_norms, exponents)
+    with np.errstate(over="ignore"):
+        return r, np.ldexp(scaled_norms, exponents)
 
 
 def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> CorrelationReport:

@@ -25,3 +25,9 @@ MAX_PLOT_POINTS = 1_000_000
 # dataset.CorrelationReport.p.  Each pass holds one such block (times the
 # arrays it keeps per element), not n rows or k^2 / 2 pairs.
 ROW_BLOCK_BYTES = 352 * 1024
+
+# Most bytes the cache of parsed inputs (condreg.cache) may hold on disk:
+# after each store, its least recently used entries are removed until the
+# directory is within this bound.  An entry holds 8 bytes per value, about
+# three quarters of a CSV of 6-decimal numbers.
+PARSE_CACHE_BYTES = 512 * 1024 * 1024

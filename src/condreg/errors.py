@@ -99,6 +99,13 @@ class CollinearityError(ModelError):
         self.column = column
 
 
+class ScaleError(ModelError):
+    """A column's sum of squares leaves the double range; rescaling the
+    data brings it back."""
+
+    code = "scale"
+
+
 class SaturatedModelError(ModelError):
     code = "saturated"
 

@@ -65,6 +65,7 @@ from .errors import (
     CondregError,
     ModelError,
     SaturatedModelError,
+    ScaleError,
     UnderdeterminedModelError,
     UnknownPredictorError,
 )
@@ -176,7 +177,9 @@ class Factorization:
     by the power of two at its norm.  ``pool`` keeps the terms in the
     order given: :meth:`score` takes sub-models as positions in it.
 
-    Raises UnknownColumnError when the response is not in the data.
+    Raises UnknownColumnError when the response is not in the data, and
+    ScaleError, naming the first, when a column's sum of squares is past
+    the double range.
     """
 
     def __init__(self, d: Dataset, response: str, pool: Sequence[Term]):
@@ -218,8 +221,15 @@ class Factorization:
             # below R's diagonal are the reflectors, not zeros
             stack[:height][below[:height]] = 0.0
         r = np.ascontiguousarray(stack[:height])
+        norms = np.hypot.reduce(r, axis=0)
+        # R's column j comes from the data's columns up to j, so the first
+        # norm that is not finite names the column whose squares overflowed.
+        if not np.isfinite(norms).all():
+            j = int(np.isfinite(norms).argmin())
+            label = response if j == width - 1 else terms[j - 1].label if j else "(intercept)"
+            raise ScaleError(f"sum of squares of column {label!r} overflows; rescale it")
         # the scaled column norms lie in [0.5, 1), or are 0 for a zero column
-        self._norms, self._exponents = np.frexp(np.hypot.reduce(r, axis=0))
+        self._norms, self._exponents = np.frexp(norms)
         self.r = np.ldexp(r, -self._exponents)
         self.response = response
         self.n = d.n
@@ -370,6 +380,8 @@ def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedMod
     CollinearityError
         Rank-deficient design, or a term column that overflowed, naming
         a dependent column.
+    ScaleError
+        A design or response column whose sum of squares overflows.
     SaturatedModelError
         dof < 1 without ``allow_saturated`` (or dof < 0 always).
     """

@@ -13,11 +13,12 @@ dataset, ols and terms modules on first call, so the slope algebra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .defaults import DESTABILIZATION_THRESHOLD
-from .errors import CollinearityError, UnknownPredictorError
+from .errors import CollinearityError, ScaleError, UnknownPredictorError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,6 +97,9 @@ def _slopes(d: Dataset, response: str, predictors: Sequence[str], target: str):
     """(slr, c, r) as in BridgeReport, from one set of centred moments."""
     names = [response, *predictors]
     corr, norms = centered_moments(d, names)
+    overflowed = [name for name, norm in zip(names, norms.tolist()) if math.isinf(norm)]
+    if overflowed:
+        raise ScaleError(f"sum of squares of column {overflowed[0]!r} overflows; rescale it")
     slope = corr * norms[:, None] / norms  # slope[i, j]: column i on column j
     at = {name: k for k, name in enumerate(names)}
     t = at[target]

@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +15,18 @@ from condreg import Dataset
 # deterministic and its run time bounded.
 settings.register_profile("condreg", derandomize=True, max_examples=60, deadline=None, database=None)
 settings.load_profile("condreg")
+
+
+def pytest_configure(config):
+    """Keep the suite out of the user's cache of parsed inputs: every CLI
+    command, in process or in a subprocess, caches under a directory of
+    this session's own."""
+    config.condreg_cache = tempfile.mkdtemp(prefix="condreg-cache-")
+    os.environ["XDG_CACHE_HOME"] = config.condreg_cache
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.condreg_cache, ignore_errors=True)
 
 
 def modules_after(code, watched=("numpy",)):

@@ -610,6 +610,8 @@ def hostile_files(tmp_path):
     (tmp_path / "utf16.csv").write_bytes(b"\xff\xfeu,v\n1,2\n")
     (tmp_path / "late-byte.csv").write_bytes(b"u,v\n1,2\n3,4\n5,\xe96\n")
     (tmp_path / "header-only.csv").write_bytes(b"u,v\n")
+    # each column's sum of squares, 4e616, is past the largest double
+    (tmp_path / "huge.csv").write_bytes(b"Y,x1\n1e308,-1e308\n-1e308,1e308\n1e308,1e308\n-1e308,-1e308\n")
     for value in CONSTANTS:
         rows = [f"{value},{i % 3},{i * i % 7}" for i in range(7)]
         (tmp_path / f"const-{value}.csv").write_text("\n".join(["a,b,Y", *rows]) + "\n", encoding="utf-8")
@@ -640,6 +642,10 @@ HOSTILE = [
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x2", "--points=1000000000000000"], 2,
      f"error[degenerate-ellipse]: a boundary takes at most {MAX_PLOT_POINTS} points, got 1000000000000000"),
     (["ellipse", f"--data={SURVEY}", "--x=x1", "--y=x1"], 2, "error[degenerate-ellipse]: "),
+    *[(argv + ["--data={dir}/huge.csv"], 2, f"error[scale]: sum of squares of column {column!r} overflows; rescale it")
+      for argv, column in [(["fit", "--formula=Y ~ x1"], "x1"), (["stepwise", "--formula=Y ~ x1"], "x1"),
+                           (["subset", "--response=Y", "--pool=x1", "--size=1"], "x1"),
+                           (["bridge", "--response=Y", "--predictors=x1", "--target=x1"], "Y")]],
     *[(argv + [f"--data={{dir}}/const-{value}.csv"], 1, ZERO_VARIANCE)
       for value in CONSTANTS
       for argv in (["corr"], ["bridge", "--response=Y", "--predictors=a,b", "--target=b"],

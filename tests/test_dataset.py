@@ -273,6 +273,13 @@ class TestCenteredMoments:
         with pytest.raises(DegenerateColumnError, match="column 'k' has zero variance"):
             centered_moments(d, ["a", "k"])
 
+    def test_a_norm_past_the_double_range_is_inf_without_a_warning(self):
+        """r is scale free and stays exact; only the norm leaves the range."""
+        d = Dataset({"a": [1e308, -1e308, 1e308, -1e308], "b": [1.0, -1.0, 1.0, -1.0]})
+        r, norms = centered_moments(d, ["a", "b"])
+        np.testing.assert_array_equal(r, np.ones((2, 2)))
+        assert norms.tolist() == [np.inf, 2.0]
+
 
 def _stacked_moments(d, names):
     """centered_moments as it was when it stacked all n rows of the columns."""

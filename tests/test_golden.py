@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from condreg import cli
+from condreg import cache, cli, dataset
 from condreg.cli import main
 from condreg.report import dumps_report
 
@@ -75,28 +75,56 @@ def _without_noise(report: bytes) -> bytes:
     return NOISE.sub(blank, report)
 
 
-def case_argv(case: str, directory: Path) -> list[str]:
-    paths = {"coded": GOLDEN / "coded.csv", "survey": GOLDEN / "survey.csv", "tsv": directory / f"{case}.tsv"}
+def case_argv(case: str, directory: Path, inputs: Path = GOLDEN) -> list[str]:
+    paths = {"coded": inputs / "coded.csv", "survey": inputs / "survey.csv", "tsv": directory / f"{case}.tsv"}
     return [arg.format(**paths) for arg in CASES[case]]
 
 
-def run_case(case: str, fmt: str, directory: Path) -> tuple[int, bytes, bytes | None]:
+def run_case(case: str, fmt: str, directory: Path, inputs: Path = GOLDEN) -> tuple[int, bytes, bytes | None]:
     """Exit code, report bytes and TSV bytes (None if none is written)."""
     tsv = directory / f"{case}.tsv"
     report = directory / f"{case}{SUFFIX[fmt]}"
-    code = main([*case_argv(case, directory), f"--format={fmt}", f"--out={report}"])
+    code = main([*case_argv(case, directory, inputs), f"--format={fmt}", f"--out={report}"])
     return code, report.read_bytes(), tsv.read_bytes() if tsv.exists() else None
 
 
-@pytest.mark.parametrize("fmt", list(SUFFIX))
-@pytest.mark.parametrize("case", list(CASES))
-def test_report_matches_golden(tmp_path, case, fmt):
-    code, report, tsv = run_case(case, fmt, tmp_path)
+def _assert_golden(case: str, fmt: str, outcome: tuple[int, bytes, bytes | None]) -> None:
+    code, report, tsv = outcome
     assert code == 0
     stored = (GOLDEN / f"{case}{SUFFIX[fmt]}").read_bytes()
     assert _without_noise(report) == _without_noise(stored)
     stored_tsv = GOLDEN / f"{case}.tsv"
     assert tsv == (stored_tsv.read_bytes() if stored_tsv.exists() else None)
+
+
+@pytest.mark.parametrize("fmt", list(SUFFIX))
+@pytest.mark.parametrize("case", list(CASES))
+def test_report_matches_golden(tmp_path, case, fmt):
+    _assert_golden(case, fmt, run_case(case, fmt, tmp_path))
+
+
+def test_reports_are_the_goldens_from_a_cold_and_then_a_warm_cache(tmp_path, monkeypatch):
+    """Every case, run twice on one cache directory: the first run parses
+    and stores each input, the second reads them back and parses none.
+    The inputs are the golden CSVs padded with blank lines, which the
+    parser skips and do not count as dropped, past the cache's threshold."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    padding = (b" " * 1023 + b"\n") * (cache.THRESHOLD_BLOCKS * dataset._BLOCK_BYTES // 1024 + 1)
+    for name in ("coded.csv", "survey.csv"):
+        (inputs / name).write_bytes((GOLDEN / name).read_bytes() + padding)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was parsed again")
+
+    for warm in (False, True):
+        if warm:
+            monkeypatch.setattr(dataset, "load_csv", refuse)
+        for case in CASES:
+            for fmt in SUFFIX:
+                _assert_golden(case, fmt, run_case(case, fmt, tmp_path, inputs))
+    assert len(list((tmp_path / "xdg" / "condreg").iterdir())) == 2
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -243,6 +243,26 @@ def test_byte_that_is_not_utf8_is_a_parse_error_on_its_line(raw, line):
         assert caught.value.line == line
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "body, rows, dropped",
+    [("1,2{end}3,4.5{end}", 2, 0), ("1,2{end}3,NA{end}5,6{end}", 2, 1), ('1,"2"{end}3,4{end}', 2, 0)],
+    ids=["loadtxt-block", "row-parsed-block", "row-parser"],
+)
+def test_a_leading_byte_order_mark_is_not_part_of_the_header(end, body, rows, dropped):
+    """Excel's "CSV UTF-8" starts with a byte-order mark; the block pass and
+    the row parser both drop one, so the first column keeps its name."""
+    raw = ("\ufeffY,x1" + end + body.format(end=end)).encode("utf-8")
+    for parse in (load_csv, _load_rows):
+        d, lost = parse(raw, ",", True)
+        assert (d.names, d.n, lost) == (["Y", "x1"], rows, dropped)
+    _assert_same(raw)
+    headless = ("\ufeff" + body.format(end=end)).encode("utf-8")
+    assert load_csv(headless, header=False)[0].n == rows
+    _assert_same(headless, header=False)
+    assert load_csv("\ufeff\ufeffY,x1\n1,2\n".encode("utf-8"))[0].names == ["\ufeffY", "x1"]
+
+
 @pytest.mark.parametrize("delimiter", ["", ";;", b","])
 def test_delimiter_must_be_one_character_before_reading(delimiter):
     class Unread:
