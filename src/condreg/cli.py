@@ -35,10 +35,12 @@ correlation_threshold that is NaN or outside [0, 1], is a config error.
 Each setting is resolved once, before the command runs.
 
 Parsed inputs are cached per user (:mod:`condreg.cache`).  A ``--data``
-file of more than 256 KiB is looked up by a BLAKE2b-256 hash of its
+file of more than 768 KiB is looked up by a BLAKE2b-256 hash of its
 bytes, taken together with the parser's source, numpy's version and the
 delimiter; a hit reads the parsed columns back instead of parsing the
-file again, and a miss parses it and stores them.  The cache lives in
+file again, and a miss parses it and stores them.  A miss costs about a
+quarter more than a parse, so the cache pays for a file only when it is
+read again.  The cache lives in
 ``$XDG_CACHE_HOME/condreg`` (``~/.cache/condreg`` when that is unset)
 and holds at most ``defaults.PARSE_CACHE_BYTES`` (512 MiB), the least
 recently used entries going first.  ``rm -r ~/.cache/condreg`` clears
@@ -58,6 +60,9 @@ modules it calls when it runs:
     conditional, effect, action    dataset, stats, formula, ols, terms, conditional;
                                    with --data also cache, action also geometry,
                                    conditional --data also selection
+
+and a command whose ``--data`` file is over the cache's threshold also
+cachestore.
 """
 
 from __future__ import annotations
@@ -581,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="condreg",
         description="Fit polynomial-term linear models and interpret them through "
         "conditional response functions, coefficient bridges, and domain geometry. "
-        "A --data file over 256 KiB is parsed once and then read from a cache in "
+        "A --data file over 768 KiB is parsed once and then read from a cache in "
         "$XDG_CACHE_HOME/condreg (default ~/.cache/condreg).",
     )
     parser.add_argument("--config", help="JSON config file (or $CONDREG_CONFIG)")

@@ -15,8 +15,9 @@ import threading
 import numpy as np
 import pytest
 
-from condreg import cache, dataset
+from condreg import cache, cachestore, dataset
 from condreg.cli import main
+from conftest import modules_after
 
 THRESHOLD = cache.THRESHOLD_BLOCKS * dataset._BLOCK_BYTES
 
@@ -110,16 +111,16 @@ def test_a_row_parsed_input_is_stored_under_all_its_bytes(tmp_path, cache_dir, p
 def test_a_file_changed_after_the_lookup_is_stored_under_its_new_bytes(tmp_path, cache_dir, parses, monkeypatch):
     path = _csv(tmp_path / "in.csv")
     old, new = path.read_bytes(), path.read_bytes().replace(b"Y,x1", b"Y,x2")
-    read_entry = cache._read_entry
+    read_entry = cachestore._read_entry
 
     def changing(entry):
         found = read_entry(entry)
         path.write_bytes(new)  # same length: the open handle reads the new bytes
         return found
 
-    monkeypatch.setattr(cache, "_read_entry", changing)
+    monkeypatch.setattr(cachestore, "_read_entry", changing)
     assert _load(path)[0].names == ["Y", "x2"]
-    monkeypatch.setattr(cache, "_read_entry", read_entry)
+    monkeypatch.setattr(cachestore, "_read_entry", read_entry)
     assert _load(path)[0].names == ["Y", "x2"] and len(parses) == 1  # a hit
     path.write_bytes(old)
     assert _load(path)[0].names == ["Y", "x1"] and len(parses) == 2  # a miss
@@ -161,7 +162,7 @@ def _rename_a_column(entry):
 
 def _bad_digest(entry):
     raw = entry.read_bytes()
-    at = len(cache.MAGIC)
+    at = len(cachestore.MAGIC)
     entry.write_bytes(raw[:at] + (b"0" if raw[at : at + 1] != b"0" else b"1") + raw[at + 1 :])
 
 
@@ -221,7 +222,7 @@ def _write_fails(tmp_path, monkeypatch):
     directory.mkdir(parents=True, mode=0o700)
     path = _csv(tmp_path / "in.csv")
     with open(path, "rb") as handle:
-        key = cache._input_key(cache._prefix(","), handle)
+        key = cachestore._input_key(cachestore._prefix(","), handle)
     (directory / f".{key}.{os.getpid()}.tmp").mkdir()
     return directory
 
@@ -266,7 +267,7 @@ def test_a_malformed_csv_is_the_parsers_error_warm_or_cold_and_is_not_stored(tmp
 
 def _entry(directory, path):
     with open(path, "rb") as handle:
-        return directory / cache._input_key(cache._prefix(","), handle)
+        return directory / cachestore._input_key(cachestore._prefix(","), handle)
 
 
 def test_the_cache_stays_within_its_bound_least_recently_used_first(tmp_path, cache_dir, parses, monkeypatch):
@@ -278,14 +279,14 @@ def test_the_cache_stays_within_its_bound_least_recently_used_first(tmp_path, ca
         _load(path)
         os.utime(entries[i], (i, i))  # in the order stored, older than any hit
         if i == 0:
-            monkeypatch.setattr(cache, "PARSE_CACHE_BYTES", 3 * entries[0].stat().st_size + 100)
-        assert sum(p.stat().st_size for p in cache_dir.iterdir()) <= cache.PARSE_CACHE_BYTES
+            monkeypatch.setattr(cachestore, "PARSE_CACHE_BYTES", 3 * entries[0].stat().st_size + 100)
+        assert sum(p.stat().st_size for p in cache_dir.iterdir()) <= cachestore.PARSE_CACHE_BYTES
         assert len(_entries(cache_dir)) == min(i + 1, 3)
     assert _entries(cache_dir) == sorted(entries[i].name for i in (1, 6, 7))
 
 
 def test_an_entry_larger_than_the_bound_is_not_stored(tmp_path, cache_dir, monkeypatch):
-    monkeypatch.setattr(cache, "PARSE_CACHE_BYTES", 1000)
+    monkeypatch.setattr(cachestore, "PARSE_CACHE_BYTES", 1000)
     _load(_csv(tmp_path / "in.csv"))
     assert _entries(cache_dir) == []
 
@@ -305,3 +306,14 @@ def test_small_files_and_fifos_are_parsed_without_the_cache(tmp_path, cache_dir,
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert len(parses) == 3 and not cache_dir.exists()
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+def test_only_an_input_above_the_threshold_loads_the_store(tmp_path, large):
+    path = _csv(tmp_path / "in.csv") if large else tmp_path / "in.csv"
+    if not large:
+        path.write_bytes(b"Y,x1\n1,2\n3,4\n")
+    argv = ["summary", f"--data={path}", f"--out={tmp_path / 'out.json'}"]
+    loaded, _ = modules_after(f"import condreg.cli\nassert condreg.cli.main({argv!r}) == 0")
+    assert "condreg.cache" in loaded
+    assert ("condreg.cachestore" in loaded) is large
