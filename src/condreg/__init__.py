@@ -10,7 +10,9 @@ action.
 
 Every public name is imported from its module on first access, so
 ``import condreg`` loads none of the package's modules (and not numpy);
-``from condreg import fit`` loads only what ``fit`` needs.
+``from condreg import fit`` loads only what ``fit`` needs.  Within the
+package, :func:`on_demand` gives a module a function that imports its
+target only when called.
 """
 
 # Each public name and the module of this package it is defined in.
@@ -77,3 +79,15 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def on_demand(module: str, name: str):
+    """A function that calls ``condreg.<module>.<name>``, importing the
+    module on its first call.  Bound as a module attribute, it can be read
+    and replaced without importing anything."""
+
+    def stub(*args, **kwargs):
+        return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)(*args, **kwargs)
+
+    stub.__module__, stub.__name__, stub.__qualname__ = f"{__name__}.{module}", name, name
+    return stub

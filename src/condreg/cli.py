@@ -47,7 +47,9 @@ recently used entries going first.  ``rm -r ~/.cache/condreg`` clears
 it.  Reports, dropped-row counts and errors are the same with the cache
 cold, warm or unusable.
 
-Modules load on first use.  Importing this module and ``--help`` load
+Modules load on first use.  The functions of other modules that the
+commands call are bound here as on-demand stubs (:func:`condreg.on_demand`),
+so importing this module, reading any of its names and ``--help`` load
 neither numpy nor any analysis module.  Besides this module, defaults,
 errors and report (which imports no numpy), a command loads only the
 modules it calls when it runs:
@@ -75,6 +77,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
+from . import on_demand
 from .defaults import CONTROL_TOLERANCE, DESTABILIZATION_THRESHOLD, MAX_PLOT_POINTS
 from .errors import (
     AssignmentError,
@@ -93,32 +96,22 @@ if TYPE_CHECKING:
     from .ols import FittedModel
     from .terms import ModelSpec
 
-# Names the commands call as globals of this module, and the module each
-# comes from; dumps_report, which no command calls, stays for the callers
-# that read it here.  bench/tracing.py and the tests patch them here.  A
-# name is imported on first use: by __getattr__, or by main (_bind), which
-# sets it only where it is not set already, so a patch made before the
-# call is the function that runs.  Every other name a command needs it
-# imports itself.
-_LAZY = {
-    "load_csv": "cache",
-    "pearson_matrix": "dataset",
-    "quartiles": "dataset",
-    "parse_formula": "formula",
-    "fit": "ols",
-    "dumps_report": "report",
-    "model_section": "report",
-    "new_document": "report",
-    "plot_tsv": "report",
-    "write_text_atomic": "report",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, as in condreg/__init__.py, so `python -X importtime` lists the module.
-    return getattr(__import__(f"{__package__}.{_LAZY[name]}", fromlist=[name]), name)
+# The functions the commands call as globals of this module; dumps_report,
+# which no command calls, stays for the callers that read it here.
+# bench/tracing.py and the tests patch them here.  Each is an on-demand
+# stub, which imports its module only when called, so whatever is bound
+# here when a command runs, a stub or a patch, is the function called.
+# Every other name a command needs it imports itself.
+load_csv = on_demand("cache", "load_csv")
+pearson_matrix = on_demand("dataset", "pearson_matrix")
+quartiles = on_demand("dataset", "quartiles")
+parse_formula = on_demand("formula", "parse_formula")
+fit = on_demand("ols", "fit")
+dumps_report = on_demand("report", "dumps_report")
+model_section = on_demand("report", "model_section")
+new_document = on_demand("report", "new_document")
+plot_tsv = on_demand("report", "plot_tsv")
+write_text_atomic = on_demand("report", "write_text_atomic")
 
 
 CONFIG_ENV = "CONDREG_CONFIG"
@@ -314,7 +307,12 @@ def cmd_conditional(args) -> int:
         import numpy as np
 
         grid = _parse_sweep(args.sweep)
-        rows = np.column_stack((grid, section(grid)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.column_stack((grid, section(grid)))
+        outside = ~np.isfinite(rows[:, 1])
+        if outside.any():
+            x = float(grid[outside][0])
+            raise AssignmentError(f"section along {args.target!r} at {args.target}={x!r} leaves the double range")
         doc["sweep"] = [{"x": v, "y": y} for v, y in rows.tolist()]
         comments = [
             f"conditional response of {model.spec.response} vs {args.target}",
@@ -336,6 +334,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise FormulaError(f"bad --sweep value: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FormulaError(f"--sweep bounds must be finite numbers, got {lo}:{hi}")
+    if not math.isfinite(hi - lo):
+        raise FormulaError(f"--sweep span {lo}:{hi} leaves the double range")
     if steps < 1:
         raise FormulaError("--sweep needs at least one step")
     if steps > MAX_PLOT_POINTS:
@@ -698,7 +698,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _bind(args)
         _resolve_settings(args, _load_config(args.config))
         return args.func(args)
     except DataError as exc:
@@ -728,20 +727,6 @@ def run(argv: Sequence[str] | None = None) -> NoReturn:
     finally:
         gc.freeze()
     sys.exit(code)
-
-
-def _bind(args: argparse.Namespace) -> None:
-    """Set each name of _LAZY the command calls as a global, unless set already.
-
-    Every command writes a report; only a command given --data reads
-    data, and only the commands that take --formula parse and fit a model.
-    """
-    bound = globals()
-    needed = {"cache": bool(args.data), "dataset": bool(args.data), "formula": "formula" in args,
-              "ols": "formula" in args}
-    for name, module in _LAZY.items():
-        if name not in bound and needed.get(module, True):
-            bound[name] = __getattr__(name)
 
 
 def _one_line(exc: BaseException) -> str:

@@ -93,13 +93,15 @@ def derive(
     """Section the model along ``target`` at a fixed co-predictor point.
 
     The section's coefficients are ``ModelSpec.section_matrix`` times
-    the model's.  Of the strong (a, b, r) pairs in ``correlations``, as
-    from :func:`condreg.selection.strong_correlations`, each pair of the
-    target and a fixed predictor is attached as a caution (no gating).
+    the model's (:meth:`FittedModel.combine`, which raises AssignmentError
+    where one leaves the double range).  Of the strong (a, b, r) pairs in
+    ``correlations``, as from :func:`condreg.selection.strong_correlations`,
+    each pair of the target and a fixed predictor is attached as a caution
+    (no gating).
     ``ModelSpec.check_point`` decides whether ``fixed`` is a valid point.
     """
     m.spec.check_point((target,), fixed)
-    poly = m.spec.section_matrix(target, fixed) @ m.coef
+    poly = m.combine(m.spec.section_matrix(target, fixed), f"section along {target!r}", fixed)
 
     partner = {b if a == target else a: r for a, b, r in correlations if target in (a, b)}
     return ConditionalResponse(
@@ -120,15 +122,19 @@ def unit_effect(
     i of C(k, i) 2^(1 - i) b^(k - i), whose terms share one sign, so nothing
     cancels.  For a model with no higher-order terms in the target this
     is the target's coefficient, independent of ``at`` and of the fixed
-    values.  Raises AssignmentError for an ``at`` that is not finite.
+    values.  Raises AssignmentError for an ``at`` that is not finite, and
+    for a change that leaves the double range.
     """
     if not math.isfinite(at):
         raise AssignmentError(f"effect point must be a finite number, got {at}")
     b = at + 0.5
-    return sum(  # math.prod, as a power out of range is inf where ** raises OverflowError
+    change = sum(  # math.prod, as a power out of range is inf where ** raises OverflowError
         c * sum(math.comb(k, i) * 2.0 ** (1 - i) * math.prod([b] * (k - i)) for i in range(1, k + 1, 2))
         for k, c in enumerate(derive(m, target, fixed).poly)
     )
+    if not math.isfinite(change):
+        raise AssignmentError(f"unit effect of {target!r} at {target}={at!r} leaves the double range")
+    return change
 
 
 def t_coefficients(section: ConditionalResponse) -> TCoefficients:

@@ -546,11 +546,15 @@ def centered_moments(d: Dataset, names: Sequence[str]) -> tuple[np.ndarray, np.n
 def pearson_matrix(d: Dataset, cols: Sequence[str] | None = None) -> CorrelationReport:
     """Pearson correlation matrix with two-sided p-values (computed lazily).
 
-    Requires n >= 3 and nonzero sample variance in every requested
-    column.  Diagonal r entries are exactly 1 and diagonal p entries are
-    pinned to 1.0 (the boundary convention for self-correlation).
+    Requires n >= 3, requested names without repeats and nonzero sample
+    variance in every requested column.  Diagonal r entries are exactly 1
+    and diagonal p entries are pinned to 1.0 (the boundary convention for
+    self-correlation).
     """
     names = tuple(cols) if cols is not None else tuple(d.names)
+    if len(set(names)) < len(names):
+        repeat = next(name for i, name in enumerate(names) if name in names[:i])
+        raise SchemaError(f"duplicate column name {repeat!r}")
     if d.n < 3:
         raise InsufficientDataError(f"need n >= 3 observations, got {d.n}")
     r, _ = centered_moments(d, names)

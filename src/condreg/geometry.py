@@ -160,7 +160,8 @@ def classify_action(
     effect supplies the reference direction.  Raises ModelError unless
     ``alpha`` lies in (0, 1) and ``control_tolerance`` is >= 0, and
     AssignmentError for levels of a name that is neither factor, a level
-    that is not finite, or a low level equal to its high level.
+    that is not finite, or a low level equal to its high level, and for
+    an effect or the gap's variance that leaves the double range.
     """
     from .terms import Term  # here, so that ellipse loads neither ols nor terms
 
@@ -195,15 +196,21 @@ def classify_action(
     )
     # Design rows are differenced before the coefficients apply, so a term
     # without a factor adds exactly 0 to that factor's effect and to the
-    # interaction gap (hh - hl) - (lh - ll).
-    differences = np.array([hl - ll, lh - ll, hh - ll, (hh - hl) - (lh - ll)])
-    effect_1, effect_2, joint, gap = (differences @ m.coef).tolist()
+    # interaction gap (hh - hl) - (lh - ll).  A difference past the double
+    # range is inf, and so makes its effect leave it too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        differences = np.array([hl - ll, lh - ll, hh - ll, (hh - hl) - (lh - ll)])
+    effect_1, effect_2, joint, gap = m.combine(differences, f"combined action of {f1!r} and {f2!r}").tolist()
 
     gap_p = math.nan
     if m.dof:
         row = differences[3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            variance = row @ m.cov @ row
+        if not np.isfinite(variance):
+            raise AssignmentError(f"variance of the gap of {f1!r} and {f2!r} leaves the double range")
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap_p = student_t_two_sided_p(gap / np.sqrt(row @ m.cov @ row), m.dof)
+            gap_p = student_t_two_sided_p(gap / np.sqrt(variance), m.dof)
 
     evidence = dict(
         cross_coef=m.coefficient(cross),

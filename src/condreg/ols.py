@@ -137,6 +137,28 @@ class FittedModel:
     def coefficient(self, term) -> float:
         return float(self.coef[self.term_index(term)])
 
+    def check_range(self) -> None:
+        """Raise ScaleError naming the first term whose coefficient, or else
+        whose standard error, is past the double range (see :func:`fit`)."""
+        for what, values in (("coefficient", self.coef), ("standard error", self.se)):
+            out = np.isinf(values)
+            if out.any():
+                label = self.labels[int(out.argmax())]
+                raise ScaleError(f"{what} of {label!r} leaves the double range; rescale its column")
+
+    def combine(self, rows: np.ndarray, what: str, point: Mapping[str, float] | None = None) -> np.ndarray:
+        """rows @ coef, each row a linear map L of the coefficients formed at
+        finite values.  Raises ScaleError as :meth:`check_range` does, and
+        AssignmentError, naming ``what`` and ``point``, where a value leaves
+        the double range."""
+        self.check_range()
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = rows @ self.coef
+        if not np.isfinite(values).all():
+            at = ", ".join(f"{name}={value!r}" for name, value in sorted((point or {}).items()))
+            raise AssignmentError(f"{what}{' at ' if at else ''}{at} leaves the double range")
+        return values
+
     @classmethod
     def from_coefficients(cls, spec: ModelSpec, coef) -> "FittedModel":
         """Wrap externally supplied (e.g. published) coefficients.
@@ -366,6 +388,10 @@ def _first(mask: np.ndarray):
 def fit(d: Dataset, spec: ModelSpec, allow_saturated: bool = False) -> FittedModel:
     """Fit a model by least squares.
 
+    t, p and R^2 are scale-free, but the coefficient and standard error
+    of a column of subnormal scale can be past the double range, and are
+    then inf; :meth:`FittedModel.check_range` refuses them for readers.
+
     Parameters
     ----------
     d : Dataset
@@ -393,5 +419,5 @@ def predict(m: FittedModel, point: Mapping[str, float]) -> float:
     ``ModelSpec.check_point`` accepts with nothing varied."""
     m.spec.check_point((), point)
     x = {name: float(value) for name, value in point.items()}
-    return float(m.spec.section_matrix(None, x)[0] @ m.coef)
+    return float(m.combine(m.spec.section_matrix(None, x)[0], "prediction", x))
 

@@ -7,7 +7,7 @@ relationships with the others reproduces that predictor's multivariate
 coefficient); and the detection of paradoxical coefficient signs.
 
 The data-driven functions (``bridge``, ``residualize``) import the
-dataset, ols and terms modules on first call, so the slope algebra
+dataset, ols and terms modules when called, so the slope algebra
 (``two_predictor_bridge``) and ``detect_paradox`` run without numpy.
 """
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import on_demand
 from .defaults import DESTABILIZATION_THRESHOLD
 from .errors import CollinearityError, ScaleError, UnknownPredictorError
 
@@ -25,24 +26,10 @@ if TYPE_CHECKING:
 
     from .dataset import Dataset
 
-# Names bridge and residualize call as globals of this module, and the
-# module each comes from.  bench/tracing.py patches ``fit`` here.  A name
-# is imported on first use: by __getattr__, or by _bind, which sets it
-# only where it is not set already, so a patch is the function that runs.
-_LAZY = {"centered_moments": "dataset", "fit": "ols", "ModelSpec": "terms", "Term": "terms"}
-
-
-def __getattr__(name: str) -> Any:
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(__import__(f"{__package__}.{_LAZY[name]}", fromlist=[name]), name)
-
-
-def _bind() -> None:
-    bound = globals()
-    for name in _LAZY:
-        if name not in bound:
-            bound[name] = __getattr__(name)
+# bench/tracing.py and the tests patch ``fit`` here.  It is an on-demand
+# stub, which imports ols only when called, so whatever is bound here when
+# bridge or residualize runs, the stub or a patch, is the function called.
+fit = on_demand("ols", "fit")
 
 
 def two_predictor_bridge(
@@ -87,20 +74,32 @@ class BridgeReport:
     reconstruction_discrepancy: float | None = None
 
 
-def _linear_spec(response: str, predictors: Sequence[str]) -> ModelSpec:
-    return ModelSpec(
-        response=response, terms=tuple(Term.linear(name) for name in predictors)
-    )
+def _linear_fit(d: Dataset, response: str, predictors: Sequence[str]) -> dict[str, float]:
+    """Each predictor's coefficient in the predictor-linear fit of ``response``."""
+    from .terms import ModelSpec, Term
+
+    terms = tuple(Term.linear(name) for name in predictors)
+    model = fit(d, ModelSpec(response=response, terms=terms))
+    model.check_range()
+    return {name: model.coefficient(term) for name, term in zip(predictors, terms)}
 
 
 def _slopes(d: Dataset, response: str, predictors: Sequence[str], target: str):
     """(slr, c, r) as in BridgeReport, from one set of centred moments."""
+    import numpy as np
+
+    from .dataset import centered_moments
+
     names = [response, *predictors]
     corr, norms = centered_moments(d, names)
     overflowed = [name for name, norm in zip(names, norms.tolist()) if math.isinf(norm)]
     if overflowed:
         raise ScaleError(f"sum of squares of column {overflowed[0]!r} overflows; rescale it")
-    slope = corr * norms[:, None] / norms  # slope[i, j]: column i on column j
+    with np.errstate(over="ignore"):
+        slope = corr * norms[:, None] / norms  # slope[i, j]: column i on column j
+    i, j = np.unravel_index(np.isinf(slope).argmax(), slope.shape)
+    if np.isinf(slope[i, j]):
+        raise ScaleError(f"slope of {names[i]!r} on {names[j]!r} leaves the double range; rescale {names[j]!r}")
     at = {name: k for k, name in enumerate(names)}
     t = at[target]
     slr = {name: float(slope[0, at[name]]) for name in predictors}
@@ -132,15 +131,11 @@ def bridge(
     predictors the MLR coefficients are additionally reconstructed from
     the slope algebra and the residual discrepancy is recorded.
     """
-    _bind()
     predictors = list(predictors)
     if target not in predictors:
         raise UnknownPredictorError(f"target {target!r} not among predictors {predictors}")
     slr, c, r = _slopes(d, response, predictors, target)
-    mlr_fit = fit(d, _linear_spec(response, predictors))
-    mlr = {
-        name: mlr_fit.coefficient(Term.linear(name)) for name in predictors
-    }
+    mlr = _linear_fit(d, response, predictors)
     ac_sum = mlr[target] + sum(
         mlr[name] * c[(name, target)] for name in predictors if name != target
     )
@@ -193,14 +188,12 @@ class Residualization:
 
 def residualize(d: Dataset, target: str, others: Sequence[str]) -> Residualization:
     """Strip a predictor of its linear relationships with the others."""
-    _bind()
     others = list(others)
     if not others:
         raise UnknownPredictorError("need at least one co-predictor to remove")
     if target in others:
         raise UnknownPredictorError(f"target {target!r} cannot be among the others")
-    aux = fit(d, _linear_spec(target, others))
-    slopes = {name: aux.coefficient(Term.linear(name)) for name in others}
+    slopes = _linear_fit(d, target, others)
     column = d.column(target).astype(float).copy()
     for name in others:
         column -= slopes[name] * d.column(name)

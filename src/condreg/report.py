@@ -290,7 +290,9 @@ def new_document(command: str, **sections: Any) -> dict:
 
 
 def model_section(fitted) -> dict:
-    """Coefficient table plus fit statistics for a FittedModel."""
+    """Coefficient table plus fit statistics for a FittedModel.  Raises
+    ScaleError for a coefficient or standard error past the double range."""
+    fitted.check_range()
     rows = []
     for i, label in enumerate(fitted.labels):
         rows.append(

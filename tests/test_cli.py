@@ -603,6 +603,7 @@ def test_missing_config_file_is_an_io_error(tmp_path, monkeypatch, capsys):
 # Constant columns of seven rows: the mean of 0.1s rounds away from 0.1, that of 1.0s does not.
 CONSTANTS = ["0.1", "1.0"]
 ZERO_VARIANCE = "error[degenerate-column]: column 'a' has zero variance"
+SUBNORMAL = "coefficient of 'x1' leaves the double range; rescale its column"
 
 
 @pytest.fixture
@@ -612,6 +613,8 @@ def hostile_files(tmp_path):
     (tmp_path / "header-only.csv").write_bytes(b"u,v\n")
     # each column's sum of squares, 4e616, is past the largest double
     (tmp_path / "huge.csv").write_bytes(b"Y,x1\n1e308,-1e308\n-1e308,1e308\n1e308,1e308\n-1e308,-1e308\n")
+    # x1 is subnormal, so its coefficient, about 1e310, is past the largest double
+    (tmp_path / "subnormal.csv").write_bytes(b"Y,x1\n1,1e-310\n2,2e-310\n3,3.1e-310\n4,4e-310\n5,5.2e-310\n")
     for value in CONSTANTS:
         rows = [f"{value},{i % 3},{i * i % 7}" for i in range(7)]
         (tmp_path / f"const-{value}.csv").write_text("\n".join(["a,b,Y", *rows]) + "\n", encoding="utf-8")
@@ -721,6 +724,28 @@ HOSTILE = [
       "--levels=a=0:1e200"], 2, "error[assignment]: term 'a^2' at a=1e+200 leaves the double range"),
     (["effect", "--formula=Y ~ a + b + c + b:c", "--coef=1,2,3,4,5", "--target=a", "--at=0",
       "--fix=b=1e200,c=1e200"], 2, "error[assignment]: term 'b:c' at b=1e+200, c=1e+200 leaves the double range"),
+    # every term is finite, but a reading formed from them is not
+    (["conditional", "--formula=Y ~ a + b + a:b", "--coef=1,1e308,1,1e308", "--target=a", "--fix=b=10"], 2,
+     "error[assignment]: section along 'a' at b=10.0 leaves the double range"),
+    (["conditional", "--formula=Y ~ x1 + x1^2", "--coef=1,2,3", "--target=x1", "--sweep=-1e308:1e308:3"], 2,
+     "error[formula]: --sweep span -1e+308:1e+308 leaves the double range"),
+    (["conditional", "--formula=Y ~ x1 + x1^2", "--coef=1,2,3", "--target=x1", "--sweep=-1e200:1e200:3"], 2,
+     "error[assignment]: section along 'x1' at x1=-1e+200 leaves the double range"),
+    (["effect", "--formula=Y ~ x1 + x1^2", "--coef=1,2,3", "--target=x1", "--at=1e308"], 2,
+     "error[assignment]: unit effect of 'x1' at x1=1e+308 leaves the double range"),
+    (["action", "--formula=Y ~ a + b + a:b", "--f1=a", "--f2=b", "--coef=1,1e308,1e308,1"], 2,
+     "error[assignment]: combined action of 'a' and 'b' leaves the double range"),
+    (["action", "--formula=Y ~ a + b + a:b", "--coef=1,1,1,1", "--f1=a", "--f2=b", "--levels=a=-1e308:1e308"], 2,
+     "error[assignment]: combined action of 'a' and 'b' leaves the double range"),
+    (["action", *ACTION_SURVEY, "--levels=x1=0:1e160"], 2,
+     "error[assignment]: variance of the gap of 'x1' and 'x2' leaves the double range"),
+    *[(argv + ["--data={dir}/subnormal.csv"], 2, f"error[scale]: {error}")
+      for argv, error in [(["fit", "--formula=Y ~ x1"], SUBNORMAL), (["stepwise", "--formula=Y ~ x1"], SUBNORMAL),
+                          (["conditional", "--formula=Y ~ x1", "--target=x1"], SUBNORMAL),
+                          (["residualize", "--target=Y", "--others=x1"], SUBNORMAL),
+                          (["bridge", "--response=Y", "--predictors=x1", "--target=x1"],
+                           "slope of 'Y' on 'x1' leaves the double range; rescale 'x1'")]],
+    (["corr", f"--data={SURVEY}", "--cols=x1,x1"], 1, "error[schema]: duplicate column name 'x1'"),
 ]
 
 

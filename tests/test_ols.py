@@ -25,6 +25,7 @@ from condreg.errors import (
     AssignmentError,
     CollinearityError,
     SaturatedModelError,
+    ScaleError,
     UnderdeterminedModelError,
     UnknownPredictorError,
 )
@@ -471,3 +472,21 @@ def test_fit_matches_lstsq_and_its_p_values_match_40_digit_mpmath(seed, n, k, cr
     oracle = np.linalg.lstsq(design, y, rcond=None)[0]
     np.testing.assert_allclose(m.coef, oracle, rtol=0.0, atol=1e-12 * np.abs(oracle).max())
     np.testing.assert_allclose(m.p, _mpmath_inference(design, y), rtol=1e-10, atol=0.0)
+
+
+def test_a_prediction_past_the_double_range_is_refused():
+    m = FittedModel.from_coefficients(linear_spec("Y", "a", "b"), [0.0, 1e308, 1e308])
+    with pytest.raises(AssignmentError, match=r"^prediction at a=1.0, b=1.0 leaves the double range$"):
+        predict(m, {"b": 1.0, "a": 1.0})
+    assert predict(m, {"a": 1.0, "b": -1.0}) == 0.0
+
+
+def test_a_coefficient_past_the_double_range_is_inf_until_read():
+    """x1 of subnormal scale: t and p are scale-free and kept, and each
+    reader of the coefficients refuses them."""
+    x1 = np.array([1e-310, 2e-310, 3.1e-310, 4e-310, 5.2e-310])
+    m = fit(Dataset({"Y": [1.0, 2.0, 3.0, 4.0, 5.0], "x1": x1}), linear_spec("Y", "x1"))
+    assert math.isinf(m.coef[1]) and math.isfinite(m.t[1]) and m.p[1] < 1e-4
+    for read in (m.check_range, lambda: derive(m, "x1", {})):
+        with pytest.raises(ScaleError, match=r"^coefficient of 'x1' leaves the double range; rescale its column$"):
+            read()
