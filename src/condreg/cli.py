@@ -185,6 +185,8 @@ def _parse_fixes(pairs: Sequence[str]) -> dict[str, float | str]:
                 raise AssignmentError(f"--fix expects name=value, got {item!r}")
             name, text = item.split("=", 1)
             name, text = name.strip(), text.strip()
+            if name in fixes:
+                raise AssignmentError(f"--fix names {name!r} twice")
             try:
                 fixes[name] = float(text)
             except ValueError:
@@ -307,12 +309,7 @@ def cmd_conditional(args) -> int:
         import numpy as np
 
         grid = _parse_sweep(args.sweep)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.column_stack((grid, section(grid)))
-        outside = ~np.isfinite(rows[:, 1])
-        if outside.any():
-            x = float(grid[outside][0])
-            raise AssignmentError(f"section along {args.target!r} at {args.target}={x!r} leaves the double range")
+        rows = np.column_stack((grid, section(grid)))
         doc["sweep"] = [{"x": v, "y": y} for v, y in rows.tolist()]
         comments = [
             f"conditional response of {model.spec.response} vs {args.target}",
@@ -541,11 +538,13 @@ def _parse_levels(pairs: Sequence[str]) -> dict[str, tuple[float, float]]:
         if "=" not in chunk:
             raise AssignmentError(f"--levels expects name=low:high, got {chunk!r}")
         name, text = chunk.split("=", 1)
-        pieces = text.split(":")
+        name, pieces = name.strip(), text.split(":")
         if len(pieces) != 2:
             raise AssignmentError(f"--levels expects name=low:high, got {chunk!r}")
+        if name in levels:
+            raise AssignmentError(f"--levels names {name!r} twice")
         try:
-            levels[name.strip()] = (float(pieces[0]), float(pieces[1]))
+            levels[name] = (float(pieces[0]), float(pieces[1]))
         except ValueError as exc:
             raise AssignmentError(f"bad --levels value: {exc}") from exc
     return levels

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .dataset import PRESET_STATS, ColumnQuartiles
 from .errors import AssignmentError, ScopeError, UnknownColumnError
 from .ols import FittedModel
@@ -38,10 +40,17 @@ class ConditionalResponse:
     def degree(self) -> int:
         return len(self.poly) - 1
 
-    def __call__(self, value: float) -> float:
-        out = 0.0
-        for coefficient in reversed(self.poly):
-            out = out * value + coefficient
+    def __call__(self, value: float | np.ndarray) -> float | np.ndarray:
+        """The section at ``value``, a float or an array of them.  Raises
+        AssignmentError where a finite argument's value leaves the double range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = 0.0
+            for coefficient in reversed(self.poly):
+                out = out * value + coefficient
+        outside = np.isfinite(value) & ~np.isfinite(out)
+        if outside.any():
+            x = float(np.asarray(value)[outside][0])
+            raise AssignmentError(f"section along {self.target!r} at {self.target}={x!r} leaves the double range")
         return out
 
 

@@ -139,11 +139,13 @@ class CorrelationReport:
     diagonal pinned to the 1-boundary of (0, 1] (rendered as an em-dash
     in text output, since a column is trivially correlated with itself).
     ``p`` is computed on first access, so callers that read only ``r``
-    never pay for it.  The upper triangle is taken in slabs of whole rows
-    (``_upper_slabs``) of at most one tail block of pairs each; a slab's r
-    goes through one ``correlation_p_value`` call, and its p is written
-    into both triangles.  When every pair fits in one block, that is one
-    Student t tail call, and beyond r and p the working set is one slab's.
+    never pay for it.  The upper triangle is taken in bands of whole
+    rows: from row i, ``stats._BLOCK // (k - 1 - i)`` of them (at least
+    one), so a band holds at most one tail block of pairs up to 45,057
+    columns.  A band's r goes through one ``correlation_p_value`` call,
+    and its p is written into both triangles.  Up to 213 columns that is
+    one band and one Student t tail call, and beyond r and p the working
+    set is one band's.
     """
 
     names: tuple[str, ...]
@@ -152,33 +154,19 @@ class CorrelationReport:
 
     @cached_property
     def p(self) -> np.ndarray:
-        p = np.ones((len(self.names),) * 2)
-        for rows, columns in _upper_slabs(len(self.names), stats._BLOCK):
-            upper = np.arange(columns.start, columns.stop) > np.arange(rows.start, rows.stop)[:, None]
+        k = len(self.names)
+        p = np.ones((k, k))
+        i = 0
+        while i < k - 1:  # a band: rows i to end - 1, whose longest is row i
+            end = min(k - 1, i + max(1, stats._BLOCK // (k - 1 - i)))
+            rows, columns = slice(i, end), slice(i + 1, k)
+            upper = np.arange(i + 1, k) > np.arange(i, end)[:, None]
             p[rows, columns][upper] = p[columns, rows].T[upper] = correlation_p_value(
                 self.r[rows, columns][upper], self.n
             )
+            i = end
         p.flags.writeable = False
         return p
-
-
-def _upper_slabs(k: int, block: int):
-    """Row and column slices covering the strict upper triangle of a k x k
-    matrix in row order, at most ``block`` pairs each: runs of whole rows
-    (columns from the first row's diagonal on), or, for a row longer than
-    a block, that row in pieces."""
-    i = 0
-    while i < k - 1:
-        end, pairs = i + 1, k - 1 - i  # row i has k - 1 - i pairs
-        if pairs > block:
-            for j in range(i + 1, k, block):
-                yield slice(i, end), slice(j, min(j + block, k))
-        else:
-            while end < k - 1 and pairs + (k - 1 - end) <= block:
-                pairs += k - 1 - end
-                end += 1
-            yield slice(i, end), slice(i + 1, k)
-        i = end
 
 
 @dataclass(frozen=True)
@@ -456,8 +444,8 @@ def correlation_p_value(r, n: int):
     of freedom, formed in one array, and goes through one Student t tail
     call (which works through it in blocks): a float gives a float, an
     array an array of its shape.  |r| = 1 maps to the p floor (smallest
-    positive double).  ``CorrelationReport.p`` calls it once per slab of
-    the upper triangle, not on the whole matrix.
+    positive double).  ``CorrelationReport.p`` calls it once per band of
+    rows of the upper triangle, not on the whole matrix.
     """
     if n < 3:
         raise InsufficientDataError(f"need n >= 3 for a correlation p-value, got {n}")

@@ -21,7 +21,7 @@ MAX_PLOT_POINTS = 1_000_000
 # its input: the design rows of the fold that builds R in ols (2,048 rows of
 # the 22 columns of a five-predictor full quadratic), the row chunks of
 # dataset._moments, and, at 8 bytes an element, the Student t tail's blocks
-# of t (stats._BLOCK), which also bound the pairs in each row slab of
+# of t (stats._BLOCK), which also bound the pairs in each row band of
 # dataset.CorrelationReport.p.  Each pass holds one such block (times the
 # arrays it keeps per element), not n rows or k^2 / 2 pairs.
 ROW_BLOCK_BYTES = 352 * 1024

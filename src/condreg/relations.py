@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import on_demand
 from .defaults import DESTABILIZATION_THRESHOLD
-from .errors import CollinearityError, ScaleError, UnknownPredictorError
+from .errors import AssignmentError, CollinearityError, ScaleError, UnknownPredictorError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +40,24 @@ def two_predictor_bridge(
         b1 = (a1 - a2*c21) / (1 - r^2),   b2 = (a2 - a1*c12) / (1 - r^2)
 
     where a_i are the simple slopes of Y on x_i, c12/c21 the slopes of
-    x1 on x2 and x2 on x1, and r their correlation.
+    x1 on x2 and x2 on x1, and r their correlation.  Raises
+    AssignmentError for an input that is not finite, an r outside
+    [-1, 1] or a b past the double range, and CollinearityError for
+    |r| = 1.
     """
+    for name, value in (("a1", a1), ("a2", a2), ("c12", c12), ("c21", c21), ("r", r)):
+        if not math.isfinite(value):
+            raise AssignmentError(f"{name} must be a finite number, got {value}")
+    if abs(r) > 1.0:
+        raise AssignmentError(f"r must lie in [-1, 1], got {r}")
     denom = 1.0 - r * r
     if denom <= 0.0:
         raise CollinearityError(f"predictors are perfectly correlated (r={r})")
-    return (a1 - a2 * c21) / denom, (a2 - a1 * c12) / denom
+    b1, b2 = (a1 - a2 * c21) / denom, (a2 - a1 * c12) / denom
+    for name, value in (("b1", b1), ("b2", b2)):
+        if not math.isfinite(value):
+            raise AssignmentError(f"reconstructed {name} leaves the double range")
+    return b1, b2
 
 
 @dataclass(frozen=True)

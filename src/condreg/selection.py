@@ -259,13 +259,17 @@ def backward_stepwise(
     order) and refits from the
     start model's factorization, so the surviving coefficients are
     recalculated after every exclusion.
-    Protected terms are never dropped, nor is a model's last parameter
+    Protected terms, which must be terms of ``start``, are never dropped,
+    nor is a model's last parameter
     (the last term of a model without an intercept); with
     ``enforce_hierarchy`` a linear term stays as long as any surviving
     higher-order term uses its predictor.
     """
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+    absent = [term.label for term in protected if term not in start.terms]
+    if absent:
+        raise ModelError(f"protected terms not in the start model: {absent}")
     protected_set = set(protected)
     core = Factorization(d, start.response, start.terms)
     start_fit = core.fit(start)

@@ -625,6 +625,8 @@ SATURATED_CODED = ["--formula=SDH ~ Pb + Cd + Pb:Cd", "--allow-saturated",
                    f"--data={os.path.join(GOLDEN, 'coded.csv')}"]
 
 ACTION_SURVEY = [f"--data={SURVEY}", "--formula=Y ~ x1 + x2 + x1:x2", "--f1=x1", "--f2=x2"]
+PUBLISHED_CODED = ["--formula=SDH ~ Pb + Cd + Pb:Cd", "--coef=693,-4.7,4.49,43.92"]
+BRIDGE_GIVEN = ["--a1=1", "--a2=2", "--c12=0.5", "--c21=0.5"]
 
 # argv ({dir} names the fixture directory) -> exit status and error line
 HOSTILE = [
@@ -746,6 +748,35 @@ HOSTILE = [
                           (["bridge", "--response=Y", "--predictors=x1", "--target=x1"],
                            "slope of 'Y' on 'x1' leaves the double range; rescale 'x1'")]],
     (["corr", f"--data={SURVEY}", "--cols=x1,x1"], 1, "error[schema]: duplicate column name 'x1'"),
+    # the reconstruction mode of bridge: inputs must be finite, |r| <= 1, and b1, b2 within the double range
+    (["bridge", *BRIDGE_GIVEN, "--r=nan"], 2, "error[assignment]: r must be a finite number, got nan"),
+    (["bridge", "--r=0.3", *BRIDGE_GIVEN, "--a1=inf"], 2, "error[assignment]: a1 must be a finite number, got inf"),
+    (["bridge", *BRIDGE_GIVEN, "--r=2"], 2, "error[assignment]: r must lie in [-1, 1], got 2.0"),
+    (["bridge", "--a1=1e308", "--a2=-1e308", "--c12=5", "--c21=5", "--r=0.3"], 2,
+     "error[assignment]: reconstructed b1 leaves the double range"),
+    # a name given twice, or a protected term the start model does not have
+    (["conditional", *PUBLISHED_CODED, "--target=Pb", "--fix=Cd=1", "--fix=Cd=-1"], 2,
+     "error[assignment]: --fix names 'Cd' twice"),
+    (["conditional", *PUBLISHED_CODED, "--target=Pb", "--fix=Cd=1,Cd=-1"], 2,
+     "error[assignment]: --fix names 'Cd' twice"),
+    (["action", *PUBLISHED_CODED, "--f1=Pb", "--f2=Cd", "--levels=Pb=-1:1", "--levels=Pb=0:5"], 2,
+     "error[assignment]: --levels names 'Pb' twice"),
+    (["stepwise", f"--data={SURVEY}", "--formula=Y ~ x1 + x2 + x3", "--protect=zz,x1^2"], 2,
+     "error[model]: protected terms not in the start model: ['zz', 'x1^2']"),
+    # malformed arguments
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd"], 2,
+     "error[assignment]: --fix expects name=value, got 'Cd'"),
+    (["conditional", "--formula=SDH ~ Pb + Cd + Pb:Cd", "--target=Pb", "--fix=Cd=0", "--coef=1,x,3,4"], 2,
+     "error[assignment]: --coef must be comma-separated numbers: "),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=0:1"], 2,
+     "error[formula]: --sweep expects min:max:steps"),
+    (["conditional", *SATURATED_CODED, "--target=Pb", "--fix=Cd=0", "--sweep=0:1:0"], 2,
+     "error[formula]: --sweep needs at least one step"),
+    (["bridge", f"--data={SURVEY}", "--response=Y", "--target=x1", "--predictors=,"], 2,
+     "error[formula]: expected a comma-separated name list"),
+    (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--levels=Pb=a:b"], 2, "error[assignment]: bad --levels value: "),
+    (["action", *SATURATED_CODED, "--f1=Pb", "--f2=Cd", "--levels=Pb"], 2,
+     "error[assignment]: --levels expects name=low:high, got 'Pb'"),
 ]
 
 

@@ -49,6 +49,7 @@ EPS = float(np.finfo(float).eps)
 # the values drawn below, each parameter's such loss is far below this.
 TINY = float(np.finfo(float).tiny)
 NAMES = ("x1", "x2", "x3")
+QUADRATIC = ModelSpec("Y", (Term.linear("x1"), Term.power("x1", 2)))
 
 
 @st.composite
@@ -186,6 +187,21 @@ class TestSectionMap:
         scale = float(sum(abs(partial) for _, partial in exact_partials(m, point)))
         bound = (2 * m.spec.n_parameters + 12) * EPS * scale + m.spec.n_parameters * TINY
         assert abs(derive(m, target, fixed)(x) - predict(m, point)) <= bound
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_scalar_past_the_double_range_is_refused(self):
+        section = derive(FittedModel.from_coefficients(QUADRATIC, [1.0, 2.0, 3.0]), "x1", {})
+        assert section(1e100) == pytest.approx(3e200, rel=1e-15)
+        with pytest.raises(AssignmentError, match=r"^section along 'x1' at x1=1e\+200 leaves the double range$"):
+            section(1e200)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_array_past_the_double_range_is_refused_at_its_first_such_point(self):
+        section = derive(FittedModel.from_coefficients(QUADRATIC, [1.0, 2.0, 3.0]), "x1", {})
+        np.testing.assert_array_equal(section(np.array([-1.0, 0.0, 1.0])), [2.0, 1.0, 6.0])
+        assert np.isnan(section(np.array([np.nan]))).all()  # only a finite argument is checked
+        with pytest.raises(AssignmentError, match=r"^section along 'x1' at x1=-1e\+200 leaves the double range$"):
+            section(np.array([0.0, -1e200, 1e200]))
 
 
 class TestUnitEffect:

@@ -421,7 +421,7 @@ def _with_exact_correlations(rng, n, k):
 
 
 class TestInPlaceReference:
-    """r, the norms and p, formed in place and by row slabs, equal what the
+    """r, the norms and p, formed in place and by row bands, equal what the
     summed Gram expression and the np.triu_indices gather gave, bit for bit."""
 
     @pytest.mark.parametrize("k", [5, 6, 40])
@@ -451,22 +451,35 @@ class TestInPlaceReference:
         data_report = pearson_matrix(_with_exact_correlations(rng, 40, k))
         assert data_report.p.tobytes() == _triangle_p(data_report).tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(0, 40), block=st.integers(1, 60))
-    def test_slabs_cover_the_upper_triangle_in_row_order(self, k, block):
-        pairs = []
-        for rows, columns in dataset._upper_slabs(k, block):
-            i, j = np.meshgrid(np.arange(rows.start, rows.stop), np.arange(columns.start, columns.stop), indexing="ij")
-            upper = j > i
-            assert 0 < np.count_nonzero(upper) <= block
-            if rows.stop - rows.start > 1:  # several rows: whole ones only
-                assert columns == slice(rows.start + 1, k)
-            pairs += zip(i[upper].tolist(), j[upper].tolist())
-        assert pairs == list(zip(*(index.tolist() for index in np.triu_indices(k, 1))))
+    @pytest.mark.parametrize(
+        "k, block, calls",
+        [(2, 1, 1), (3, 2, 2), (3, 4, 1), (13, 12, 9), (13, 25, 4), (13, 1000, 1), (40, 39, 27), (40, 117, 9),
+         (40, 780, 2), (213, None, 1), (214, None, 2)],
+    )
+    def test_p_takes_the_upper_triangle_in_row_order_at_most_a_block_a_call(self, monkeypatch, k, block, calls):
+        """Each correlation_p_value call of p takes one band: whole rows, as
+        many as fit one block at the length of the first; up to 213
+        columns, one call."""
+        if block is not None:
+            monkeypatch.setattr(stats, "_BLOCK", block)
+        seen = []
+
+        def recorded(r, n):
+            seen.append(r.tolist())
+            return correlation_p_value(r, n)
+
+        monkeypatch.setattr(dataset, "correlation_p_value", recorded)
+        i, j = np.triu_indices(k, 1)
+        r = np.eye(k)
+        r[i, j] = r[j, i] = np.ldexp(i * k + j, -20)  # each pair's position, exactly
+        dataset.CorrelationReport(names=tuple(f"c{j}" for j in range(k)), r=r, n=30).p
+        assert len(seen) == calls
+        assert all(0 < len(call) <= stats._BLOCK for call in seen)
+        assert np.ldexp(sum(seen, []), 20).tolist() == (i * k + j).tolist()
 
     def test_p_holds_r_p_and_one_slab(self):
-        """Under tracemalloc, reading p of 300 columns (44,850 pairs, one
-        slab) peaks below r + p + 20 blocks of the tail (16.2 measured); the
+        """Under tracemalloc, reading p of 300 columns (44,850 pairs, two
+        bands of at most one block) peaks below r + p + 20 blocks of the tail (16.2 measured); the
         triangle gather and the tail's copies it replaced took 22.7."""
         d = Dataset({f"c{j}": np.random.default_rng(j).normal(size=60) for j in range(300)})
         report = pearson_matrix(d)

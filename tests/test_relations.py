@@ -15,7 +15,7 @@ from condreg import (
     residualize,
     two_predictor_bridge,
 )
-from condreg.errors import CollinearityError, UnknownPredictorError
+from condreg.errors import AssignmentError, CollinearityError, UnknownPredictorError
 from condreg.relations import BridgeReport
 from conftest import modules_after, random_dataset
 
@@ -33,6 +33,21 @@ class TestTwoPredictorBridge:
     def test_perfect_correlation_rejected(self):
         with pytest.raises(CollinearityError):
             two_predictor_bridge(1.0, 1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "given, error",
+        [
+            ((1.0, 2.0, 0.5, 0.5, float("nan")), "r must be a finite number, got nan"),
+            ((1.0, 2.0, float("-inf"), 0.5, 0.3), "c12 must be a finite number, got -inf"),
+            ((1.0, 2.0, 0.5, 0.5, -1.5), r"r must lie in \[-1, 1\], got -1.5"),
+            ((1.0, 1e308, 0.5, -5.0, 0.3), "reconstructed b1 leaves the double range"),
+            ((2.0, 1e300, 0.5, 0.0, 1.0 - 2.0**-52), "reconstructed b2 leaves the double range"),
+        ],
+        ids=["nan r", "infinite c12", "r below -1", "b1 overflows", "b2 overflows"],
+    )
+    def test_inputs_outside_its_domain_are_refused(self, given, error):
+        with pytest.raises(AssignmentError, match=f"^{error}$"):
+            two_predictor_bridge(*given)
 
     def test_closure_against_direct_fit(self, rng):
         # reconstructing (b1, b2) from (a1, a2, c12, c21, r) matches the

@@ -14,7 +14,7 @@ from condreg import (
     pearson_matrix,
 )
 from condreg import dataset, parse_terms, print_formula, selection
-from condreg.errors import ResponseTermError, SearchError
+from condreg.errors import ModelError, ResponseTermError, SearchError
 from condreg.ols import Factorization
 from condreg.selection import MAX_CANDIDATE_FITS, strong_correlations
 from conftest import random_dataset
@@ -281,6 +281,13 @@ class TestBackwardStepwise:
         start = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2")))
         result = backward_stepwise(d, start, alpha=0.05, protected=[Term.linear("x2")])
         assert Term.linear("x2") in result.final.spec.terms
+
+    def test_a_protected_term_the_start_model_lacks_is_refused(self):
+        d = random_dataset(np.random.default_rng(30), 50, 3)
+        start = ModelSpec("Y", (Term.linear("x1"), Term.linear("x2")))
+        protected = [Term.linear("x2"), Term.linear("x3"), Term.power("x1", 2)]
+        with pytest.raises(ModelError, match=r"^protected terms not in the start model: \['x3', 'x1\^2'\]$"):
+            backward_stepwise(d, start, protected=protected)
 
     def test_alpha_extremes(self):
         rng = np.random.default_rng(44)
